@@ -16,6 +16,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -23,6 +24,7 @@ import scipy.linalg
 
 from .data import Dataset
 from .loss import (
+    ProxThresholds,
     SlideParams,
     prox_slide_vector,
     prox_thresholds,
@@ -85,6 +87,16 @@ class TrainConfig:
     def gamma_c(self) -> float:
         return self.C / self.delta
 
+    @cached_property
+    def thresholds(self) -> ProxThresholds:
+        """Prox breakpoints of gamma_c, shared by selection, u-update and e4."""
+        return prox_thresholds(self.gamma_c, self.slide)
+
+    @cached_property
+    def dual_step(self) -> float:
+        """Multiplier step eta*delta."""
+        return self.eta * self.delta
+
 
 @dataclass(frozen=True)
 class WorkingSet:
@@ -98,7 +110,7 @@ class WorkingSet:
     pinned: np.ndarray
     shifted: np.ndarray
 
-    @property
+    @cached_property
     def indices(self) -> np.ndarray:
         return np.concatenate([self.pinned, self.shifted])
 
@@ -146,13 +158,39 @@ class Residuals:
     e4: float
 
     def max(self) -> float:
-        return max(self.e1, self.e2, self.e3, self.e4)
+        """Largest residual; NaN if any residual is NaN, so a NaN never
+        passes the stop test."""
+        values = (self.e1, self.e2, self.e3, self.e4)
+        if any(math.isnan(v) for v in values):
+            return math.nan
+        return max(values)
 
 
-def compute_z(state: AdmmState, ds: Dataset, cfg: TrainConfig) -> np.ndarray:
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float vector, bit-equal to np.linalg.norm."""
+    return math.sqrt(float(x @ x))
+
+
+# Each per-step function below is the one definition of its formula. The
+# products it needs (A @ w, A[T], lambda/delta) are keyword arguments: train
+# computes each once per sweep and passes it in; left out, they are derived
+# from the arguments.
+
+
+def compute_z(
+    state: AdmmState,
+    ds: Dataset,
+    cfg: TrainConfig,
+    *,
+    Aw: Optional[np.ndarray] = None,
+    lam_d: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """z_i = 1 - y_i<w, x_i> - b*y_i - lambda_i/delta."""
-    A = ds.signed_matrix()
-    return 1.0 - A @ state.w - state.b * ds.y - state.lam / cfg.delta
+    if Aw is None:
+        Aw = ds.signed_matrix() @ state.w
+    if lam_d is None:
+        lam_d = state.lam / cfg.delta
+    return 1.0 - Aw - state.b * ds.y - lam_d
 
 
 def select_working_set(
@@ -163,7 +201,7 @@ def select_working_set(
     Rows with z <= epsilon never participate. A row sitting exactly on the
     outermost breakpoint joins only while its multiplier is nonzero.
     """
-    th = prox_thresholds(cfg.gamma_c, cfg.slide)
+    th = cfg.thresholds
     active = z > cfg.slide.epsilon
     on_tie = (z == th.tie_point) & (lam != 0.0)
     if th.ramp_regime:
@@ -178,11 +216,29 @@ def select_working_set(
 def update_u(z: np.ndarray, ws: WorkingSet, cfg: TrainConfig) -> np.ndarray:
     """Prox step on the slack block: pinned rows drop to epsilon, shifted rows
     move down by C/(delta*(v-eps)), everything else keeps u = z."""
-    th = prox_thresholds(cfg.gamma_c, cfg.slide)
     u = z.copy()
     u[ws.pinned] = cfg.slide.epsilon
-    u[ws.shifted] = z[ws.shifted] - th.shift
+    u[ws.shifted] = z[ws.shifted] - cfg.thresholds.shift
     return u
+
+
+_POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.empty(0),))
+
+
+def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve gram @ x = rhs for a symmetric positive definite gram, which is
+    overwritten by its factor."""
+    # numpy forms X'X and XX' by computing one triangle and mirroring it, so
+    # gram is exactly symmetric and its transpose is the Fortran-ordered
+    # matrix LAPACK reads, without a copy
+    factor, info = _POTRF(gram.T, lower=1, overwrite_a=1, clean=0)
+    if info == 0:
+        x, info = _POTRS(factor, rhs, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"Cholesky solve of the w-system failed (LAPACK info={info})"
+        )
+    return x
 
 
 def solve_w_system(
@@ -202,22 +258,12 @@ def solve_w_system(
         branch = "direct" if n <= t_size else "smw"
     if branch == "direct":
         gram = delta * (a_t.T @ a_t)
-        gram[np.diag_indices_from(gram)] += 1.0
-        rhs = -delta * (a_t.T @ r_t)
-        return scipy.linalg.cho_solve(
-            scipy.linalg.cho_factor(gram, lower=True, check_finite=False),
-            rhs,
-            check_finite=False,
-        )
+        gram.flat[:: n + 1] += 1.0
+        return _cholesky_solve(gram, -delta * (a_t.T @ r_t))
     if branch == "smw":
         gram = delta * (a_t @ a_t.T)
-        gram[np.diag_indices_from(gram)] += 1.0
-        q = scipy.linalg.cho_solve(
-            scipy.linalg.cho_factor(gram, lower=True, check_finite=False),
-            r_t,
-            check_finite=False,
-        )
-        return -delta * (a_t.T @ q)
+        gram.flat[:: t_size + 1] += 1.0
+        return -delta * (a_t.T @ _cholesky_solve(gram, r_t))
     raise ValueError(f"unknown branch {branch!r}")
 
 
@@ -227,13 +273,19 @@ def update_w(
     ds: Dataset,
     cfg: TrainConfig,
     branch: Optional[str] = None,
+    *,
+    a_t: Optional[np.ndarray] = None,
+    lam_d: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Minimize the w block over the working set, with the previous b and
-    multipliers held fixed."""
-    A = ds.signed_matrix()
+    multipliers held fixed. ``a_t`` is A restricted to the working set."""
     idx = state.working_set.indices
-    r = state.lam / cfg.delta + u_next + state.b * ds.y - 1.0
-    return solve_w_system(A[idx], r[idx], cfg.delta, branch=branch)
+    if a_t is None:
+        a_t = ds.signed_matrix()[idx]
+    if lam_d is None:
+        lam_d = state.lam / cfg.delta
+    r = lam_d + u_next + state.b * ds.y - 1.0
+    return solve_w_system(a_t, r[idx], cfg.delta, branch=branch)
 
 
 def update_b(
@@ -242,12 +294,18 @@ def update_b(
     lam: np.ndarray,
     ds: Dataset,
     cfg: TrainConfig,
+    *,
+    Aw: Optional[np.ndarray] = None,
+    lam_d: Optional[np.ndarray] = None,
 ) -> float:
     """b = <y, 1 - u - Aw - lambda/delta> / m (zeroes the b-block gradient)."""
     if ds.m == 0:
         raise ValueError("empty dataset")
-    A = ds.signed_matrix()
-    return float(ds.y @ (1.0 - u_next - A @ w_next - lam / cfg.delta)) / ds.m
+    if Aw is None:
+        Aw = ds.signed_matrix() @ w_next
+    if lam_d is None:
+        lam_d = lam / cfg.delta
+    return float(ds.y @ (1.0 - u_next - Aw - lam_d)) / ds.m
 
 
 def update_lambda(
@@ -257,36 +315,61 @@ def update_lambda(
     b_next: float,
     ds: Dataset,
     cfg: TrainConfig,
+    *,
+    Aw: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Damped dual ascent on the working set; zero elsewhere."""
-    A = ds.signed_matrix()
+    if Aw is None:
+        Aw = ds.signed_matrix() @ w_next
     idx = state.working_set.indices
     lam = np.zeros(ds.m)
-    violation = u_next + A @ w_next + b_next * ds.y - 1.0
-    lam[idx] = state.lam[idx] + cfg.eta * cfg.delta * violation[idx]
+    violation = u_next + Aw + b_next * ds.y - 1.0
+    lam[idx] = state.lam[idx] + cfg.dual_step * violation[idx]
     return lam
 
 
-def residuals(state: AdmmState, ds: Dataset, cfg: TrainConfig) -> Residuals:
+def residuals(
+    state: AdmmState,
+    ds: Dataset,
+    cfg: TrainConfig,
+    *,
+    Aw: Optional[np.ndarray] = None,
+    a_t: Optional[np.ndarray] = None,
+    lam_d: Optional[np.ndarray] = None,
+) -> Residuals:
     """Normalized residuals of the stationarity system at the current state."""
     A = ds.signed_matrix()
     idx = state.working_set.indices
-    w_norm = float(np.linalg.norm(state.w))
-    e1 = float(np.linalg.norm(state.w + A[idx].T @ state.lam[idx])) / (1.0 + w_norm)
-    e2 = abs(float(ds.y[idx] @ state.lam[idx])) / (1.0 + idx.size)
-    violation = 1.0 - state.u - A @ state.w - state.b * ds.y
-    e3 = float(np.linalg.norm(violation)) / math.sqrt(ds.m)
+    if Aw is None:
+        Aw = A @ state.w
+    if a_t is None:
+        a_t = A[idx]
+    if lam_d is None:
+        lam_d = state.lam / cfg.delta
+    lam_t = state.lam[idx]
+    e1 = _norm(state.w + a_t.T @ lam_t) / (1.0 + _norm(state.w))
+    e2 = abs(float(ds.y[idx] @ lam_t)) / (1.0 + idx.size)
+    violation = 1.0 - state.u - Aw - state.b * ds.y
+    e3 = _norm(violation) / math.sqrt(ds.m)
     prox = prox_slide_vector(
-        state.u - state.lam / cfg.delta, cfg.gamma_c, cfg.slide
+        state.u - lam_d, cfg.gamma_c, cfg.slide, th=cfg.thresholds
     )
-    e4 = float(np.linalg.norm(state.u - prox)) / (1.0 + float(np.linalg.norm(state.u)))
+    e4 = _norm(state.u - prox) / (1.0 + _norm(state.u))
     return Residuals(e1, e2, e3, e4)
 
 
-def objective_value(w: np.ndarray, b: float, ds: Dataset, cfg: TrainConfig) -> float:
+def objective_value(
+    w: np.ndarray,
+    b: float,
+    ds: Dataset,
+    cfg: TrainConfig,
+    *,
+    Aw: Optional[np.ndarray] = None,
+) -> float:
     """Primal objective ||w||^2/2 + C * sum_i loss(1 - y_i f(x_i))."""
-    A = ds.signed_matrix()
-    margins = 1.0 - A @ w - b * ds.y
+    if Aw is None:
+        Aw = ds.signed_matrix() @ w
+    margins = 1.0 - Aw - b * ds.y
     return 0.5 * float(w @ w) + slide_loss_sum(margins, cfg.slide, cfg.C)
 
 
@@ -327,24 +410,32 @@ def train(ds: Dataset, cfg: TrainConfig):
     """
     if ds.m == 0:
         raise ValueError("empty dataset")
+    A = ds.signed_matrix()
     state = AdmmState.initial(ds.m, ds.n)
     history: list[Residuals] = []
     sizes: list[int] = []
     objectives: list[float] = []
     converged = False
+    # A @ w, A[T] and lambda/delta are computed once per sweep, each right
+    # after its inputs change, and shared by every step that reads them
+    Aw = A @ state.w
+    lam_d = state.lam / cfg.delta
     for k in range(1, cfg.K + 1):
-        z = compute_z(state, ds, cfg)
-        state.working_set = select_working_set(z, state.lam, cfg)
-        u_next = update_u(z, state.working_set, cfg)
-        w_next = update_w(state, u_next, ds, cfg)
-        b_next = update_b(u_next, w_next, state.lam, ds, cfg)
-        state.lam = update_lambda(state, u_next, w_next, b_next, ds, cfg)
+        z = compute_z(state, ds, cfg, Aw=Aw, lam_d=lam_d)
+        ws = state.working_set = select_working_set(z, state.lam, cfg)
+        a_t = A[ws.indices]
+        u_next = update_u(z, ws, cfg)
+        w_next = update_w(state, u_next, ds, cfg, a_t=a_t, lam_d=lam_d)
+        Aw = A @ w_next
+        b_next = update_b(u_next, w_next, state.lam, ds, cfg, Aw=Aw, lam_d=lam_d)
+        state.lam = update_lambda(state, u_next, w_next, b_next, ds, cfg, Aw=Aw)
         state.u, state.w, state.b, state.k = u_next, w_next, b_next, k
+        lam_d = state.lam / cfg.delta
 
-        res = residuals(state, ds, cfg)
+        res = residuals(state, ds, cfg, Aw=Aw, a_t=a_t, lam_d=lam_d)
         history.append(res)
-        sizes.append(state.working_set.size)
-        objectives.append(objective_value(state.w, state.b, ds, cfg))
+        sizes.append(ws.size)
+        objectives.append(objective_value(state.w, state.b, ds, cfg, Aw=Aw))
         if res.max() < cfg.tol:
             converged = True
             break

@@ -4,6 +4,7 @@ seeded label flipping, and k-fold partitioning."""
 from __future__ import annotations
 
 import io
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,15 +103,17 @@ def parse_libsvm(text, n_features: int | None = None) -> Dataset:
 
     Accepts a string, bytes, or a line iterable. Blank lines and '#' comments
     are ignored. Labels in {+1,-1} are kept and {0,1} files map to {-1,+1}.
-    The feature count is inferred as 1 + the largest (0-based) index unless
-    ``n_features`` overrides it, in which case any out-of-range index is an
-    error.
+    Feature values must be finite: nan, inf and literals that overflow to inf
+    (1e400) are errors, reported with their line. The feature count is
+    inferred as 1 + the largest (0-based) index unless ``n_features``
+    overrides it, in which case any out-of-range index is an error.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     lines = io.StringIO(text) if isinstance(text, str) else text
 
     data, indices, indptr, labels = [], [], [0], []
+    row_lines = array("l")  # line number of each row, for error messages
     max_index = -1
     for lineno, line in enumerate(lines, start=1):
         if isinstance(line, bytes):
@@ -120,6 +123,7 @@ def parse_libsvm(text, n_features: int | None = None) -> Dataset:
             continue
         tokens = line.split()
         labels.append(_map_label(tokens[0], lineno))
+        row_lines.append(lineno)
         prev = 0
         for token in tokens[1:]:
             idx_str, _, val_str = token.partition(":")
@@ -144,6 +148,15 @@ def parse_libsvm(text, n_features: int | None = None) -> Dataset:
         max_index = max(max_index, prev - 1)
         indptr.append(len(data))
 
+    values = np.asarray(data, dtype=np.float64)
+    if not np.isfinite(values).all():
+        pos = int(np.argmin(np.isfinite(values)))
+        row = int(np.searchsorted(indptr, pos, side="right")) - 1
+        raise ParseError(
+            f"line {row_lines[row]}: non-finite value {float(values[pos])!r} "
+            f"at index {indices[pos] + 1}"
+        )
+
     n = max_index + 1 if n_features is None else n_features
     if n_features is not None and max_index >= n_features:
         raise ParseError(
@@ -151,7 +164,7 @@ def parse_libsvm(text, n_features: int | None = None) -> Dataset:
         )
     X = sp.csr_matrix(
         (
-            np.asarray(data, dtype=np.float64),
+            values,
             np.asarray(indices, dtype=np.int32),
             np.asarray(indptr, dtype=np.int32),
         ),

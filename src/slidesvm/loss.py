@@ -163,9 +163,13 @@ def prox_slide(s: float, gamma_c: float, p: SlideParams) -> ProxResult:
     return ProxResult(float(s))
 
 
-def prox_slide_vector(s, gamma_c: float, p: SlideParams) -> np.ndarray:
-    """Elementwise closed-form prox; ties take the identity value ``s``."""
-    th = prox_thresholds(gamma_c, p)
+def prox_slide_vector(
+    s, gamma_c: float, p: SlideParams, th: Optional[ProxThresholds] = None
+) -> np.ndarray:
+    """Elementwise closed-form prox; ties take the identity value ``s``.
+    ``th`` may pass in ``prox_thresholds(gamma_c, p)`` when the caller holds it."""
+    if th is None:
+        th = prox_thresholds(gamma_c, p)
     s = np.asarray(s, dtype=np.float64)
     if th.ramp_regime:
         inner = np.where(

@@ -11,7 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import Dataset
-from .loss import SlideParams, prox_thresholds
+from .loss import SlideParams
 
 if TYPE_CHECKING:
     from .admm import TrainConfig
@@ -63,7 +63,7 @@ def extract_support_vectors(lam: np.ndarray, cfg: "TrainConfig") -> SupportSet:
     theta = 10.0 * cfg.tol
     lam = np.asarray(lam, dtype=np.float64)
     t_star = np.flatnonzero(lam < -theta)
-    if prox_thresholds(cfg.gamma_c, cfg.slide).ramp_regime:
+    if cfg.thresholds.ramp_regime:
         pinned_value = -cfg.C / cfg.slide.ramp_width
         at_pin = np.abs(lam[t_star] - pinned_value) <= theta
         t2 = t_star[at_pin]

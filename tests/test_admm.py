@@ -1,16 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from slidesvm.admm import (
     AdmmState,
+    Residuals,
     TrainConfig,
     check_proximal_stationarity,
     compute_z,
+    objective_value,
     residuals,
     select_working_set,
     solve_w_system,
@@ -302,7 +305,27 @@ class TestResiduals:
         assert res.e3 == pytest.approx(0.5 / math.sqrt(2.0), abs=1e-15)
 
 
+class TestResidualsMax:
+    @pytest.mark.parametrize("position", range(4))
+    def test_nan_anywhere_gives_nan(self, position):
+        values = [0.0, 1e-9, 2e-9, 3e-9]
+        values[position] = math.nan
+        assert math.isnan(Residuals(*values).max())
+
+    def test_finite_values_give_the_largest(self):
+        assert Residuals(1e-9, 4e-9, 3e-9, 2e-9).max() == 4e-9
+
+
 class TestTrain:
+    def test_nan_residual_is_not_converged(self):
+        # a NaN feature makes the feasibility residual NaN from the first
+        # sweep on; the stop test must not read it as small
+        ds = dense_dataset([[0.5], [math.nan], [0.7], [-0.2]], [1.0, -1.0, 1.0, -1.0])
+        mdl, diag = train(ds, make_cfg(K=5))
+        assert not diag.converged and not mdl.converged
+        assert diag.iterations == 5
+        assert all(math.isnan(res.max()) for res in diag.residual_history)
+
     def test_separable_clusters_converge(self, clusters200, clusters_config, trained_clusters):
         mdl, diag = trained_clusters
         assert diag.converged and diag.iterations <= 1000
@@ -517,3 +540,60 @@ class TestSweepProperties:
         A = ds.signed_matrix()
         grad = float(lam @ ds.y) + cfg.delta * float(ds.y @ (u + A @ w + b * ds.y - 1.0))
         assert abs(grad) <= 1e-10 * ds.m
+
+
+def check_train_matches_run_sweeps(ds, cfg, sweeps):
+    """train, with its cached products, against the uncached block updates
+    that the invariant tests drive: the final iterate and every recorded
+    residual and objective must be bit-identical. Returns the sweep kinds met
+    (w branch or empty working set, and the prox regime)."""
+    _, diag = train(ds, dataclasses.replace(cfg, K=sweeps))
+    assert diag.iterations == sweeps or diag.converged
+    seen = run_sweeps(ds, cfg, diag.iterations)
+    final, ref = diag.final_state, seen[-1]
+    assert final.k == ref.k and final.b == ref.b
+    for name in ("w", "u", "lam"):
+        assert np.array_equal(getattr(final, name), getattr(ref, name)), name
+    assert np.array_equal(final.working_set.pinned, ref.working_set.pinned)
+    assert np.array_equal(final.working_set.shifted, ref.working_set.shifted)
+    assert len(diag.residual_history) == len(diag.objective_history) == len(seen)
+
+    kinds = {"ramp" if cfg.thresholds.ramp_regime else "pin"}
+    for res, obj, size, state in zip(
+        diag.residual_history, diag.objective_history, diag.working_set_sizes, seen
+    ):
+        assert res == residuals(state, ds, cfg)
+        assert obj == objective_value(state.w, state.b, ds, cfg)
+        assert size == state.working_set.size
+        if size == 0:
+            kinds.add("empty")
+        else:
+            kinds.add("direct" if ds.n <= size else "smw")
+    return kinds
+
+
+class TestTrainIsTheCheckedSweep:
+    def test_fixed_cases_cover_both_branches_regimes_and_empty_sets(self):
+        rng = np.random.default_rng(11)
+        cases = [
+            # ramp regime, every row shifted, |T| >= n: direct branch
+            (random_problem(rng, 10, 2), make_cfg()),
+            # pin regime, |T| = 2 < n = 4: Woodbury branch
+            (random_problem(rng, 2, 4), make_cfg(slide=SlideParams(0.1, 0.3))),
+            # tie point below 1: nothing is ever selected
+            (
+                random_problem(rng, 6, 2),
+                make_cfg(C=1.0, delta=8.0, slide=SlideParams(0.015, 0.15)),
+            ),
+        ]
+        kinds = set()
+        for ds, cfg in cases:
+            kinds |= check_train_matches_run_sweeps(ds, cfg, sweeps=4)
+        assert kinds == {"ramp", "pin", "direct", "smw", "empty"}
+
+    @given(tiny_problem(), st.integers(min_value=1, max_value=6))
+    @settings(max_examples=150, deadline=None)
+    def test_train_equals_run_sweeps(self, problem, sweeps):
+        ds, cfg = problem
+        for kind in sorted(check_train_matches_run_sweeps(ds, cfg, sweeps)):
+            event(kind)

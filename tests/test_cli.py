@@ -64,6 +64,16 @@ class TestTrainCommand:
         assert status == 1
         assert "cannot read" in capsys.readouterr().err
 
+    def test_non_finite_feature_fails_without_training(self, tmp_path, capsys):
+        data = tmp_path / "nan.svm"
+        data.write_text("+1 1:0.5\n-1 1:nan\n+1 1:0.7\n-1 1:-0.2\n")
+        model_path = tmp_path / "m.txt"
+        status = run(["train", "--data", data, "--out", model_path])
+        assert status == 1
+        captured = capsys.readouterr()
+        assert "line 2: non-finite value nan" in captured.err
+        assert captured.out == "" and not model_path.exists()
+
     def test_nonconvergence_still_exits_zero(self, data_files, tmp_path, capsys):
         train, _ = data_files
         model_path = tmp_path / "model.txt"

@@ -74,6 +74,12 @@ class TestParseLibsvm:
         with pytest.raises(ParseError, match="exceeds"):
             parse_libsvm("+1 7:1\n", n_features=5)
 
+    @pytest.mark.parametrize("literal", ["nan", "inf", "-inf", "NaN", "1e400"])
+    def test_non_finite_value_reports_line(self, literal):
+        text = f"+1 1:0.5\n# comment\n\n-1 1:1 3:{literal}\n+1 2:nan\n"
+        with pytest.raises(ParseError, match="line 4: non-finite value .* at index 3"):
+            parse_libsvm(text)
+
     def test_label_only_rows(self):
         ds = parse_libsvm("+1\n-1 1:1\n")
         assert ds.m == 2
