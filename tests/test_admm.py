@@ -175,6 +175,13 @@ class TestUpdateW:
             w = solve_w_system(np.array([[a]]), np.array([r]), delta, branch=branch)
             assert w == pytest.approx([expected], rel=1e-14)
 
+    def test_indefinite_system_raises(self):
+        # delta < 0 makes I + delta*A'A indefinite; the solver never passes
+        # one, but a failed factorization must surface, not return garbage
+        for branch in ("direct", "smw"):
+            with pytest.raises(np.linalg.LinAlgError):
+                solve_w_system(np.ones((3, 2)), np.ones(3), -10.0, branch=branch)
+
     def test_branch_equivalence_20x5(self):
         rng = np.random.default_rng(3)
         a_t = rng.normal(size=(20, 5))
