@@ -17,13 +17,14 @@ import numpy as np
 
 from . import __version__
 from .admm import TrainConfig, train
-from .data import ParseError, align_features, parse_libsvm
+from .data import ParseError, align_features, parse_libsvm, widen
 from .loss import SlideParams, prox_oracle, prox_slide, prox_thresholds
 from .model import (
     ModelFormatError,
     accuracy,
     confusion_counts,
     load_model,
+    predict_dataset,
     save_model,
 )
 from .tuning import (
@@ -45,12 +46,16 @@ class CliError(Exception):
         self.status = status
 
 
-def _read_dataset(path: str, n_features=None):
+def _read_dataset(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_libsvm(fh, n_features=n_features)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+    if b"\r" in raw:  # CRLF and lone CR end a line, as in text mode
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return parse_libsvm(raw)
     except ParseError as exc:
         raise CliError(f"{path}: {exc}") from exc
 
@@ -115,10 +120,10 @@ def cmd_eval(args) -> int:
         raise CliError(
             f"dimension mismatch: data has {ds.n} features, model has {mdl.n}"
         )
-    if ds.n < mdl.n:
-        ds = _read_dataset(args.data, n_features=mdl.n)
-    acc = accuracy(mdl, ds)
-    tp, fp, tn, fn = confusion_counts(mdl, ds)
+    ds = widen(ds, mdl.n)
+    pred = predict_dataset(mdl, ds)
+    acc = accuracy(mdl, ds, pred=pred)
+    tp, fp, tn, fn = confusion_counts(mdl, ds, pred=pred)
     print(f"accuracy {acc:.4f}")
     print(f"tp {tp} fp {fp} tn {tn} fn {fn}")
     return 0

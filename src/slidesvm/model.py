@@ -4,6 +4,7 @@ margin identities, and text persistence."""
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -111,16 +112,22 @@ def predict_dataset(model: Model, ds: Dataset) -> np.ndarray:
     return np.where(scores > 0.0, 1.0, -1.0)
 
 
-def accuracy(model: Model, ds: Dataset) -> float:
-    """Fraction of samples whose predicted sign matches the label."""
+def accuracy(model: Model, ds: Dataset, *, pred: np.ndarray | None = None) -> float:
+    """Fraction of samples whose predicted sign matches the label.
+
+    ``pred`` may pass in ``predict_dataset(model, ds)`` already computed.
+    """
     if ds.m == 0:
         raise ValueError("empty dataset")
-    return float(np.mean(predict_dataset(model, ds) == ds.y))
+    if pred is None:
+        pred = predict_dataset(model, ds)
+    return float(np.mean(pred == ds.y))
 
 
-def confusion_counts(model: Model, ds: Dataset):
-    """(tp, fp, tn, fn) counts over a dataset."""
-    pred = predict_dataset(model, ds)
+def confusion_counts(model: Model, ds: Dataset, *, pred: np.ndarray | None = None):
+    """(tp, fp, tn, fn) counts over a dataset; ``pred`` as for ``accuracy``."""
+    if pred is None:
+        pred = predict_dataset(model, ds)
     pos, neg = ds.y > 0, ds.y < 0
     tp = int(np.sum(pred[pos] > 0))
     fn = int(np.sum(pred[pos] < 0))
@@ -186,6 +193,8 @@ def _parse_entries(body: str, what: str):
             raise ModelFormatError(f"malformed {what} entry {token!r}")
         idx.append(int(k))
         vals.append(float(v))
+        if not math.isfinite(vals[-1]):
+            raise ModelFormatError(f"non-finite {what} entry {token!r}")
     return np.asarray(idx, dtype=np.int64), np.asarray(vals, dtype=np.float64)
 
 
@@ -250,6 +259,8 @@ def loads_model(text: str) -> Model:
         b = float(fields["b"])
     except (KeyError, ValueError) as exc:
         raise ModelFormatError(f"bad header field: {exc}") from None
+    if not math.isfinite(b):
+        raise ModelFormatError(f"non-finite bias b={fields['b']}")
 
     def split_line(lineno: int, tag: str) -> str:
         head, _, body = lines[lineno].partition(" ")

@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
 
+from slidesvm import cli
 from slidesvm.cli import main
 from slidesvm.data import gaussian_clusters, parse_libsvm, write_libsvm
 from slidesvm.loss import SlideParams
-from slidesvm.model import SupportSet, Model, accuracy, load_model, save_model
+from slidesvm.model import (
+    Model,
+    SupportSet,
+    accuracy,
+    confusion_counts,
+    load_model,
+    save_model,
+)
 
 
 @pytest.fixture()
@@ -130,13 +138,56 @@ class TestEvalCommand:
         assert run(["eval", "--model", model_path, "--data", wide]) == 1
         assert "mismatch" in capsys.readouterr().err
 
-    def test_narrower_data_is_zero_padded(self, data_files, tmp_path):
+    def test_narrower_data_is_zero_padded(self, data_files, tmp_path, monkeypatch, capsys):
         train, _ = data_files
         model_path = tmp_path / "m.txt"
         run(["train", "--data", train, "--eps", "0.1", "--out", model_path])
         slim = tmp_path / "slim.svm"
         slim.write_text("+1 1:0.5\n-1 1:-0.5\n")
+        capsys.readouterr()
+        parsed = []
+
+        def counting_parse(*args, **kwargs):
+            parsed.append(args)
+            return parse_libsvm(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "parse_libsvm", counting_parse)
         assert run(["eval", "--model", model_path, "--data", slim]) == 0
+        assert len(parsed) == 1  # widened in memory, not parsed again
+        mdl = load_model(model_path)
+        ds = parse_libsvm(slim.read_text(), n_features=mdl.n)
+        tp, fp, tn, fn = confusion_counts(mdl, ds)
+        assert capsys.readouterr().out == (
+            f"accuracy {accuracy(mdl, ds):.4f}\ntp {tp} fp {fp} tn {tn} fn {fn}\n"
+        )
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_crlf_and_cr_files_read_as_lines(self, data_files, tmp_path, capsys, end):
+        train, test = data_files
+        model_path = tmp_path / "m.txt"
+        run(["train", "--data", train, "--eps", "0.1", "--out", model_path])
+        capsys.readouterr()
+        assert run(["eval", "--model", model_path, "--data", test]) == 0
+        expected = capsys.readouterr().out
+        other = tmp_path / "other.svm"
+        other.write_bytes(test.read_bytes().replace(b"\n", end.encode()))
+        assert run(["eval", "--model", model_path, "--data", other]) == 0
+        assert capsys.readouterr().out == expected
+        other.write_bytes(b"+1 1:1" + end.encode() + b"-1 1:x" + end.encode())
+        assert run(["eval", "--model", model_path, "--data", other]) == 1
+        assert "line 2: malformed token '1:x'" in capsys.readouterr().err
+
+    def test_non_finite_model_fails(self, data_files, tmp_path, capsys):
+        train, test = data_files
+        model_path = tmp_path / "m.txt"
+        run(["train", "--data", train, "--eps", "0.1", "--out", model_path])
+        text = model_path.read_text()
+        b_line = next(ln for ln in text.splitlines() if ln.startswith("b="))
+        model_path.write_text(text.replace(b_line, "b=nan"))
+        capsys.readouterr()
+        assert run(["eval", "--model", model_path, "--data", test]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "non-finite bias" in captured.err
 
 
 class TestGridCommand:

@@ -1,7 +1,13 @@
+import io
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from slidesvm import data
 from slidesvm.data import (
     Dataset,
     FoldPlan,
@@ -98,6 +104,205 @@ class TestParseLibsvm:
             )
         ds = parse_libsvm("\n".join(rows) + "\n", n_features=12)
         assert parse_libsvm(write_libsvm(ds), n_features=12) == ds
+
+
+def parse_outcome(text, **kwargs):
+    """The parsed arrays, bit for bit, or the type and message of the error."""
+    try:
+        ds = parse_libsvm(text, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the comparison covers every error
+        return ("error", type(exc).__name__, str(exc))
+    X = ds.X
+    return (
+        X.shape,
+        X.data.dtype.str, X.data.view(np.int64).tolist(),
+        X.indices.dtype.str, X.indices.tolist(),
+        X.indptr.dtype.str, X.indptr.tolist(),
+        ds.y.dtype.str, ds.y.view(np.int64).tolist(),
+    )
+
+
+def per_line_outcome(text, **kwargs):
+    """What the per-line reader gives, which takes every line iterable."""
+    return parse_outcome(io.StringIO(text), **kwargs)
+
+
+_DIGITS = st.text("0123456789", max_size=20)
+
+
+@st.composite
+def _decimal(draw):
+    """A decimal literal, valid for float(), with up to 40 digits and an
+    exponent up to 400, so that both the exact and the float() route run."""
+    whole, frac = draw(_DIGITS), draw(st.none() | _DIGITS)
+    if not (whole or frac):
+        whole = "0"
+    text = draw(st.sampled_from(["", "+", "-"])) + whole
+    if frac is not None:
+        text += "." + frac
+    if draw(st.booleans()):
+        exp = draw(st.integers(0, 400 if draw(st.integers(0, 4)) == 0 else 30))
+        text += draw(st.sampled_from(["e", "E"])) + draw(st.sampled_from(["", "+", "-"]))
+        text += "0" * draw(st.integers(0, 2)) + str(exp)
+    return text
+
+
+_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e3, 1e3).map(lambda v: f"{v:.6f}"),
+    st.integers(-10**25, 10**25).map(str),
+    st.integers(1, 4).map(str),
+    _decimal(),
+    st.sampled_from(["0", "-0", "+1", ".5", "5.", "-.5e-3", "1e22", "1e23",
+                     "9007199254740993", "0.1", "4.9e-324", "1e400", "-1e-400"]),
+)
+_BAD_VALUES = st.sampled_from(["nan", "-inf", "1_0", "+", ".", "e5", "1e", "1.2.3", "", "1:2"])
+_LABELS = st.sampled_from(["+1", "-1", "1", "0", "-0", "1.0", "1e0", ".1e1", "0e5", "+0.0"])
+_BAD_LABELS = st.sampled_from(["2", "abc", "1:1", "inf", "nan", "+", "1_0"])
+_BAD_INDICES = st.sampled_from(["0", "+3", "007", "1234567890", "99999999999", "-1", "1e1", ""])
+_SEPARATORS = st.sampled_from([" ", " ", " ", "\t", "  "])
+
+
+@st.composite
+def _libsvm_line(draw, valid):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["", "  ", "\t"] + ([] if valid else ["# comment"])))
+    parts = [draw(_LABELS if valid or draw(st.booleans()) else _BAD_LABELS)]
+    idx = sorted(draw(st.lists(st.integers(1, 60), max_size=6, unique=True)))
+    if not valid and draw(st.booleans()):
+        idx.reverse()
+    for j in idx:
+        index, value = str(j), draw(_VALUES)
+        if not valid and draw(st.integers(0, 3)) == 0:
+            index = draw(_BAD_INDICES)
+        if not valid and draw(st.integers(0, 3)) == 0:
+            value = draw(_BAD_VALUES)
+        parts.append(f"{index}:{value}")
+    line = "".join(p + draw(_SEPARATORS) for p in parts).rstrip(" ")
+    return line if valid else line + draw(st.sampled_from(["", " ", " # note"]))
+
+
+@st.composite
+def _libsvm_text(draw):
+    """Lines in the common grammar, some of them swapped for defective lines,
+    joined by LF, CRLF or CR, with or without a final line end."""
+    lines = draw(st.lists(_libsvm_line(valid=True), max_size=12))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        bad = draw(_libsvm_line(valid=False) | st.text("0123456789+-.eE:# \t_", max_size=20))
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    end = draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]))
+    return end.join(lines) + (end if draw(st.booleans()) else "")
+
+
+_LIBSVM_TEXT = _libsvm_text() | st.text(alphabet="0123456789+-.eE:# \t\r\n_", max_size=80)
+
+
+class TestVectorisedParse:
+    """The vectorised reader against the per-line reader: bit-identical
+    arrays, or the same error with the same message."""
+
+    @given(_LIBSVM_TEXT, st.sampled_from([1, 8, 64, 1 << 18]),
+           st.sampled_from([None, 0, 5, 60, 80]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_per_line_reader(self, text, chunk, n_features):
+        expected = per_line_outcome(text, n_features=n_features)
+        with mock.patch.object(data, "_CHUNK_BYTES", chunk):
+            assert parse_outcome(text, n_features=n_features) == expected
+            assert parse_outcome(text.encode(), n_features=n_features) == expected
+
+    def test_common_grammar_takes_the_vectorised_path(self, monkeypatch):
+        text = "+1 1:0.5 3:-2e-3\t4:1.\n-1 2:7 9:.25E+2\n0\n\n 1 5:00012\n"
+        expected = per_line_outcome(text)
+
+        def fail(*args):
+            raise AssertionError("per-line reader called")
+
+        monkeypatch.setattr(data, "_read_lines", fail)
+        for chunk in (1, 16, 1 << 18):
+            monkeypatch.setattr(data, "_CHUNK_BYTES", chunk)
+            assert parse_outcome(text) == expected
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["1e22", "1e23", "1e-22", "1.5e-23", "9007199254740992", "9007199254740993",
+         "0.9007199254740993", "1234567890123456789", "12345678901234567890",
+         "100000000000000000000", "1" + "0" * 30 + "e-30", "0." + "0" * 30 + "1",
+         "4.9e-324", "2.2250738585072014e-308", "1.7976931348623157e308", "0.1",
+         "-0", "-0.0e7", "3.0000000000000004", "1e0000000000000000000000000005",
+         "0." + "1" * 300],
+    )
+    def test_literals_are_correctly_rounded(self, literal):
+        for text in (literal, "-" + literal.lstrip("-")):
+            ds = parse_libsvm(f"+1 1:{text}\n")  # alone, so digits-only ones take their route
+            assert ds.X.data.view(np.int64)[0] == np.float64(float(text)).view(np.int64)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["+1 1:2:3", "+1 1::2", "+1 :2", "+1 1:", "1:2 3:4", "+1 1:1 5", "+1 2:1 1:1",
+         "+1 1:1 1:2", "+1 0:1", "+1 +3:1", "+1 -3:1", "+1 1e1:1", "+1 1.0:1",
+         "+1 1234567890:1", "+1 0001:1", "2 1:1", "-2 1:1", "1.5 1:1", "+ 1:1",
+         "+1 1:1.2.3", "+1 1:1e", "+1 1:+", "+1 1:-.", "+1 1:e5", "+1 1:.e5",
+         "+1 1:1e+", "+1 1:5e5e5", "+1 1:1e5.", "+1 1:--1", "+1 1:1-", "+1 1:1e400",
+         "+1 1:" + "1" * 70, "+1 1:1\v2:1", "+1 1:1\r", "+1 1:1 # c",
+         "+1 1:0." + "1" * 255 + " 2:0.25 3:-1e-5"],
+    )
+    def test_odd_line_matches_per_line_reader(self, line):
+        for text in (f"{line}\n", f"-1 1:1\n{line}\n+1 2:2\n"):
+            assert parse_outcome(text) == per_line_outcome(text)
+
+    def test_whitespace_only_input(self):
+        for text in ("", " ", "\n\n", " \t \n  \n"):
+            ds = parse_libsvm(text)
+            assert (ds.m, ds.n) == (0, 0)
+            assert parse_outcome(text) == per_line_outcome(text)
+
+    def test_no_trailing_newline(self):
+        ds = parse_libsvm("+1 1:1\n-1 2:0.5")
+        assert ds.m == 2 and ds.row(1)[1].tolist() == [0.5]
+        assert parse_outcome("+1 1:1\n-1 2:0.5") == per_line_outcome("+1 1:1\n-1 2:0.5")
+
+    def test_blank_and_label_only_rows(self):
+        text = "\n+1\n\n  \n-1 3:2\n0\t\n"
+        ds = parse_libsvm(text)
+        assert ds.y.tolist() == [1.0, -1.0, -1.0]
+        assert ds.X.indptr.tolist() == [0, 0, 1, 1]
+        assert parse_outcome(text) == per_line_outcome(text)
+
+    def test_explicit_zeros_are_kept(self):
+        ds = parse_libsvm("+1 1:0 2:-0 3:0.0e5\n")
+        assert ds.X.nnz == 3
+        assert np.signbit(ds.X.data).tolist() == [False, True, False]
+
+    def test_row_straddling_a_chunk_boundary(self, monkeypatch):
+        text = "+1 1:1 2:2\n-1 1:3 2:4 3:5 4:6 5:7\n+1 6:8\n"
+        monkeypatch.setattr(data, "_CHUNK_BYTES", 16)  # the cut falls mid-row
+        ds = parse_libsvm(text)
+        assert ds.X.indptr.tolist() == [0, 2, 7, 8]
+        assert ds.X.data.tolist() == [1, 2, 3, 4, 5, 6, 7, 8]
+
+    def test_error_past_the_first_chunk_reports_its_line(self, monkeypatch):
+        rows = ["+1 1:1 2:2"] * 50
+        rows[37] = "-1 2:1 1:1"
+        monkeypatch.setattr(data, "_CHUNK_BYTES", 64)
+        with pytest.raises(ParseError, match="^line 38: non-increasing index 1 after 2$"):
+            parse_libsvm("\n".join(rows) + "\n")
+        rows[37] = "-1 2:1 3:1e999"
+        with pytest.raises(ParseError, match="^line 38: non-finite value inf at index 3$"):
+            parse_libsvm("\n".join(rows) + "\n")
+
+    def test_malformed_line_after_a_non_finite_value_is_reported_first(self, monkeypatch):
+        monkeypatch.setattr(data, "_CHUNK_BYTES", 8)
+        with pytest.raises(ParseError, match="^line 3: malformed token"):
+            parse_libsvm("+1 1:nan\n-1 1:1\n+1 2:x\n")
+
+    def test_n_features_widens_and_is_checked(self):
+        text = "+1 1:1 3:2\n-1 2:1\n"
+        ds = parse_libsvm(text, n_features=7)
+        assert ds.X.shape == (2, 7)
+        assert ds.X.indices.tolist() == [0, 2, 1]
+        assert parse_outcome(text, n_features=7) == per_line_outcome(text, n_features=7)
+        with pytest.raises(ParseError, match="^feature index 3 exceeds declared dimension 2$"):
+            parse_libsvm(text, n_features=2)
 
 
 class TestScaling:

@@ -234,6 +234,28 @@ class TestPersistence:
         with pytest.raises(ModelFormatError):
             loads_model(text)
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("b", "b=nan"), ("b", "b=-inf"), ("w", "w 0:inf"), ("support_t1", "support_t1 0:nan")],
+    )
+    def test_non_finite_values_rejected(self, field, bad):
+        sup = SupportSet(idx(0), idx(0), idx(), np.array([-0.5]))
+        lines = dumps_model(make_model([1.0, 2.0], b=0.5, support=sup)).splitlines()
+        at = next(i for i, ln in enumerate(lines) if ln.startswith(field))
+        lines[at] = bad
+        with pytest.raises(ModelFormatError, match="non-finite"):
+            loads_model("\n".join(lines) + "\n")
+
+    def test_accuracy_and_counts_reuse_given_predictions(self):
+        ds = dense_dataset([[1.0], [-1.0], [2.0], [-3.0]], [1, 1, -1, -1])
+        mdl = make_model([1.0], b=0.0)
+        pred = predict_dataset(mdl, ds)
+        assert accuracy(mdl, ds, pred=pred) == accuracy(mdl, ds) == 0.5
+        assert confusion_counts(mdl, ds, pred=pred) == confusion_counts(mdl, ds)
+        flipped = -pred
+        assert accuracy(mdl, ds, pred=flipped) == 0.5
+        assert confusion_counts(mdl, ds, pred=flipped) == (1, 1, 1, 1)
+
     def test_model_lambda_lookup(self):
         sup = SupportSet(idx(3, 8), idx(3), idx(8), np.array([-0.25, -1.5]))
         assert model_lambda(sup, 8) == -1.5
