@@ -117,6 +117,9 @@ class _Rows(NamedTuple):
     max_index: int
 
 
+_MAX_INDEX = 2**31 - 1  # 1-based; the 0-based index must fit in int32
+
+
 def _read_lines(lines, first_lineno: int = 1) -> _Rows:
     """The per-line reader: every input the vectorised reader does not take,
     and the one place that reports a malformed line."""
@@ -146,6 +149,8 @@ def _read_lines(lines, first_lineno: int = 1) -> _Rows:
                 ) from None
             if ext_idx < 1:
                 raise ParseError(f"line {lineno}: index {ext_idx} is not 1-based")
+            if ext_idx > _MAX_INDEX:
+                raise ParseError(f"line {lineno}: index {ext_idx} exceeds {_MAX_INDEX}")
             if ext_idx <= prev:
                 raise ParseError(
                     f"line {lineno}: non-increasing index {ext_idx} after {prev}"
@@ -171,69 +176,17 @@ _CLASS[ord(":")] = _COLON
 _CLASS[[ord(" "), ord("\t")]] = _BLANK
 _CLASS[ord("\n")] = _NEWLINE
 
-# The automaton that reads a decimal literal,
-# [+-]? (digits [. digits?] | . digits) ([eE] [+-]? digits)?, one byte a step.
-# States: 0 start, 1 sign, 2 integer digits, 3 leading dot, 4 fraction
-# digits, 5 exponent mark, 6 exponent sign, 7 exponent digits, 8 rejected.
-# Tables are indexed by 16 * state + class.
-_NEXT = np.full((9, 16), 8, dtype=np.uint8)
-_NEXT[:8, _DIGIT] = [2, 2, 2, 4, 4, 7, 7, 7]
-_NEXT[[0, 1, 2], _DOT] = [3, 3, 4]
-_NEXT[[2, 4], _EXP] = 5
-_NEXT[[0, 5], _PLUS] = _NEXT[[0, 5], _MINUS] = [1, 6]
-_NEXT = _NEXT.ravel()
-_MANTISSA_DIGIT = np.zeros((9, 16), dtype=bool)
-_MANTISSA_DIGIT[:5, _DIGIT] = True
-_FRACTION_DIGIT = np.zeros((9, 16), dtype=np.uint8)
-_FRACTION_DIGIT[[3, 4], _DIGIT] = 1
-_EXPONENT_DIGIT = np.zeros((9, 16), dtype=bool)
-_EXPONENT_DIGIT[5:8, _DIGIT] = True
-_EXPONENT_MINUS = np.zeros((9, 16), dtype=bool)
-_EXPONENT_MINUS[5, _MINUS] = True
-_MANTISSA_DIGIT, _FRACTION_DIGIT, _EXPONENT_DIGIT, _EXPONENT_MINUS = (
-    t.ravel() for t in (_MANTISSA_DIGIT, _FRACTION_DIGIT, _EXPONENT_DIGIT, _EXPONENT_MINUS)
-)
-_ACCEPT = np.zeros(9, dtype=bool)
-_ACCEPT[[2, 4, 7]] = True
-
-_POW10 = 10.0 ** np.arange(23)  # exact: every power up to 10**22 is a double
-_POW10_INT = 10 ** np.arange(19, dtype=np.uint64)
-_MAX_FIELD = 64  # longer fields go to the per-line reader; must fit uint8
+_POW10_INT = 10 ** np.arange(15, dtype=np.uint64)
 _CHUNK_BYTES = 1 << 18
 
 
-def _to_float(chunk, mantissa, digits, power, negative, starts, ends):
-    """Values of literals from their mantissa M, its digit count, decimal
-    exponent k and sign, or None when one overflows.
-
-    With M <= 2**53 and |k| <= 22, M * 10**k or M / 10**-k is one correctly
-    rounded operation on exact doubles, which is what ``float`` returns; any
-    other literal goes through ``float``. ``power`` and ``negative`` may be
-    None for literals of digits only.
-    """
-    value = mantissa.astype(np.float64)
-    exact = (digits <= 19) & (mantissa <= 2**53)
-    if power is not None:
-        exact &= np.abs(power) <= 22
-        scale = _POW10[np.minimum(np.abs(power), 22)]
-        value = np.where(power >= 0, value * scale, value / scale)
-        np.negative(value, out=value, where=negative)
-    if not exact.all():
-        slow = np.flatnonzero(~exact)
-        bounds = zip((starts[slow] - 1).tolist(), (ends[slow] - 1).tolist())
-        value[slow] = [float(chunk[a:b]) for a, b in bounds]
-        if not np.isfinite(value[slow]).all():
-            return None
-    return value
-
-
 def _integers(digit, ends, length):
-    """The integer spelled by each field of digits, from its last digit
-    back; only the last 19 digits count. ``digit`` holds the value of each
-    digit byte and 0 for every other byte."""
+    """The integer spelled by each field of at most 15 digits, from its last
+    digit back. ``digit`` holds the value of each digit byte and 0 for every
+    other byte."""
     last = ends - 1
     out = digit[last].astype(np.uint64)
-    longest = min(int(length.max(initial=0)), 19)
+    longest = int(length.max(initial=0))
     if longest > 1:  # the byte before a field is worth 0: no mask needed
         out += digit[last - 1] * _POW10_INT[1]
     for k in range(2, longest):
@@ -242,70 +195,34 @@ def _integers(digit, ends, length):
     return out
 
 
-def _automaton(chunk, cls, digit, starts, length):
-    """Values of fields that hold a sign, dot or exponent, read by the
-    automaton one byte position a step, or None when one is not a decimal
-    literal or overflows.
-
-    Fields run longest first, so that the ones still being read at step k
-    are a prefix of the arrays.
-    """
-    order = np.argsort(length.astype(np.uint8), kind="stable")[::-1]
-    starts, length = starts[order], length[order]
-    n = starts.size
-    reading = n - np.cumsum(np.bincount(length, minlength=_MAX_FIELD + 1))
-    state = np.zeros(n, dtype=np.uint8)
-    mantissa = np.zeros(n, dtype=np.uint64)
-    digits = np.zeros(n, dtype=np.uint8)
-    frac_digits = np.zeros(n, dtype=np.uint8)
-    exponent = np.zeros(n, dtype=np.int64)
-    exp_negative = np.zeros(n, dtype=bool)
-    for k in range(int(length.max(initial=0))):
-        at = slice(0, reading[k])
-        pos = starts[at] + k
-        step = state[at] * 16 + cls[pos]
-        d = digit[pos]
-        state[at] = _NEXT[step]
-        hit = _MANTISSA_DIGIT[step]
-        np.copyto(mantissa[at], mantissa[at] * 10 + d, where=hit)
-        digits[at] += hit
-        frac_digits[at] += _FRACTION_DIGIT[step]
-        if (state[at] >= 5).any():  # exponents: rare, capped far past the exact range
-            hit = _EXPONENT_DIGIT[step]
-            np.copyto(exponent[at], np.minimum(exponent[at] * 10 + d, 10**6), where=hit)
-            exp_negative[at] |= _EXPONENT_MINUS[step]
-    if not _ACCEPT[state].all():
-        return None
-    power = np.where(exp_negative, -exponent, exponent) - frac_digits
-    value = _to_float(
-        chunk, mantissa, digits, power, cls[starts] == _MINUS, starts, starts + length
-    )
-    if value is None:
-        return None
-    out = np.empty(n)
-    out[order] = value
-    return out
-
-
-def _literals(chunk, cls, digit, starts, ends, plain):
+def _literals(text, digit, starts, ends, plain):
     """Float value of the decimal literal in each field, or None when a
-    field is not one or overflows; ``plain`` marks fields of digits only."""
+    field is not one or overflows; ``plain`` marks fields of digits only.
+
+    A field of at most 15 digits spells an integer below 10**15 < 2**53, so
+    its double is exact and integer arithmetic gives it. Every other field
+    is copied out, followed by one blank, and all are read by one call to
+    numpy's correctly rounded parser, which gives the bits ``float`` gives
+    and raises on text that is not a whole decimal literal.
+    """
     length = ends - starts
-    at = slice(None) if plain.all() else np.flatnonzero(plain)  # all, in most files
+    short = plain & (length <= 15)
     value = np.empty(starts.size)
-    ints = _to_float(
-        chunk, _integers(digit, ends[at], length[at]), length[at], None, None,
-        starts[at], ends[at],
-    )
-    if ints is None:
-        return None
-    value[at] = ints
-    rest = np.flatnonzero(~plain)
+    at = slice(None) if short.all() else np.flatnonzero(short)  # all, in most files
+    value[at] = _integers(digit, ends[at], length[at])
+    rest = np.flatnonzero(~short)
     if rest.size:
-        decimals = _automaton(chunk, cls, digit, starts[rest], length[rest])
-        if decimals is None:
+        size = length[rest] + 1  # each field and the byte after it
+        stop = np.cumsum(size)
+        buf = text[np.arange(stop[-1]) + np.repeat(starts[rest] - (stop - size), size)]
+        buf[stop - 1] = ord(" ")
+        try:
+            parsed = np.fromstring(buf.tobytes(), sep=" ")
+        except ValueError:
             return None
-        value[rest] = decimals
+        if parsed.size != rest.size or not np.isfinite(parsed).all():
+            return None
+        value[rest] = parsed
     return value
 
 
@@ -328,8 +245,6 @@ def _read_fields(chunk) -> _Rows | None:
     edges = np.flatnonzero(in_field[1:] != in_field[:-1]) + 1
     starts, ends = edges[0::2], edges[1::2]
     n, length = starts.size, ends - starts
-    if length.max(initial=0) > _MAX_FIELD:
-        return None
 
     # a token is "label" or "index:value": each colon joins the field that
     # ends at it to the one that starts after it, and the remaining fields
@@ -370,8 +285,8 @@ def _read_fields(chunk) -> _Rows | None:
     if index.min(initial=1) < 1 or not step_up.all():
         return None
 
-    values = _literals(chunk, cls, digit, starts[value_at], ends[value_at], plain[value_at])
-    labels = _literals(chunk, cls, digit, starts[row_at], ends[row_at], plain[row_at])
+    values = _literals(text, digit, starts[value_at], ends[value_at], plain[value_at])
+    labels = _literals(text, digit, starts[row_at], ends[row_at], plain[row_at])
     if values is None or labels is None:
         return None
     if not ((labels == 1.0) | (labels == -1.0) | (labels == 0.0)).all():
@@ -451,7 +366,8 @@ def parse_libsvm(text, n_features: int | None = None) -> Dataset:
     Accepts a string, bytes, or a line iterable. Blank lines and '#' comments
     are ignored. Labels in {+1,-1} are kept and {0,1} files map to {-1,+1}.
     Feature values must be finite: nan, inf and literals that overflow to inf
-    (1e400) are errors, reported with their line. The feature count is
+    (1e400) are errors, reported with their line, and so is an index above
+    2**31 - 1, the largest that int32 holds. The feature count is
     inferred as 1 + the largest (0-based) index unless ``n_features``
     overrides it, in which case any out-of-range index is an error. In a
     string or bytes only the newline character ends a line; a carriage
@@ -460,11 +376,13 @@ def parse_libsvm(text, n_features: int | None = None) -> Dataset:
     ASCII strings and bytes are parsed in numpy, in chunks of about 256 KiB
     cut at newlines, where every line is "label idx:val ..." with space or
     tab separators, decimal literals, indices of at most 9 digits and labels
-    in {-1, 0, +1}. A per-line reader takes everything else and gives the
-    same arrays and the same errors: line iterables, non-ASCII text, and
-    each chunk that holds a comment, a carriage return, a nan, inf or
-    underscore literal, a field longer than 64 bytes, a signed index, or any
-    malformed line.
+    in {-1, 0, +1}. There, a value or label of at most 15 digits is read in
+    integer arithmetic, which is exact, and the other values, then the other
+    labels, of a chunk by one call each to numpy's correctly rounded parser:
+    both give the bits of ``float``. A per-line reader takes everything else
+    and gives the same arrays and the same errors: line iterables, non-ASCII
+    text, and each chunk that holds a comment, a carriage return, a nan, inf
+    or underscore literal, a signed index, or any malformed line.
     """
     if isinstance(text, str) and text.isascii():
         text = text.encode("ascii")

@@ -191,8 +191,11 @@ def _parse_entries(body: str, what: str):
         k, _, v = token.partition(":")
         if not _:
             raise ModelFormatError(f"malformed {what} entry {token!r}")
-        idx.append(int(k))
-        vals.append(float(v))
+        try:
+            idx.append(int(k))
+            vals.append(float(v))
+        except ValueError:
+            raise ModelFormatError(f"malformed {what} entry {token!r}") from None
         if not math.isfinite(vals[-1]):
             raise ModelFormatError(f"non-finite {what} entry {token!r}")
     return np.asarray(idx, dtype=np.int64), np.asarray(vals, dtype=np.float64)

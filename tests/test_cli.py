@@ -72,6 +72,15 @@ class TestTrainCommand:
         assert status == 1
         assert "cannot read" in capsys.readouterr().err
 
+    def test_oversized_index_fails_with_its_line(self, tmp_path, capsys):
+        data = tmp_path / "wide.svm"
+        data.write_text("+1 3000000000:1\n")
+        model_path = tmp_path / "m.txt"
+        assert run(["train", "--data", data, "--out", model_path]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {data}: line 1: index 3000000000 exceeds 2147483647" in captured.err
+        assert captured.out == "" and not model_path.exists()
+
     def test_non_finite_feature_fails_without_training(self, tmp_path, capsys):
         data = tmp_path / "nan.svm"
         data.write_text("+1 1:0.5\n-1 1:nan\n+1 1:0.7\n-1 1:-0.2\n")
@@ -121,12 +130,33 @@ class TestEvalCommand:
         frac = float(np.mean(ds.y > 0))
         assert f"accuracy {frac:.4f}" in capsys.readouterr().out
 
-    def test_corrupt_model_fails(self, data_files, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [(None, "header"), ("w 0:abc", "malformed weight entry '0:abc'"),
+         ("w x:1", "malformed weight entry 'x:1'"),
+         ("support_t1 1:zz", "malformed support entry '1:zz'")],
+        ids=["header", "w-value", "w-index", "support-value"],
+    )
+    def test_corrupt_model_fails(self, data_files, tmp_path, capsys, bad_line, message):
         _, test = data_files
         bad = tmp_path / "bad.txt"
-        bad.write_text("not a model\n")
+        if bad_line is None:
+            bad.write_text("not a model\n")
+        else:
+            sup = SupportSet(*(np.array([0]),) * 2, np.empty(0, dtype=np.int64), np.array([-0.5]))
+            mdl = Model(
+                w=np.array([1.0, 2.0]), b=0.5, slide=SlideParams(0.1, 1.0), C=1.0,
+                delta=1.0, support=sup, converged=True, iterations=1,
+            )
+            save_model(mdl, bad)
+            tag = bad_line.split()[0]
+            lines = [bad_line if ln.split()[:1] == [tag] else ln
+                     for ln in bad.read_text().splitlines()]
+            bad.write_text("\n".join(lines) + "\n")
         assert run(["eval", "--model", bad, "--data", test]) == 1
-        assert "header" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {bad}: " in captured.err and message in captured.err
 
     def test_dimension_mismatch_fails(self, tmp_path, capsys):
         wide = tmp_path / "wide.svm"

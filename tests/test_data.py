@@ -65,6 +65,12 @@ class TestParseLibsvm:
         with pytest.raises(ParseError, match="1-based"):
             parse_libsvm("+1 0:1\n")
 
+    @pytest.mark.parametrize("text", ["+1 3000000000:1\n", "-1 1:1\n+1 2:1 2147483648:1\n"])
+    def test_index_above_int32_reports_line(self, text):
+        line = text.count("\n")
+        with pytest.raises(ParseError, match=f"^line {line}: index .* exceeds 2147483647$"):
+            parse_libsvm(text)
+
     def test_comments_and_blank_lines(self):
         ds = parse_libsvm("\n# full comment\n+1 1:2.0  # trailing\n\n-1 1:1.0\n")
         assert ds.m == 2 and ds.n == 1
@@ -133,7 +139,7 @@ _DIGITS = st.text("0123456789", max_size=20)
 @st.composite
 def _decimal(draw):
     """A decimal literal, valid for float(), with up to 40 digits and an
-    exponent up to 400, so that both the exact and the float() route run."""
+    exponent up to 400, so that both the integer and the numpy route run."""
     whole, frac = draw(_DIGITS), draw(st.none() | _DIGITS)
     if not (whole or frac):
         whole = "0"
@@ -211,7 +217,13 @@ class TestVectorisedParse:
             assert parse_outcome(text.encode(), n_features=n_features) == expected
 
     def test_common_grammar_takes_the_vectorised_path(self, monkeypatch):
-        text = "+1 1:0.5 3:-2e-3\t4:1.\n-1 2:7 9:.25E+2\n0\n\n 1 5:00012\n"
+        rng = np.random.default_rng(8)
+        normals = dense_dataset(rng.normal(size=(6, 4)), [1, -1, 1, 1, -1, -1])
+        text = (
+            "+1 1:0.5 3:-2e-3\t4:1.\n-1 2:7 9:.25E+2\n0\n\n 1 5:00012\n"
+            + write_libsvm(normals)  # 17-digit repr values
+            + "-1 1:12345678901234567890 2:0." + "3" * 68 + " 3:1e-300\n"
+        )
         expected = per_line_outcome(text)
 
         def fail(*args):
@@ -221,6 +233,12 @@ class TestVectorisedParse:
         for chunk in (1, 16, 1 << 18):
             monkeypatch.setattr(data, "_CHUNK_BYTES", chunk)
             assert parse_outcome(text) == expected
+
+    @pytest.mark.parametrize("text", [b"1-2 ", b"1 . "])
+    def test_numpy_refuses_unmatched_text(self, text):
+        # the vectorised reader relies on this: a prefix parse would misread "1-2"
+        with pytest.raises(ValueError):
+            np.fromstring(text, sep=" ")
 
     @pytest.mark.parametrize(
         "literal",
