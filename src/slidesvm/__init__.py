@@ -8,12 +8,10 @@ and a working-set ADMM solver that touches only the samples near the margin.
 __version__ = "0.1.0"
 
 from .loss import (
-    ProxResult,
     SlideParams,
     SubdiffKind,
     SubdiffSet,
     prox_oracle,
-    prox_slide,
     prox_slide_vector,
     slide_loss,
     slide_loss_sum,
@@ -61,12 +59,10 @@ from .tuning import (
 
 __all__ = [
     "__version__",
-    "ProxResult",
     "SlideParams",
     "SubdiffKind",
     "SubdiffSet",
     "prox_oracle",
-    "prox_slide",
     "prox_slide_vector",
     "slide_loss",
     "slide_loss_sum",

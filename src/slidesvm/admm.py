@@ -38,7 +38,6 @@ __all__ = [
     "AdmmState",
     "Residuals",
     "TrainDiagnostics",
-    "StationarityReport",
     "compute_z",
     "select_working_set",
     "update_u",
@@ -149,8 +148,9 @@ class AdmmState:
 
 @dataclass(frozen=True)
 class Residuals:
-    """Normalized stopping residuals: e1 gradient, e2 multiplier balance,
-    e3 constraint feasibility, e4 prox fixed point."""
+    """The four stationarity defects: e1 gradient, e2 multiplier balance,
+    e3 constraint feasibility, e4 prox fixed point. ``residuals`` returns
+    them normalized, ``check_proximal_stationarity`` raw."""
 
     e1: float
     e2: float
@@ -272,7 +272,6 @@ def update_w(
     u_next: np.ndarray,
     ds: Dataset,
     cfg: TrainConfig,
-    branch: Optional[str] = None,
     *,
     a_t: Optional[np.ndarray] = None,
     lam_d: Optional[np.ndarray] = None,
@@ -285,7 +284,7 @@ def update_w(
     if lam_d is None:
         lam_d = state.lam / cfg.delta
     r = lam_d + u_next + state.b * ds.y - 1.0
-    return solve_w_system(a_t, r[idx], cfg.delta, branch=branch)
+    return solve_w_system(a_t, r[idx], cfg.delta)
 
 
 def update_b(
@@ -328,6 +327,38 @@ def update_lambda(
     return lam
 
 
+def _defect_norms(
+    state: AdmmState,
+    ds: Dataset,
+    cfg: TrainConfig,
+    *,
+    Aw: Optional[np.ndarray] = None,
+    a_t: Optional[np.ndarray] = None,
+    lam_d: Optional[np.ndarray] = None,
+) -> tuple[float, float, float, float]:
+    """Raw norms of the four stationarity defects over the working set T:
+    ||w + A_T' lambda_T||, |y_T' lambda_T|, ||1 - u - Aw - by|| and
+    ||u - prox_{gamma_c loss}(u - lambda/delta)||."""
+    A = ds.signed_matrix()
+    idx = state.working_set.indices
+    if Aw is None:
+        Aw = A @ state.w
+    if a_t is None:
+        a_t = A[idx]
+    if lam_d is None:
+        lam_d = state.lam / cfg.delta
+    lam_t = state.lam[idx]
+    prox = prox_slide_vector(
+        state.u - lam_d, cfg.gamma_c, cfg.slide, th=cfg.thresholds
+    )
+    return (
+        _norm(state.w + a_t.T @ lam_t),
+        abs(float(ds.y[idx] @ lam_t)),
+        _norm(1.0 - state.u - Aw - state.b * ds.y),
+        _norm(state.u - prox),
+    )
+
+
 def residuals(
     state: AdmmState,
     ds: Dataset,
@@ -338,24 +369,13 @@ def residuals(
     lam_d: Optional[np.ndarray] = None,
 ) -> Residuals:
     """Normalized residuals of the stationarity system at the current state."""
-    A = ds.signed_matrix()
-    idx = state.working_set.indices
-    if Aw is None:
-        Aw = A @ state.w
-    if a_t is None:
-        a_t = A[idx]
-    if lam_d is None:
-        lam_d = state.lam / cfg.delta
-    lam_t = state.lam[idx]
-    e1 = _norm(state.w + a_t.T @ lam_t) / (1.0 + _norm(state.w))
-    e2 = abs(float(ds.y[idx] @ lam_t)) / (1.0 + idx.size)
-    violation = 1.0 - state.u - Aw - state.b * ds.y
-    e3 = _norm(violation) / math.sqrt(ds.m)
-    prox = prox_slide_vector(
-        state.u - lam_d, cfg.gamma_c, cfg.slide, th=cfg.thresholds
+    e1, e2, e3, e4 = _defect_norms(state, ds, cfg, Aw=Aw, a_t=a_t, lam_d=lam_d)
+    return Residuals(
+        e1 / (1.0 + _norm(state.w)),
+        e2 / (1.0 + state.working_set.size),
+        e3 / math.sqrt(ds.m),
+        e4 / (1.0 + _norm(state.u)),
     )
-    e4 = _norm(state.u - prox) / (1.0 + _norm(state.u))
-    return Residuals(e1, e2, e3, e4)
 
 
 def objective_value(
@@ -462,22 +482,6 @@ def train(ds: Dataset, cfg: TrainConfig):
     return trained, diagnostics
 
 
-@dataclass(frozen=True)
-class StationarityReport:
-    """Raw defect norms of the four stationarity conditions at a point."""
-
-    gradient: float
-    balance: float
-    feasibility: float
-    prox_defect: float
-
-    def max_defect(self) -> float:
-        return max(self.gradient, self.balance, self.feasibility, self.prox_defect)
-
-    def passes(self, tau: float) -> bool:
-        return self.max_defect() <= tau
-
-
 def check_proximal_stationarity(
     w: np.ndarray,
     b: float,
@@ -487,19 +491,16 @@ def check_proximal_stationarity(
     ds: Dataset,
     C: float,
     p: SlideParams,
-) -> StationarityReport:
-    """Evaluate the four stationarity defects at (w, b, u, lambda) for a given
-    prox scale gamma. Uses the full signed matrix, not a working set.
+) -> Residuals:
+    """Raw norms of the four stationarity defects at (w, b, u, lambda) for a
+    given prox scale gamma: the solver's formulas at delta = 1/gamma, over
+    all rows rather than a working set.
 
-    The point certifies as stationary at tolerance tau when all four defects
-    are at most tau.
+    The point certifies as stationary at tolerance tau when ``max() <= tau``.
     """
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    A = ds.signed_matrix()
-    gradient = float(np.linalg.norm(w + A.T @ lam))
-    balance = abs(float(ds.y @ lam))
-    feasibility = float(np.linalg.norm(u + A @ w + b * ds.y - 1.0))
-    prox = prox_slide_vector(u - gamma * lam, gamma * C, p)
-    prox_defect = float(np.linalg.norm(u - prox))
-    return StationarityReport(gradient, balance, feasibility, prox_defect)
+    cfg = TrainConfig(C=C, delta=1.0 / gamma, slide=p)
+    every_row = WorkingSet(np.arange(ds.m), _EMPTY)
+    point = AdmmState(w, b, u, lam, working_set=every_row)
+    return Residuals(*_defect_norms(point, ds, cfg))

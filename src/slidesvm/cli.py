@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .admm import TrainConfig, train
 from .data import ParseError, align_features, parse_libsvm, widen
-from .loss import SlideParams, prox_oracle, prox_slide, prox_thresholds
+from .loss import SlideParams, prox_oracle, prox_slide_vector, prox_thresholds
 from .model import (
     ModelFormatError,
     accuracy,
@@ -247,16 +247,16 @@ def cmd_proxcheck(args) -> int:
     failures = 0
     for _ in range(args.samples):
         s, gamma_c, p = _draw_prox_case(rng)
-        closed = prox_slide(s, gamma_c, p)
+        th = prox_thresholds(gamma_c, p)
+        closed = float(prox_slide_vector(s, gamma_c, p, th=th))
         oracle = prox_oracle(s, gamma_c, p, step=args.step)
-        deviation = abs(closed.value - oracle)
-        tie = prox_thresholds(gamma_c, p).tie_point
-        near_tie = abs(s - tie) <= 1e-6
+        deviation = abs(closed - oracle)
+        near_tie = abs(s - th.tie_point) <= 1e-6
         if near_tie:
             # the grid cannot resolve which minimizer wins this close to the
             # tie; require the closed form to output one of the two
-            alt = closed.alternate if closed.alternate is not None else p.epsilon
-            ok = min(abs(closed.value - s), abs(closed.value - alt)) <= 1e-9
+            alt = s - th.shift if th.ramp_regime else p.epsilon
+            ok = min(abs(closed - s), abs(closed - alt)) <= 1e-9
         else:
             ok = deviation <= args.limit
             deviations.append(deviation)
@@ -267,7 +267,7 @@ def cmd_proxcheck(args) -> int:
                 repr(gamma_c),
                 repr(p.epsilon),
                 repr(p.v),
-                repr(closed.value),
+                repr(closed),
                 repr(oracle),
                 repr(deviation),
                 int(near_tie),

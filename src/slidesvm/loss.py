@@ -18,13 +18,11 @@ __all__ = [
     "SlideParams",
     "SubdiffKind",
     "SubdiffSet",
-    "ProxResult",
     "ProxThresholds",
     "slide_loss",
     "slide_loss_sum",
     "slide_subdifferential",
     "prox_thresholds",
-    "prox_slide",
     "prox_slide_vector",
     "prox_oracle",
 ]
@@ -113,8 +111,9 @@ class ProxThresholds(NamedTuple):
     ``(eps, pin_upper)`` pin to ``eps`` and inputs in ``[pin_upper, tie_point)``
     shift down by ``shift``; otherwise only the pin branch exists and
     ``pin_upper == tie_point``. An input equal to ``tie_point`` has two
-    minimizers. The same thresholds drive the solver's working-set selection,
-    so they are computed in exactly one place.
+    minimizers: itself and ``tie_point - shift`` in the ramp regime, itself
+    and ``eps`` otherwise. The same thresholds drive the solver's working-set
+    selection, so they are computed in exactly one place.
     """
 
     ramp_regime: bool
@@ -137,37 +136,12 @@ def prox_thresholds(gamma_c: float, p: SlideParams) -> ProxThresholds:
     return ProxThresholds(False, tie, tie, shift)
 
 
-@dataclass(frozen=True)
-class ProxResult:
-    """Minimizer of ``gamma_c*loss(t) + (t-s)^2/2``. At the single input value
-    with two global minimizers, ``value`` keeps ``s`` and ``alternate`` holds
-    the other one."""
-
-    value: float
-    is_tie: bool = False
-    alternate: Optional[float] = None
-
-
-def prox_slide(s: float, gamma_c: float, p: SlideParams) -> ProxResult:
-    """Closed-form prox of ``gamma_c * loss`` at the scalar ``s``."""
-    th = prox_thresholds(gamma_c, p)
-    if s <= p.epsilon:
-        return ProxResult(float(s))
-    if s < th.pin_upper:
-        return ProxResult(p.epsilon)
-    if th.ramp_regime and s < th.tie_point:
-        return ProxResult(float(s - th.shift))
-    if s == th.tie_point:
-        alt = s - th.shift if th.ramp_regime else p.epsilon
-        return ProxResult(float(s), is_tie=True, alternate=float(alt))
-    return ProxResult(float(s))
-
-
 def prox_slide_vector(
     s, gamma_c: float, p: SlideParams, th: Optional[ProxThresholds] = None
 ) -> np.ndarray:
-    """Elementwise closed-form prox; ties take the identity value ``s``.
-    ``th`` may pass in ``prox_thresholds(gamma_c, p)`` when the caller holds it."""
+    """Elementwise closed-form prox; ties take the identity value ``s``, and a
+    scalar ``s`` gives a 0-d array. ``th`` may pass in
+    ``prox_thresholds(gamma_c, p)`` when the caller holds it."""
     if th is None:
         th = prox_thresholds(gamma_c, p)
     s = np.asarray(s, dtype=np.float64)

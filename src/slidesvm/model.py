@@ -3,7 +3,6 @@ margin identities, and text persistence."""
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -180,9 +179,15 @@ class ModelFormatError(ValueError):
     """Corrupt, truncated, or incompatible model text."""
 
 
-def _sparse_entries(vec: np.ndarray) -> str:
-    idx = np.flatnonzero(vec)
-    return " ".join(f"{int(j)}:{float(vec[j])!r}" for j in idx)
+# The v1 layout after the header line: one "tag=value" line per scalar
+# field, then one "tag i:x i:x ..." line per sparse vector. The writer keeps
+# this order; the reader matches lines by tag.
+SCALAR_TAGS = ("n", "C", "delta", "epsilon", "v", "converged", "iterations", "b")
+VECTOR_TAGS = ("w", "support_t1", "support_t2")
+
+
+def _entries(idx: np.ndarray, vals: np.ndarray) -> str:
+    return " ".join(f"{int(j)}:{float(x)!r}" for j, x in zip(idx, vals))
 
 
 def _parse_entries(body: str, what: str):
@@ -196,6 +201,8 @@ def _parse_entries(body: str, what: str):
             vals.append(float(v))
         except ValueError:
             raise ModelFormatError(f"malformed {what} entry {token!r}") from None
+        if idx[-1] < 0:
+            raise ModelFormatError(f"negative index in {what} entry {token!r}")
         if not math.isfinite(vals[-1]):
             raise ModelFormatError(f"non-finite {what} entry {token!r}")
     return np.asarray(idx, dtype=np.int64), np.asarray(vals, dtype=np.float64)
@@ -203,35 +210,19 @@ def _parse_entries(body: str, what: str):
 
 def dumps_model(model: Model) -> str:
     """Line-oriented text rendering; floats use repr so the round trip is exact."""
-    out = io.StringIO()
-    out.write(FORMAT_HEADER + "\n")
-    out.write(f"n={model.n}\n")
-    out.write(f"C={model.C!r}\n")
-    out.write(f"delta={model.delta!r}\n")
-    out.write(f"epsilon={model.slide.epsilon!r}\n")
-    out.write(f"v={model.slide.v!r}\n")
-    out.write(f"converged={'true' if model.converged else 'false'}\n")
-    out.write(f"iterations={model.iterations}\n")
-    out.write(f"b={model.b!r}\n")
-    out.write("w " + _sparse_entries(model.w) + "\n")
+    converged = "true" if model.converged else "false"
+    scalars = (model.n, repr(model.C), repr(model.delta), repr(model.slide.epsilon),
+               repr(model.slide.v), converged, model.iterations, repr(model.b))
     sup = model.support
-    t1 = " ".join(
-        f"{int(i)}:{model_lambda(sup, i)!r}" for i in sup.t1
-    )
-    t2 = " ".join(
-        f"{int(i)}:{model_lambda(sup, i)!r}" for i in sup.t2
-    )
-    out.write("support_t1 " + t1 + "\n")
-    out.write("support_t2 " + t2 + "\n")
-    return out.getvalue()
-
-
-def model_lambda(support: SupportSet, i: int) -> float:
-    """Multiplier value stored for support row i."""
-    pos = np.searchsorted(support.t_star, i)
-    if pos >= support.t_star.size or support.t_star[pos] != i:
-        raise KeyError(f"row {i} is not in the support set")
-    return float(support.lambda_values[pos])
+    nonzero = np.flatnonzero(model.w)
+    vectors = [(nonzero, model.w[nonzero])] + [
+        (rows, sup.lambda_values[np.searchsorted(sup.t_star, rows)])
+        for rows in (sup.t1, sup.t2)
+    ]
+    lines = [FORMAT_HEADER]
+    lines += [f"{tag}={value}" for tag, value in zip(SCALAR_TAGS, scalars)]
+    lines += [f"{tag} {_entries(*vec)}" for tag, vec in zip(VECTOR_TAGS, vectors)]
+    return "\n".join(lines) + "\n"
 
 
 def loads_model(text: str) -> Model:
@@ -242,15 +233,20 @@ def loads_model(text: str) -> Model:
             if lines
             else "empty model text"
         )
-    if len(lines) < 12:
-        raise ModelFormatError("truncated model text")
-
     fields = {}
-    for ln in lines[1:9]:
-        key, sep, value = ln.partition("=")
-        if not sep:
-            raise ModelFormatError(f"malformed header line {ln!r}")
-        fields[key] = value
+    for ln in lines[1:]:
+        tag, _, value = ln.partition(" ")
+        if tag not in VECTOR_TAGS:
+            tag, _, value = ln.partition("=")
+            if tag not in SCALAR_TAGS:
+                raise ModelFormatError(f"unknown tag in line {ln!r}")
+        if tag in fields:
+            raise ModelFormatError(f"repeated {tag!r} line")
+        fields[tag] = value
+    for tag in SCALAR_TAGS + VECTOR_TAGS:
+        if tag not in fields:
+            raise ModelFormatError(f"truncated model text: missing {tag!r} line")
+
     try:
         n = int(fields["n"])
         C = float(fields["C"])
@@ -265,13 +261,7 @@ def loads_model(text: str) -> Model:
     if not math.isfinite(b):
         raise ModelFormatError(f"non-finite bias b={fields['b']}")
 
-    def split_line(lineno: int, tag: str) -> str:
-        head, _, body = lines[lineno].partition(" ")
-        if head != tag:
-            raise ModelFormatError(f"expected {tag!r} line, got {lines[lineno]!r}")
-        return body
-
-    w_idx, w_val = _parse_entries(split_line(9, "w"), "weight")
+    w_idx, w_val = _parse_entries(fields["w"], "weight")
     if w_idx.size and w_idx.max() >= n:
         raise ModelFormatError(
             f"weight index {int(w_idx.max())} inconsistent with n={n}"
@@ -279,8 +269,8 @@ def loads_model(text: str) -> Model:
     w = np.zeros(n)
     w[w_idx] = w_val
 
-    t1_idx, t1_val = _parse_entries(split_line(10, "support_t1"), "support")
-    t2_idx, t2_val = _parse_entries(split_line(11, "support_t2"), "support")
+    t1_idx, t1_val = _parse_entries(fields["support_t1"], "support")
+    t2_idx, t2_val = _parse_entries(fields["support_t2"], "support")
     order = np.argsort(np.concatenate([t1_idx, t2_idx]), kind="stable")
     all_idx = np.concatenate([t1_idx, t2_idx])[order]
     all_val = np.concatenate([t1_val, t2_val])[order]

@@ -4,7 +4,7 @@ import pytest
 from slidesvm import cli
 from slidesvm.cli import main
 from slidesvm.data import gaussian_clusters, parse_libsvm, write_libsvm
-from slidesvm.loss import SlideParams
+from slidesvm.loss import SlideParams, prox_thresholds
 from slidesvm.model import (
     Model,
     SupportSet,
@@ -134,8 +134,11 @@ class TestEvalCommand:
         "bad_line, message",
         [(None, "header"), ("w 0:abc", "malformed weight entry '0:abc'"),
          ("w x:1", "malformed weight entry 'x:1'"),
-         ("support_t1 1:zz", "malformed support entry '1:zz'")],
-        ids=["header", "w-value", "w-index", "support-value"],
+         ("support_t1 1:zz", "malformed support entry '1:zz'"),
+         ("w -1:7.0", "negative index in weight entry '-1:7.0'"),
+         ("support_t1 -3:-0.5", "negative index in support entry '-3:-0.5'")],
+        ids=["header", "w-value", "w-index", "support-value", "w-negative-index",
+             "support-negative-index"],
     )
     def test_corrupt_model_fails(self, data_files, tmp_path, capsys, bad_line, message):
         _, test = data_files
@@ -314,6 +317,18 @@ class TestProxcheckCommand:
 
     def test_small_run_is_clean(self, capsys):
         assert run(["proxcheck", "--samples", "500", "--seed", "5"]) == 0
+        assert "failures=0" in capsys.readouterr().out
+
+    def test_near_tie_ramp_draw_passes(self, monkeypatch, capsys):
+        # just below the tie in the ramp regime the closed form shifts down
+        # by th.shift; that is one of the two minimizers, not epsilon
+        p, gamma_c = SlideParams(0.1, 1.0), 0.5
+        th = prox_thresholds(gamma_c, p)
+        assert th.ramp_regime
+        monkeypatch.setattr(
+            cli, "_draw_prox_case", lambda rng: (th.tie_point - 3e-7, gamma_c, p)
+        )
+        assert run(["proxcheck", "--samples", "1"]) == 0
         assert "failures=0" in capsys.readouterr().out
 
     def test_rejects_zero_samples(self, capsys):

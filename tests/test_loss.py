@@ -6,13 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slidesvm.loss import (
-    ProxResult,
     SlideParams,
     SubdiffKind,
     oracle_grid_span,
     prox_objective,
     prox_oracle,
-    prox_slide,
     prox_slide_vector,
     prox_thresholds,
     slide_loss,
@@ -140,37 +138,40 @@ class TestProxClosedForm:
 
     def test_rejects_nonpositive_gamma_c(self):
         with pytest.raises(ValueError):
-            prox_slide(0.3, 0.0, P_WIDE)
+            prox_slide_vector(0.3, 0.0, P_WIDE)
         with pytest.raises(ValueError):
-            prox_slide(0.3, -1.0, P_WIDE)
+            prox_slide_vector(0.3, -1.0, P_WIDE)
 
     def test_identity_left_of_dead_zone(self):
-        assert prox_slide(0.05, 0.5, P_WIDE) == ProxResult(0.05)
+        out = prox_slide_vector(0.05, 0.5, P_WIDE)
+        assert out.shape == () and out == 0.05
 
     def test_ramp_regime_frozen_values(self):
         # frozen from prox_oracle(step=1e-6)
-        assert prox_slide(0.3, 0.5, P_WIDE).value == pytest.approx(0.1, abs=1e-12)
-        assert prox_slide(0.8, 0.5, P_WIDE).value == pytest.approx(
+        assert prox_slide_vector(0.3, 0.5, P_WIDE) == pytest.approx(0.1, abs=1e-12)
+        assert prox_slide_vector(0.8, 0.5, P_WIDE) == pytest.approx(
             0.24444444444444446, abs=1e-12
         )
 
     def test_pin_regime_frozen_values(self):
-        assert prox_slide(0.9, 0.5, P_NARROW).value == pytest.approx(0.1, abs=1e-12)
-        assert prox_slide(1.2, 0.5, P_NARROW).value == 1.2  # past sqrt(1)+0.1
+        assert prox_slide_vector(0.9, 0.5, P_NARROW) == pytest.approx(0.1, abs=1e-12)
+        assert prox_slide_vector(1.2, 0.5, P_NARROW) == 1.2  # past sqrt(1)+0.1
 
     def test_tie_points_keep_identity_value(self):
-        tie1 = 1.0 + 0.5 / (2.0 * 0.9)
-        r = prox_slide(tie1, 0.5, P_WIDE)
-        assert r.is_tie and r.value == tie1
-        assert r.alternate == pytest.approx(tie1 - 0.5 / 0.9, abs=1e-15)
-
-        tie2 = math.sqrt(2.0 * 0.5) + 0.1
-        r = prox_slide(tie2, 0.5, P_NARROW)
-        assert r.is_tie and r.value == tie2 and r.alternate == 0.1
-
-    def test_off_tie_has_no_alternate(self):
-        r = prox_slide(0.8, 0.5, P_WIDE)
-        assert not r.is_tie and r.alternate is None
+        # at the tie the thresholds name the other minimizer, and both
+        # attain the same prox objective
+        for gamma_c, p, tie, alt in (
+            (0.5, P_WIDE, 1.0 + 0.5 / (2.0 * 0.9), 1.0 - 0.5 / (2.0 * 0.9)),
+            (0.5, P_NARROW, math.sqrt(2.0 * 0.5) + 0.1, 0.1),
+        ):
+            th = prox_thresholds(gamma_c, p)
+            assert th.tie_point == pytest.approx(tie, abs=1e-15)
+            assert prox_slide_vector(th.tie_point, gamma_c, p) == th.tie_point
+            other = th.tie_point - th.shift if th.ramp_regime else p.epsilon
+            assert other == pytest.approx(alt, abs=1e-15)
+            assert prox_objective(other, th.tie_point, gamma_c, p) == pytest.approx(
+                prox_objective(th.tie_point, th.tie_point, gamma_c, p), abs=1e-15
+            )
 
     def test_near_tie_output_is_one_of_the_two_minimizers(self):
         # inside the 1e-6 tie neighborhood the grid oracle cannot arbitrate,
@@ -179,14 +180,14 @@ class TestProxClosedForm:
             th = prox_thresholds(gamma_c, p)
             for offset in (-3e-7, 0.0, 3e-7):
                 s = th.tie_point + offset
-                value = prox_slide(s, gamma_c, p).value
+                value = prox_slide_vector(s, gamma_c, p)
                 alt = s - th.shift if th.ramp_regime else p.epsilon
                 assert min(abs(value - s), abs(value - alt)) <= 1e-9
 
     def test_vector_matches_scalar(self):
         s = np.array([-0.9, 0.05, 0.3, 0.8, 1.2777, 1.5])
         out = prox_slide_vector(s, 0.5, P_WIDE)
-        expected = [prox_slide(v, 0.5, P_WIDE).value for v in s]
+        expected = [prox_slide_vector(float(v), 0.5, P_WIDE) for v in s]
         assert np.array_equal(out, np.array(expected))
 
     def test_vector_identity_region_and_empty(self):
@@ -203,7 +204,7 @@ class TestProxClosedForm:
     @settings(max_examples=500)
     def test_minimizer_certificate(self, case):
         s, gamma_c, p = case
-        value = prox_slide(s, gamma_c, p).value
+        value = float(prox_slide_vector(s, gamma_c, p))
         attained = prox_objective(value, s, gamma_c, p)
         for cand in (p.epsilon, p.v, s, s - gamma_c / p.ramp_width):
             assert attained <= prox_objective(cand, s, gamma_c, p) + 1e-12
@@ -283,5 +284,6 @@ class TestProxOracle:
             tie = prox_thresholds(gamma_c, p).tie_point
             if abs(s - tie) <= 1e-6:
                 continue
-            worst = max(worst, abs(prox_slide(s, gamma_c, p).value - prox_oracle(s, gamma_c, p)))
+            closed = float(prox_slide_vector(s, gamma_c, p))
+            worst = max(worst, abs(closed - prox_oracle(s, gamma_c, p)))
         assert worst <= 1e-6

@@ -18,7 +18,6 @@ from slidesvm.model import (
     extract_support_vectors,
     loads_model,
     margin_identity_check,
-    model_lambda,
     predict,
     predict_dataset,
     reconstruct_hyperplane,
@@ -256,8 +255,27 @@ class TestPersistence:
         assert accuracy(mdl, ds, pred=flipped) == 0.5
         assert confusion_counts(mdl, ds, pred=flipped) == (1, 1, 1, 1)
 
-    def test_model_lambda_lookup(self):
+    def test_lines_are_matched_by_tag(self):
         sup = SupportSet(idx(3, 8), idx(3), idx(8), np.array([-0.25, -1.5]))
-        assert model_lambda(sup, 8) == -1.5
-        with pytest.raises(KeyError):
-            model_lambda(sup, 4)
+        text = dumps_model(make_model([1.0, 0.0, -2.0], b=0.5, support=sup))
+        head, *body = text.splitlines()
+        assert body[-2:] == ["support_t1 3:-0.25", "support_t2 8:-1.5"]
+        back = loads_model("\n".join([head] + body[::-1]) + "\n")
+        assert dumps_model(back) == text
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda lines: [ln for ln in lines if not ln.startswith("delta=")],
+             "missing 'delta' line"),
+            (lambda lines: lines + ["support_t2 "], "repeated 'support_t2' line"),
+            (lambda lines: lines + ["iterations=3"], "repeated 'iterations' line"),
+            (lambda lines: lines + ["gamma=2.0"], "unknown tag in line 'gamma=2.0'"),
+            (lambda lines: lines + [""], "unknown tag in line ''"),
+        ],
+        ids=["missing", "repeated-vector", "repeated-scalar", "unknown", "blank"],
+    )
+    def test_bad_tag_is_named(self, edit, message):
+        lines = dumps_model(make_model([1.0, 2.0], b=0.5)).splitlines()
+        with pytest.raises(ModelFormatError, match=message):
+            loads_model("\n".join(edit(lines)) + "\n")
