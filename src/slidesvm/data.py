@@ -4,12 +4,12 @@ seeded label flipping, and k-fold partitioning."""
 from __future__ import annotations
 
 import io
+import os
 from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "Dataset",
@@ -35,16 +35,18 @@ class ParseError(ValueError):
 
 @dataclass(eq=False)
 class Dataset:
-    """Row-sparse feature matrix with labels in {+1, -1}.
+    """Dense feature matrix, C-contiguous float64 of shape (m, n), with
+    labels in {+1, -1}.
 
     Treated as immutable after construction; every operation in this module
-    returns a new Dataset.
+    returns a new Dataset or the input itself.
     """
 
-    X: sp.csr_matrix = field(repr=False)
+    X: np.ndarray = field(repr=False)
     y: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        self.X = np.ascontiguousarray(self.X, dtype=np.float64)
         self.y = np.asarray(self.y, dtype=np.float64)
         if self.X.shape[0] != self.y.shape[0]:
             raise ValueError(
@@ -61,26 +63,10 @@ class Dataset:
         return self.X.shape[1]
 
     def signed_matrix(self) -> np.ndarray:
-        """Dense matrix whose i-th row is ``y_i * x_i`` (cached)."""
+        """Matrix whose i-th row is ``y_i * x_i`` (cached)."""
         if self._signed_dense is None:
-            self._signed_dense = self.X.toarray() * self.y[:, None]
+            self._signed_dense = self.X * self.y[:, None]
         return self._signed_dense
-
-    def row(self, i: int):
-        """Sparse row ``i`` as (indices, values) arrays."""
-        start, stop = self.X.indptr[i], self.X.indptr[i + 1]
-        return self.X.indices[start:stop], self.X.data[start:stop]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return (
-            self.X.shape == other.X.shape
-            and np.array_equal(self.y, other.y)
-            and np.array_equal(self.X.indptr, other.X.indptr)
-            and np.array_equal(self.X.indices, other.X.indices)
-            and np.array_equal(self.X.data, other.X.data)
-        )
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -106,7 +92,7 @@ class _Rows(NamedTuple):
     ``indptr`` starts at 0; ``indices`` are 0-based; ``row_lines`` holds the
     1-based line number of each row. The per-line reader returns lists, the
     vectorised one arrays and no line numbers: it never returns a non-finite
-    value, the one error reported after all rows are read.
+    value, the one whole-input error that names a line.
     """
 
     labels: Sequence[float]
@@ -301,12 +287,11 @@ def _read_fields(chunk) -> _Rows | None:
     )
 
 
-def _read_bytes(text: bytes) -> list[_Rows]:
+def _read_bytes(text: bytes):
     """Rows of ASCII input, chunk by chunk; each chunk ends at a newline.
     Empty input is one empty chunk."""
-    blocks = []
     start, lineno = 0, 1
-    while start < len(text) or not blocks:
+    while True:
         stop = len(text)
         if stop - start > _CHUNK_BYTES:
             cut = text.rfind(b"\n", start, start + _CHUNK_BYTES)
@@ -318,46 +303,62 @@ def _read_bytes(text: bytes) -> list[_Rows]:
         rows = _read_fields(chunk)
         if rows is None:
             rows = _read_lines(io.StringIO(chunk.decode("ascii")), lineno)
-        blocks.append(rows)
+        yield rows
         lineno += chunk.count(b"\n")
         start = stop
-    return blocks
+        if start >= len(text):
+            return
 
 
-def _dataset(blocks, n_features: int | None) -> Dataset:
-    """Join parsed blocks after the whole-input checks: the first non-finite
-    value in input order, then the declared dimension."""
-    values = [np.asarray(rows.data, dtype=np.float64) for rows in blocks]
-    for rows, vals in zip(blocks, values):
+def _memory_bytes() -> int:
+    """Physical memory of the host: no dense matrix may be larger."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _dataset(most_rows: int, blocks, n_features: int | None) -> Dataset:
+    """Scatter each block of at least one into a dense matrix of ``most_rows``
+    rows, as wide as the first block or ``n_features``, as soon as it is read;
+    a larger index copies it into a wider one. Each allocation is checked
+    against memory first. The first failed check, in the order non-finite
+    value, declared dimension, size, is raised after the last block."""
+    X, m, labels = np.zeros((most_rows, 0)), 0, []
+    max_index, errors = -1, {}  # message by rank of the check
+    for rows in blocks:
+        vals = np.asarray(rows.data, dtype=np.float64)
         finite = np.isfinite(vals)
-        if not finite.all():
+        if 0 not in errors and not finite.all():
             pos = int(np.argmin(finite))
             row = int(np.searchsorted(rows.indptr, pos, side="right")) - 1
-            raise ParseError(
+            errors[0] = (
                 f"line {rows.row_lines[row]}: non-finite value {float(vals[pos])!r} "
                 f"at index {rows.indices[pos] + 1}"
             )
-
-    max_index = max(rows.max_index for rows in blocks)
-    n = max_index + 1 if n_features is None else n_features
-    if n_features is not None and max_index >= n_features:
-        raise ParseError(
-            f"feature index {max_index + 1} exceeds declared dimension {n_features}"
-        )
-    indptr, offset = [np.zeros(1, dtype=np.int64)], 0
-    for vals, rows in zip(values, blocks):
-        indptr.append(np.asarray(rows.indptr[1:], dtype=np.int64) + offset)
-        offset += vals.size
-    labels = np.concatenate([np.asarray(rows.labels, dtype=np.float64) for rows in blocks])
-    X = sp.csr_matrix(
-        (
-            np.concatenate(values),
-            np.concatenate([np.asarray(rows.indices, dtype=np.int32) for rows in blocks]),
-            np.concatenate(indptr).astype(np.int32),
-        ),
-        shape=(labels.size, n),
-    )
-    return Dataset(X, labels)
+        labels.append(np.asarray(rows.labels, dtype=np.float64))
+        max_index = max(max_index, rows.max_index)
+        n = max_index + 1 if n_features is None else n_features
+        if errors or max_index >= n:
+            continue
+        if n > X.shape[1]:
+            size, limit = most_rows * n * 8, _memory_bytes()
+            if size > limit:
+                errors[2] = (
+                    f"dense matrix of m={most_rows} rows and n={n} features needs "
+                    f"{size} bytes, more than the {limit} bytes of memory"
+                )
+                continue
+            wider = np.zeros((most_rows, n))
+            wider[:m, : X.shape[1]] = X[:m]
+            X = wider
+        k = labels[-1].size
+        at = np.repeat(np.arange(m, m + k) * n, np.diff(rows.indptr))
+        at += np.asarray(rows.indices, dtype=np.int64)
+        X.ravel()[at] = vals + 0.0  # an explicit -0 reads +0, as a sum into zeros
+        m += k
+    if max_index >= n:
+        errors[1] = f"feature index {max_index + 1} exceeds declared dimension {n_features}"
+    if errors:
+        raise ParseError(errors[min(errors)])
+    return Dataset(X[:m], np.concatenate(labels))
 
 
 def parse_libsvm(text, n_features: int | None = None) -> Dataset:
@@ -373,6 +374,9 @@ def parse_libsvm(text, n_features: int | None = None) -> Dataset:
     string or bytes only the newline character ends a line; a carriage
     return is blank space.
 
+    The matrix is dense and filled while the input is read; one larger than
+    physical memory is an error, sized at one row per line of text.
+
     ASCII strings and bytes are parsed in numpy, in chunks of about 256 KiB
     cut at newlines, where every line is "label idx:val ..." with space or
     tab separators, decimal literals, indices of at most 9 digits and labels
@@ -380,35 +384,36 @@ def parse_libsvm(text, n_features: int | None = None) -> Dataset:
     integer arithmetic, which is exact, and the other values, then the other
     labels, of a chunk by one call each to numpy's correctly rounded parser:
     both give the bits of ``float``. A per-line reader takes everything else
-    and gives the same arrays and the same errors: line iterables, non-ASCII
+    and gives the same rows and the same errors: line iterables, non-ASCII
     text, and each chunk that holds a comment, a carriage return, a nan, inf
     or underscore literal, a signed index, or any malformed line.
     """
     if isinstance(text, str) and text.isascii():
         text = text.encode("ascii")
     if isinstance(text, bytes) and text.isascii():
-        return _dataset(_read_bytes(text), n_features)
+        lines = text.count(b"\n") + (not text.endswith(b"\n"))
+        return _dataset(lines, _read_bytes(text), n_features)
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    lines = io.StringIO(text) if isinstance(text, str) else text
-    return _dataset([_read_lines(lines)], n_features)
+    rows = _read_lines(io.StringIO(text) if isinstance(text, str) else text)
+    return _dataset(len(rows.labels), [rows], n_features)
 
 
 def write_libsvm(ds: Dataset) -> str:
-    """Render a Dataset back to LIBSVM text (1-based indices, repr floats)."""
+    """Render a Dataset back to LIBSVM text: the nonzero entries of each row,
+    with 1-based indices and repr floats."""
     out = []
-    for i in range(ds.m):
-        idx, val = ds.row(i)
-        parts = ["+1" if ds.y[i] > 0 else "-1"]
-        parts += [f"{j + 1}:{float(v)!r}" for j, v in zip(idx, val)]
+    for x, label in zip(ds.X, ds.y):
+        parts = ["+1" if label > 0 else "-1"]
+        parts += [f"{j + 1}:{float(x[j])!r}" for j in np.flatnonzero(x)]
         out.append(" ".join(parts))
     return "\n".join(out) + ("\n" if out else "")
 
 
 @dataclass(frozen=True)
 class ScalingMap:
-    """Per-feature (min, max) fitted on a training split; absent sparse
-    entries count as 0. Features with min == max always map to 0."""
+    """Per-feature (min, max) fitted on a training split. Features with
+    min == max always map to 0."""
 
     mins: np.ndarray
     maxs: np.ndarray
@@ -443,9 +448,7 @@ def fit_scaling(train: Dataset) -> ScalingMap:
     """Per-feature min/max over the training split."""
     if train.m < 1:
         raise ValueError("cannot fit scaling on an empty dataset")
-    mins = np.asarray(train.X.min(axis=0).todense()).ravel()
-    maxs = np.asarray(train.X.max(axis=0).todense()).ravel()
-    return ScalingMap(mins, maxs)
+    return ScalingMap(train.X.min(axis=0), train.X.max(axis=0))
 
 
 def apply_scaling(ds: Dataset, smap: ScalingMap) -> Dataset:
@@ -456,12 +459,11 @@ def apply_scaling(ds: Dataset, smap: ScalingMap) -> Dataset:
     """
     if ds.n != smap.n:
         raise ValueError(f"dimension mismatch: dataset n={ds.n}, map n={smap.n}")
-    dense = ds.X.toarray()
     span = smap.maxs - smap.mins
     with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = 2.0 * (dense - smap.mins) / span - 1.0
+        scaled = 2.0 * (ds.X - smap.mins) / span - 1.0
     scaled[:, span == 0.0] = 0.0
-    return Dataset(sp.csr_matrix(scaled), ds.y.copy())
+    return Dataset(scaled, ds.y.copy())
 
 
 def flip_labels(ds: Dataset, rate: float, seed: int) -> Dataset:
@@ -519,16 +521,16 @@ def kfold_plan(m: int, k: int, seed: int) -> FoldPlan:
 
 def subset(ds: Dataset, idx: np.ndarray) -> Dataset:
     """Dataset restricted to the given row indices."""
-    return Dataset(sp.csr_matrix(ds.X[idx]), ds.y[idx])
+    return Dataset(ds.X[idx], ds.y[idx])
 
 
 def widen(ds: Dataset, n: int) -> Dataset:
-    """The dataset with zero columns appended up to ``n`` features; the same
-    arrays that ``parse_libsvm(..., n_features=n)`` gives."""
+    """The dataset with zero columns appended up to ``n`` features, the same
+    arrays that ``parse_libsvm(..., n_features=n)`` gives; the input itself,
+    not a copy, when it has ``n`` features or more."""
     if ds.n >= n:
         return ds
-    X = sp.csr_matrix((ds.X.data, ds.X.indices, ds.X.indptr), shape=(ds.m, n))
-    return Dataset(X, ds.y)
+    return Dataset(np.pad(ds.X, ((0, 0), (0, n - ds.n))), ds.y)
 
 
 def align_features(a: Dataset, b: Dataset):
@@ -547,6 +549,6 @@ def gaussian_clusters(
     half = m // 2
     pos = rng.normal(loc=center, scale=1.0, size=(half, 2))
     neg = rng.normal(loc=-center, scale=1.0, size=(m - half, 2))
-    X = sp.csr_matrix(np.vstack([pos, neg]))
+    X = np.vstack([pos, neg])
     y = np.concatenate([np.ones(half), -np.ones(m - half)])
     return Dataset(X, y)

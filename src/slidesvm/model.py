@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .data import Dataset
 from .loss import SlideParams
@@ -99,10 +98,7 @@ def decision_values(model: Model, ds: Dataset) -> np.ndarray:
 
 def predict(model: Model, x) -> int:
     """Label one sample: +1 when <w, x> + b > 0, else -1 (ties go negative)."""
-    if sp.issparse(x):
-        score = float((x @ model.w).ravel()[0]) + model.b
-    else:
-        score = float(np.asarray(x, dtype=np.float64) @ model.w) + model.b
+    score = float(np.asarray(x, dtype=np.float64) @ model.w) + model.b
     return 1 if score > 0.0 else -1
 
 

@@ -40,7 +40,6 @@ from slidesvm.loss import SlideParams, prox_slide_vector, slide_loss
 from slidesvm.model import decision_values, reconstruct_hyperplane
 from slidesvm.tuning import default_grid, fit_full, flip_experiment
 
-import scipy.sparse as sp
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -178,9 +177,7 @@ def _reconstruction_agrees(ds: Dataset, mdl, tol: float, probe: Dataset) -> bool
     for sample_set in (ds, probe):
         scores = decision_values(mdl, sample_set)
         hat_scores = sample_set.X @ w_hat + mdl.b
-        norms = np.sqrt(
-            np.asarray(sample_set.X.multiply(sample_set.X).sum(axis=1)).ravel()
-        )
+        norms = np.sqrt((sample_set.X * sample_set.X).sum(axis=1))
         decided = np.abs(scores) > 10.0 * tol * norms
         lhs = np.where(scores[decided] > 0.0, 1.0, -1.0)
         rhs = np.where(hat_scores[decided] > 0.0, 1.0, -1.0)
@@ -278,9 +275,7 @@ def _tiny_problem(draw):
     C = draw(st.floats(min_value=0.05, max_value=4.0))
     delta = draw(st.floats(min_value=0.1, max_value=4.0))
     rng = np.random.default_rng(seed)
-    ds = Dataset(
-        sp.csr_matrix(rng.normal(size=(m, n))), rng.choice([-1.0, 1.0], size=m)
-    )
+    ds = Dataset(rng.normal(size=(m, n)), rng.choice([-1.0, 1.0], size=m))
     return ds, TrainConfig(C=C, delta=delta, slide=slide)
 
 

@@ -3,8 +3,7 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from slidesvm.admm import (
@@ -32,7 +31,7 @@ P_WIDE = SlideParams(0.1, 1.0)
 
 def dense_dataset(matrix, labels):
     return Dataset(
-        sp.csr_matrix(np.atleast_2d(np.asarray(matrix, dtype=float))),
+        np.atleast_2d(np.asarray(matrix, dtype=float)),
         np.asarray(labels, dtype=float),
     )
 
@@ -369,7 +368,7 @@ class TestTrain:
         assert d1.to_csv() == d2.to_csv()
 
     def test_empty_dataset_rejected(self):
-        ds = Dataset(sp.csr_matrix((0, 2)), np.empty(0))
+        ds = Dataset(np.empty((0, 2)), np.empty(0))
         with pytest.raises(ValueError):
             train(ds, make_cfg())
 
@@ -547,7 +546,7 @@ class TestStationarityReference:
         # solver's code; terms are O(1), so abs=1e-12 covers cancellation
         ds, cfg, w, b, u, lam, gamma = point
         rep = check_proximal_stationarity(w, b, u, lam, gamma, ds, cfg.C, cfg.slide)
-        A = ds.X.toarray() * ds.y[:, None]
+        A = ds.X * ds.y[:, None]
         assert rep.e1 == pytest.approx(np.linalg.norm(w + A.T @ lam), rel=1e-12, abs=1e-12)
         assert rep.e2 == pytest.approx(abs(ds.y @ lam), rel=1e-12, abs=1e-12)
         assert rep.e3 == pytest.approx(
@@ -641,3 +640,33 @@ class TestTrainIsTheCheckedSweep:
         ds, cfg = problem
         for kind in sorted(check_train_matches_run_sweeps(ds, cfg, sweeps)):
             event(kind)
+
+
+def _boundary_case(C):
+    # v = 0.5, eps = 0, delta = 1: C = 0.5 puts the tie point at exactly 1
+    ds = random_problem(np.random.default_rng(3), 6, 2)
+    return ds, TrainConfig(C=C, delta=1.0, slide=SlideParams(0.0, 0.5))
+
+
+class TestTrivialConfigs:
+    @given(tiny_problem())
+    @example(_boundary_case(0.5))
+    @example(_boundary_case(0.5000001))
+    @settings(max_examples=200, deadline=None)
+    def test_trivial_exactly_when_tie_point_is_at_most_one(self, problem):
+        # at w = 0, b = 0, lambda = 0 every z is 1, so no row lies below the
+        # tie point exactly when the tie point is at most 1; no solve is needed
+        # to tell such a config apart
+        ds, cfg = problem
+        cfg = dataclasses.replace(cfg, K=3)
+        trivial = cfg.thresholds.tie_point <= 1.0
+        event(f"trivial={trivial}")
+        mdl, diag = train(ds, cfg)
+        stopped = (
+            diag.iterations == 1
+            and diag.converged
+            and diag.working_set_sizes == [0]
+            and not mdl.w.any()
+            and mdl.b == 0.0
+        )
+        assert stopped == trivial

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slidesvm import cli
+from slidesvm import cli, data
 from slidesvm.cli import main
 from slidesvm.data import gaussian_clusters, parse_libsvm, write_libsvm
 from slidesvm.loss import SlideParams, prox_thresholds
@@ -80,6 +80,24 @@ class TestTrainCommand:
         captured = capsys.readouterr()
         assert f"error: {data}: line 1: index 3000000000 exceeds 2147483647" in captured.err
         assert captured.out == "" and not model_path.exists()
+
+    def test_matrix_too_large_fails_in_train_and_eval(self, data_files, tmp_path, monkeypatch, capsys):
+        train, _ = data_files
+        model_path = tmp_path / "m.txt"
+        assert run(["train", "--data", train, "--out", model_path]) == 0
+        huge = tmp_path / "huge.svm"
+        huge.write_text("+1 1234567890:1\n")
+        monkeypatch.setattr(data, "_memory_bytes", lambda: 1 << 30)
+        capsys.readouterr()
+        message = (
+            f"error: {huge}: dense matrix of m=1 rows and n=1234567890 features needs "
+            "9876543120 bytes, more than the 1073741824 bytes of memory"
+        )
+        assert run(["train", "--data", huge, "--out", tmp_path / "huge.txt"]) == 1
+        assert run(["eval", "--model", model_path, "--data", huge]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [message, message] and captured.out == ""
+        assert not (tmp_path / "huge.txt").exists()
 
     def test_non_finite_feature_fails_without_training(self, tmp_path, capsys):
         data = tmp_path / "nan.svm"

@@ -3,7 +3,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,20 +20,36 @@ from slidesvm.data import (
     kfold_plan,
     parse_libsvm,
     subset,
+    widen,
     write_libsvm,
 )
 
 
 def dense_dataset(matrix, labels):
-    return Dataset(sp.csr_matrix(np.asarray(matrix, dtype=float)), np.asarray(labels, dtype=float))
+    return Dataset(np.asarray(matrix, dtype=float), np.asarray(labels, dtype=float))
+
+
+def bits(ds):
+    """Shape, layout and bits of a dataset's arrays."""
+    X = ds.X
+    return (
+        X.shape, X.dtype.str, X.flags.c_contiguous, X.view(np.int64).tolist(),
+        ds.y.dtype.str, ds.y.view(np.int64).tolist(),
+    )
+
+
+@pytest.fixture
+def small_memory(monkeypatch):
+    """Cap the memory a parsed matrix may take at 1 MiB, whatever the host has."""
+    monkeypatch.setattr(data, "_memory_bytes", lambda: 1 << 20)
 
 
 class TestParseLibsvm:
     def test_basic_format(self):
         ds = parse_libsvm("+1 1:0.5 3:-0.2\n-1 2:1.0\n")
         assert (ds.m, ds.n) == (2, 3)
-        idx0, val0 = ds.row(0)
-        assert list(idx0) == [0, 2] and list(val0) == [0.5, -0.2]
+        assert ds.X.tolist() == [[0.5, 0.0, -0.2], [0.0, 1.0, 0.0]]
+        assert ds.X.flags.c_contiguous and ds.X.dtype == np.float64
         assert list(ds.y) == [1.0, -1.0]
 
     def test_zero_one_label_mapping(self):
@@ -71,14 +86,48 @@ class TestParseLibsvm:
         with pytest.raises(ParseError, match=f"^line {line}: index .* exceeds 2147483647$"):
             parse_libsvm(text)
 
+    def test_matrix_too_large_for_memory_is_reported(self, monkeypatch):
+        monkeypatch.setattr(data, "_memory_bytes", lambda: 1 << 30)
+        with pytest.raises(
+            ParseError,
+            match="^dense matrix of m=1 rows and n=1234567890 features needs 9876543120 "
+            "bytes, more than the 1073741824 bytes of memory$",
+        ):
+            parse_libsvm("+1 1234567890:1\n")
+        with pytest.raises(ParseError, match="m=1 rows and n=200000000 features"):
+            parse_libsvm("+1 1:1\n", n_features=200_000_000)
+
+    def test_widening_is_checked_before_it_allocates(self, monkeypatch):
+        probes = []
+
+        def memory():
+            probes.append(None)
+            return 10_000
+
+        monkeypatch.setattr(data, "_memory_bytes", memory)
+        monkeypatch.setattr(data, "_CHUNK_BYTES", 16)
+        text = "+1 1:1\n" * 10 + "-1 1000:1\n"
+        with pytest.raises(ParseError, match="m=11 rows and n=1000 features needs 88000 bytes"):
+            parse_libsvm(text)
+        assert len(probes) == 2  # the first chunk's matrix fitted; the wider one did not
+        assert parse_libsvm(text.replace("1000:", "100:")).X.shape == (11, 100)
+
+    def test_size_is_checked_after_the_other_errors(self, small_memory):
+        with pytest.raises(ParseError, match="^line 2: malformed token"):
+            parse_libsvm("+1 1234567890:1\n-1 x\n")
+        with pytest.raises(ParseError, match="^line 2: non-finite value"):
+            parse_libsvm("+1 1234567890:1\n-1 1:nan\n")
+        with pytest.raises(ParseError, match="^feature index 1234567890 exceeds"):
+            parse_libsvm("+1 1234567890:1\n", n_features=5)
+
     def test_comments_and_blank_lines(self):
         ds = parse_libsvm("\n# full comment\n+1 1:2.0  # trailing\n\n-1 1:1.0\n")
         assert ds.m == 2 and ds.n == 1
 
     def test_accepts_bytes_and_iterables(self):
         text = "+1 1:1\n-1 2:1\n"
-        assert parse_libsvm(text.encode()) == parse_libsvm(text)
-        assert parse_libsvm(iter(text.splitlines(True))) == parse_libsvm(text)
+        assert bits(parse_libsvm(text.encode())) == bits(parse_libsvm(text))
+        assert bits(parse_libsvm(iter(text.splitlines(True)))) == bits(parse_libsvm(text))
 
     def test_n_override(self):
         ds = parse_libsvm("+1 1:1\n", n_features=5)
@@ -95,7 +144,7 @@ class TestParseLibsvm:
     def test_label_only_rows(self):
         ds = parse_libsvm("+1\n-1 1:1\n")
         assert ds.m == 2
-        assert ds.row(0)[0].size == 0
+        assert ds.X.tolist() == [[0.0], [1.0]]
 
     def test_round_trip_identity(self):
         rng = np.random.default_rng(5)
@@ -109,7 +158,7 @@ class TestParseLibsvm:
                 )
             )
         ds = parse_libsvm("\n".join(rows) + "\n", n_features=12)
-        assert parse_libsvm(write_libsvm(ds), n_features=12) == ds
+        assert bits(parse_libsvm(write_libsvm(ds), n_features=12)) == bits(ds)
 
 
 def parse_outcome(text, **kwargs):
@@ -118,19 +167,42 @@ def parse_outcome(text, **kwargs):
         ds = parse_libsvm(text, **kwargs)
     except Exception as exc:  # noqa: BLE001 - the comparison covers every error
         return ("error", type(exc).__name__, str(exc))
-    X = ds.X
-    return (
-        X.shape,
-        X.data.dtype.str, X.data.view(np.int64).tolist(),
-        X.indices.dtype.str, X.indices.tolist(),
-        X.indptr.dtype.str, X.indptr.tolist(),
-        ds.y.dtype.str, ds.y.view(np.int64).tolist(),
-    )
+    return bits(ds)
 
 
 def per_line_outcome(text, **kwargs):
     """What the per-line reader gives, which takes every line iterable."""
     return parse_outcome(io.StringIO(text), **kwargs)
+
+
+def read_outcome(text):
+    """The rows the reader gives before any dense matrix is built, joined
+    over chunks, bit for bit, or the type and message of its error."""
+    try:
+        if isinstance(text, io.StringIO):
+            blocks = [data._read_lines(text)]
+        else:
+            blocks = list(data._read_bytes(text.encode() if isinstance(text, str) else text))
+    except Exception as exc:  # noqa: BLE001 - the comparison covers every error
+        return ("error", type(exc).__name__, str(exc))
+
+    def joined(name, dtype):
+        parts = [np.asarray(getattr(rows, name), dtype=dtype) for rows in blocks]
+        return np.concatenate([np.empty(0, dtype)] + parts)
+
+    sizes = np.concatenate([np.empty(0, np.int64)] + [np.diff(rows.indptr) for rows in blocks])
+    return (
+        joined("labels", np.float64).view(np.int64).tolist(),
+        sizes.tolist(),
+        joined("indices", np.int64).tolist(),
+        joined("data", np.float64).view(np.int64).tolist(),
+        max((rows.max_index for rows in blocks), default=-1),
+    )
+
+
+def row_values(text):
+    """Values the reader gives for the entries of one line of ASCII text."""
+    return np.asarray(next(data._read_bytes(text.encode())).data, dtype=np.float64)
 
 
 _DIGITS = st.text("0123456789", max_size=20)
@@ -211,10 +283,16 @@ class TestVectorisedParse:
            st.sampled_from([None, 0, 5, 60, 80]))
     @settings(max_examples=400, deadline=None)
     def test_matches_per_line_reader(self, text, chunk, n_features):
-        expected = per_line_outcome(text, n_features=n_features)
+        # rows are compared before assembly: valid rows may hold indices up to
+        # 2**31 - 1, too wide for a dense matrix; small ones are assembled too
+        rows = read_outcome(io.StringIO(text))
+        wide = rows[0] != "error" and rows[-1] >= 1000
+        expected = None if wide else per_line_outcome(text, n_features=n_features)
         with mock.patch.object(data, "_CHUNK_BYTES", chunk):
-            assert parse_outcome(text, n_features=n_features) == expected
-            assert parse_outcome(text.encode(), n_features=n_features) == expected
+            for source in (text, text.encode()):
+                assert read_outcome(source) == rows
+                if not wide:
+                    assert parse_outcome(source, n_features=n_features) == expected
 
     def test_common_grammar_takes_the_vectorised_path(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -251,8 +329,10 @@ class TestVectorisedParse:
     )
     def test_literals_are_correctly_rounded(self, literal):
         for text in (literal, "-" + literal.lstrip("-")):
-            ds = parse_libsvm(f"+1 1:{text}\n")  # alone, so digits-only ones take their route
-            assert ds.X.data.view(np.int64)[0] == np.float64(float(text)).view(np.int64)
+            line = f"+1 1:{text}\n"  # alone, so digits-only ones take their route
+            value = np.float64(float(text))
+            assert row_values(line).view(np.int64)[0] == value.view(np.int64)
+            assert parse_libsvm(line).X.view(np.int64)[0, 0] == (value + 0.0).view(np.int64)
 
     @pytest.mark.parametrize(
         "line",
@@ -264,8 +344,9 @@ class TestVectorisedParse:
          "+1 1:" + "1" * 70, "+1 1:1\v2:1", "+1 1:1\r", "+1 1:1 # c",
          "+1 1:0." + "1" * 255 + " 2:0.25 3:-1e-5"],
     )
-    def test_odd_line_matches_per_line_reader(self, line):
+    def test_odd_line_matches_per_line_reader(self, line, small_memory):
         for text in (f"{line}\n", f"-1 1:1\n{line}\n+1 2:2\n"):
+            assert read_outcome(text) == read_outcome(io.StringIO(text))
             assert parse_outcome(text) == per_line_outcome(text)
 
     def test_whitespace_only_input(self):
@@ -276,27 +357,28 @@ class TestVectorisedParse:
 
     def test_no_trailing_newline(self):
         ds = parse_libsvm("+1 1:1\n-1 2:0.5")
-        assert ds.m == 2 and ds.row(1)[1].tolist() == [0.5]
+        assert ds.X.tolist() == [[1.0, 0.0], [0.0, 0.5]]
         assert parse_outcome("+1 1:1\n-1 2:0.5") == per_line_outcome("+1 1:1\n-1 2:0.5")
 
     def test_blank_and_label_only_rows(self):
         text = "\n+1\n\n  \n-1 3:2\n0\t\n"
         ds = parse_libsvm(text)
         assert ds.y.tolist() == [1.0, -1.0, -1.0]
-        assert ds.X.indptr.tolist() == [0, 0, 1, 1]
+        assert ds.X.tolist() == [[0.0, 0.0, 0.0], [0.0, 0.0, 2.0], [0.0, 0.0, 0.0]]
         assert parse_outcome(text) == per_line_outcome(text)
 
     def test_explicit_zeros_are_kept(self):
-        ds = parse_libsvm("+1 1:0 2:-0 3:0.0e5\n")
-        assert ds.X.nnz == 3
-        assert np.signbit(ds.X.data).tolist() == [False, True, False]
+        text = "+1 1:0 2:-0 3:0.0e5\n"
+        assert np.signbit(row_values(text)).tolist() == [False, True, False]
+        # the matrix reads +0.0 for each, as a sum of the entries into zeros would
+        X = parse_libsvm(text).X
+        assert X.shape == (1, 3) and not np.signbit(X).any()
 
     def test_row_straddling_a_chunk_boundary(self, monkeypatch):
         text = "+1 1:1 2:2\n-1 1:3 2:4 3:5 4:6 5:7\n+1 6:8\n"
         monkeypatch.setattr(data, "_CHUNK_BYTES", 16)  # the cut falls mid-row
         ds = parse_libsvm(text)
-        assert ds.X.indptr.tolist() == [0, 2, 7, 8]
-        assert ds.X.data.tolist() == [1, 2, 3, 4, 5, 6, 7, 8]
+        assert ds.X.tolist() == [[1, 2, 0, 0, 0, 0], [3, 4, 5, 6, 7, 0], [0, 0, 0, 0, 0, 8]]
 
     def test_error_past_the_first_chunk_reports_its_line(self, monkeypatch):
         rows = ["+1 1:1 2:2"] * 50
@@ -316,8 +398,7 @@ class TestVectorisedParse:
     def test_n_features_widens_and_is_checked(self):
         text = "+1 1:1 3:2\n-1 2:1\n"
         ds = parse_libsvm(text, n_features=7)
-        assert ds.X.shape == (2, 7)
-        assert ds.X.indices.tolist() == [0, 2, 1]
+        assert ds.X.tolist() == [[1, 0, 2, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0]]
         assert parse_outcome(text, n_features=7) == per_line_outcome(text, n_features=7)
         with pytest.raises(ParseError, match="^feature index 3 exceeds declared dimension 2$"):
             parse_libsvm(text, n_features=2)
@@ -329,35 +410,35 @@ class TestScaling:
         smap = fit_scaling(ds)
         assert (smap.mins[0], smap.maxs[0]) == (0.0, 4.0)
         scaled = apply_scaling(ds, smap)
-        assert scaled.X.toarray()[1, 0] == 0.0
+        assert scaled.X[1, 0] == 0.0
 
     def test_constant_column_maps_to_zero(self):
         ds = dense_dataset([[5.0], [5.0], [5.0]], [1, -1, 1])
         scaled = apply_scaling(ds, fit_scaling(ds))
-        assert np.all(scaled.X.toarray() == 0.0)
+        assert np.all(scaled.X == 0.0)
 
     def test_symmetric_column_is_identity(self):
         ds = dense_dataset([[-1.0], [1.0]], [1, -1])
         scaled = apply_scaling(ds, fit_scaling(ds))
-        assert np.array_equal(scaled.X.toarray().ravel(), [-1.0, 1.0])
+        assert np.array_equal(scaled.X.ravel(), [-1.0, 1.0])
 
     def test_extremes_map_to_unit_interval_ends(self):
         ds = dense_dataset([[3.0, -2.0], [7.0, 5.0]], [1, -1])
         scaled = apply_scaling(ds, fit_scaling(ds))
-        assert np.array_equal(scaled.X.toarray(), [[-1.0, -1.0], [1.0, 1.0]])
+        assert np.array_equal(scaled.X, [[-1.0, -1.0], [1.0, 1.0]])
 
     def test_train_values_land_in_unit_interval(self):
         rng = np.random.default_rng(6)
         ds = dense_dataset(rng.normal(size=(40, 7)) * 10, rng.choice([-1.0, 1.0], 40))
         scaled = apply_scaling(ds, fit_scaling(ds))
-        values = scaled.X.toarray()
+        values = scaled.X
         assert values.min() >= -1.0 and values.max() <= 1.0
 
     def test_unseen_values_are_not_clipped(self):
         train = dense_dataset([[0.0], [1.0]], [1, -1])
         smap = fit_scaling(train)
         test = dense_dataset([[2.0]], [1])
-        assert apply_scaling(test, smap).X.toarray()[0, 0] == 3.0
+        assert apply_scaling(test, smap).X[0, 0] == 3.0
 
     def test_sparse_zeros_enter_min_max(self):
         # second feature is absent from row 0, so its min is 0
@@ -380,7 +461,7 @@ class TestScaling:
 class TestFlipLabels:
     def test_rate_zero_is_identity(self):
         ds = gaussian_clusters(50, seed=1)
-        assert flip_labels(ds, 0.0, seed=3) == ds
+        assert bits(flip_labels(ds, 0.0, seed=3)) == bits(ds)
 
     def test_rate_one_negates_everything(self):
         ds = gaussian_clusters(50, seed=1)
@@ -447,14 +528,28 @@ class TestDatasetHelpers:
         ds = gaussian_clusters(20, seed=3)
         sub = subset(ds, np.array([0, 5, 7]))
         assert sub.m == 3 and np.array_equal(sub.y, ds.y[[0, 5, 7]])
-        assert np.array_equal(sub.X.toarray(), ds.X.toarray()[[0, 5, 7]])
+        assert np.array_equal(sub.X, ds.X[[0, 5, 7]])
 
     def test_align_features_widens(self):
         a = parse_libsvm("+1 1:1\n")
         b = parse_libsvm("-1 3:1\n")
         wa, wb = align_features(a, b)
         assert wa.n == wb.n == 3
-        assert wa.X.toarray()[0, 0] == 1.0 and wb.X.toarray()[0, 2] == 1.0
+        assert wa.X[0, 0] == 1.0 and wb.X[0, 2] == 1.0
+
+    def test_widen_returns_the_input_when_wide_enough(self):
+        ds = dense_dataset([[1.0, 2.0]], [1])
+        assert widen(ds, ds.n) is ds and widen(ds, 1) is ds
+        a, b = dense_dataset([[1.0]], [1]), dense_dataset([[2.0]], [-1])
+        wa, wb = align_features(a, b)
+        assert wa is a and wb is b
+
+    def test_widen_pads_with_zero_columns(self):
+        ds = parse_libsvm("+1 1:1.5\n-1 2:-2\n")
+        wide = widen(ds, 4)
+        assert wide.X.tolist() == [[1.5, 0.0, 0.0, 0.0], [0.0, -2.0, 0.0, 0.0]]
+        assert wide.X.flags.c_contiguous
+        assert bits(wide) == bits(parse_libsvm("+1 1:1.5\n-1 2:-2\n", n_features=4))
 
     def test_signed_matrix(self):
         ds = dense_dataset([[1.0, 2.0], [3.0, 4.0]], [1, -1])
@@ -467,4 +562,4 @@ class TestDatasetHelpers:
 
     def test_label_row_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            Dataset(sp.csr_matrix(np.eye(3)), np.array([1.0, -1.0]))
+            Dataset(np.eye(3), np.array([1.0, -1.0]))

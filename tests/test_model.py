@@ -2,10 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from slidesvm.admm import TrainConfig
-from slidesvm.data import Dataset, gaussian_clusters
+from slidesvm.data import Dataset, gaussian_clusters, parse_libsvm
 from slidesvm.loss import SlideParams
 from slidesvm.model import (
     Model,
@@ -46,7 +45,7 @@ def make_model(w, b, slide=P_WIDE, C=1.0, delta=1.0, support=None, converged=Tru
 
 
 def dense_dataset(matrix, labels):
-    return Dataset(sp.csr_matrix(np.atleast_2d(np.asarray(matrix, dtype=float))), np.asarray(labels, dtype=float))
+    return Dataset(np.atleast_2d(np.asarray(matrix, dtype=float)), np.asarray(labels, dtype=float))
 
 
 class TestExtractSupportVectors:
@@ -99,9 +98,11 @@ class TestPredict:
         assert predict(mdl, [-0.3, 7.0]) == -1
 
     def test_sparse_input(self):
-        mdl = make_model([2.0, 0.0], b=0.0)
-        x = sp.csr_matrix(np.array([[1.0, 4.0]]))
+        # a row of sparse LIBSVM text, read into the dense matrix
+        mdl = make_model([2.0, 0.0, -1.0], b=0.0)
+        x = parse_libsvm("+1 1:1 3:1.5\n").X[0]
         assert predict(mdl, x) == 1
+        assert predict(mdl, parse_libsvm("+1 3:1\n", n_features=3).X[0]) == -1
 
 
 class TestAccuracy:
@@ -118,7 +119,7 @@ class TestAccuracy:
         assert accuracy(make_model([1.0], b=0.0), ds) == 0.75
 
     def test_empty_dataset_rejected(self):
-        ds = Dataset(sp.csr_matrix((0, 1)), np.empty(0))
+        ds = Dataset(np.empty((0, 1)), np.empty(0))
         with pytest.raises(ValueError):
             accuracy(make_model([1.0], b=0.0), ds)
 
@@ -182,7 +183,7 @@ class TestReconstruction:
         rebuilt = dataclasses.replace(mdl, w=w_hat)
         for ds in (clusters200, gaussian_clusters(500, seed=77)):
             scores = decision_values(mdl, ds)
-            norms = np.sqrt(np.asarray(ds.X.multiply(ds.X).sum(axis=1)).ravel())
+            norms = np.sqrt((ds.X * ds.X).sum(axis=1))
             decided = np.abs(scores) > 10.0 * clusters_config.tol * norms
             assert np.array_equal(
                 predict_dataset(mdl, ds)[decided], predict_dataset(rebuilt, ds)[decided]
