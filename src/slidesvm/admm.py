@@ -339,12 +339,11 @@ def _defect_norms(
     """Raw norms of the four stationarity defects over the working set T:
     ||w + A_T' lambda_T||, |y_T' lambda_T|, ||1 - u - Aw - by|| and
     ||u - prox_{gamma_c loss}(u - lambda/delta)||."""
-    A = ds.signed_matrix()
     idx = state.working_set.indices
     if Aw is None:
-        Aw = A @ state.w
+        Aw = ds.signed_matrix() @ state.w
     if a_t is None:
-        a_t = A[idx]
+        a_t = ds.signed_matrix()[idx]
     if lam_d is None:
         lam_d = state.lam / cfg.delta
     lam_t = state.lam[idx]

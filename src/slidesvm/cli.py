@@ -52,8 +52,6 @@ def _read_dataset(path: str):
             raw = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    if b"\r" in raw:  # CRLF and lone CR end a line, as in text mode
-        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
         return parse_libsvm(raw)
     except ParseError as exc:
@@ -310,14 +308,27 @@ def _float_list(text: str):
         raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
 
 
+def _bounded(kind, low, strict=False):
+    """An argparse type: ``kind`` of the text, ``>= low`` (``> low`` if strict)."""
+
+    def check(text):
+        value = kind(text)
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(f"need {'>' if strict else '>='} {low}, got {text}")
+        return value
+
+    check.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return check
+
+
 def _add_solver_flags(sub, with_cv=False):
     sub.add_argument("--eta", type=float, default=1.618, help="dual step size (default 1.618)")
     sub.add_argument("--max-iter", type=int, default=1000, help="sweep cap (default 1000)")
     sub.add_argument("--tol", type=float, default=1e-3, help="residual tolerance (default 1e-3)")
     if with_cv:
-        sub.add_argument("--folds", type=int, default=10, help="cross-validation folds (default 10)")
+        sub.add_argument("--folds", type=_bounded(int, 2), default=10, help="cross-validation folds (default 10)")
         sub.add_argument("--seed", type=int, default=0, help="fold/flip seed (default 0)")
-        sub.add_argument("--parallel", type=int, default=1, help="worker processes (default 1)")
+        sub.add_argument("--parallel", type=_bounded(int, 1), default=1, help="worker processes (default 1)")
         sub.add_argument("--c-values", type=_float_list, default=None, help="override C grid, comma separated")
         sub.add_argument("--delta-values", type=_float_list, default=None, help="override delta grid")
         sub.add_argument("--v-values", type=_float_list, default=None, help="override v grid")
@@ -354,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--test", default=None, help="optional held-out test file")
     sub.add_argument(
         "--repeats",
-        type=int,
+        type=_bounded(int, 1),
         default=10,
         help="fold-seed repeats for the no-test-set report (default 10)",
     )
@@ -376,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("proxcheck", help="closed-form prox vs grid oracle")
     sub.add_argument("--samples", type=int, default=10000)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--step", type=float, default=1e-6, help="oracle grid step")
+    sub.add_argument("--step", type=_bounded(float, 0.0, strict=True), default=1e-6, help="oracle grid step")
     sub.add_argument("--limit", type=float, default=1e-6, help="max allowed deviation")
     sub.add_argument("--out", default=None, help="per-sample CSV to write")
     sub.set_defaults(func=cmd_proxcheck)

@@ -4,8 +4,8 @@ seeded label flipping, and k-fold partitioning."""
 from __future__ import annotations
 
 import io
+import math
 import os
-from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -52,7 +52,6 @@ class Dataset:
             raise ValueError(
                 f"labels length {self.y.shape[0]} != row count {self.X.shape[0]}"
             )
-        self._signed_dense = None
 
     @property
     def m(self) -> int:
@@ -63,15 +62,8 @@ class Dataset:
         return self.X.shape[1]
 
     def signed_matrix(self) -> np.ndarray:
-        """Matrix whose i-th row is ``y_i * x_i`` (cached)."""
-        if self._signed_dense is None:
-            self._signed_dense = self.X * self.y[:, None]
-        return self._signed_dense
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_signed_dense"] = None  # never ship the cache across processes
-        return state
+        """A new matrix whose i-th row is ``y_i * x_i``."""
+        return self.X * self.y[:, None]
 
 
 def _map_label(raw: str, lineno: int) -> float:
@@ -87,19 +79,13 @@ def _map_label(raw: str, lineno: int) -> float:
 
 
 class _Rows(NamedTuple):
-    """Parsed rows of one stretch of input, before the whole-input checks.
-
-    ``indptr`` starts at 0; ``indices`` are 0-based; ``row_lines`` holds the
-    1-based line number of each row. The per-line reader returns lists, the
-    vectorised one arrays and no line numbers: it never returns a non-finite
-    value, the one whole-input error that names a line.
-    """
+    """Parsed rows of one chunk: ``indptr`` starts at 0 and ``indices`` are
+    0-based. The per-line reader returns lists, the vectorised one arrays."""
 
     labels: Sequence[float]
     indptr: Sequence[int]
     indices: Sequence[int]
     data: Sequence[float]
-    row_lines: Sequence[int] | None
     max_index: int
 
 
@@ -107,20 +93,21 @@ _MAX_INDEX = 2**31 - 1  # 1-based; the 0-based index must fit in int32
 
 
 def _read_lines(lines, first_lineno: int = 1) -> _Rows:
-    """The per-line reader: every input the vectorised reader does not take,
-    and the one place that reports a malformed line."""
+    """The per-line reader of UTF-8 byte lines: every chunk the vectorised
+    reader does not take, and the one place that reports a defect, the first
+    in file order."""
     data, indices, indptr, labels = [], [], [0], []
-    row_lines = array("l")  # line number of each row, for error messages
     max_index = -1
     for lineno, line in enumerate(lines, start=first_lineno):
-        if isinstance(line, bytes):
+        try:
             line = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"line {lineno}: byte {line[exc.start]:#04x} is not UTF-8") from None
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
         labels.append(_map_label(tokens[0], lineno))
-        row_lines.append(lineno)
         prev = 0
         for token in tokens[1:]:
             idx_str, _, val_str = token.partition(":")
@@ -141,16 +128,20 @@ def _read_lines(lines, first_lineno: int = 1) -> _Rows:
                 raise ParseError(
                     f"line {lineno}: non-increasing index {ext_idx} after {prev}"
                 )
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"line {lineno}: non-finite value {value!r} at index {ext_idx}"
+                )
             prev = ext_idx
             indices.append(ext_idx - 1)
             data.append(value)
         max_index = max(max_index, prev - 1)
         indptr.append(len(data))
-    return _Rows(labels, indptr, indices, data, row_lines, max_index)
+    return _Rows(labels, indptr, indices, data, max_index)
 
 
 # Byte classes of the common grammar; 0 marks a byte that only the per-line
-# reader handles (comments, CR, letters of nan/inf, underscores, ...).
+# reader handles (comments, non-ASCII bytes, letters of nan/inf, ...).
 _DIGIT, _DOT, _EXP, _PLUS, _MINUS, _COLON, _BLANK, _NEWLINE = range(1, 9)
 _CLASS = np.zeros(256, dtype=np.uint8)
 _CLASS[np.frombuffer(b"0123456789", dtype=np.uint8)] = _DIGIT
@@ -213,12 +204,13 @@ def _literals(text, digit, starts, ends, plain):
 
 
 def _read_fields(chunk) -> _Rows | None:
-    """Rows of one ASCII chunk of whole lines, parsed in numpy.
+    """Rows of one chunk of whole lines, parsed in numpy.
 
     Returns None when any byte or token lies outside the common grammar or
-    fails a check (labels in {-1, 0, +1}, digits-only 1-based strictly
-    increasing indices, finite values), so that the per-line reader takes the
-    chunk and reports any error.
+    fails a check, so that the per-line reader takes the chunk and reports
+    any error. In the grammar every line is "label idx:val ..." with space
+    or tab separators, labels in {-1, 0, +1}, indices of 1 to 9 digits that
+    increase along the row, and decimal literals for finite values.
     """
     # bytes and their classes, with a newline at both ends
     text = np.empty(len(chunk) + 2, dtype=np.uint8)
@@ -282,28 +274,21 @@ def _read_fields(chunk) -> _Rows | None:
         indptr,
         index - 1,
         values,
-        None,
         int(index.max(initial=0)) - 1,
     )
 
 
 def _read_bytes(text: bytes):
-    """Rows of ASCII input, chunk by chunk; each chunk ends at a newline.
-    Empty input is one empty chunk."""
+    """Rows of LF-ended input per chunk of whole lines, at most ``_CHUNK_BYTES``
+    long unless one line is longer. Empty input is one empty chunk."""
     start, lineno = 0, 1
     while True:
         stop = len(text)
         if stop - start > _CHUNK_BYTES:
-            cut = text.rfind(b"\n", start, start + _CHUNK_BYTES)
-            if cut < 0:
-                cut = text.find(b"\n", start + _CHUNK_BYTES)
-            if cut >= 0:
-                stop = cut + 1
+            stop = (text.rfind(b"\n", start, start + _CHUNK_BYTES) + 1
+                    or text.find(b"\n", start + _CHUNK_BYTES) + 1 or stop)
         chunk = text[start:stop]
-        rows = _read_fields(chunk)
-        if rows is None:
-            rows = _read_lines(io.StringIO(chunk.decode("ascii")), lineno)
-        yield rows
+        yield _read_fields(chunk) or _read_lines(io.BytesIO(chunk), lineno)
         lineno += chunk.count(b"\n")
         start = stop
         if start >= len(text):
@@ -315,88 +300,62 @@ def _memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _dataset(most_rows: int, blocks, n_features: int | None) -> Dataset:
+def _dataset(most_rows: int, blocks) -> Dataset:
     """Scatter each block of at least one into a dense matrix of ``most_rows``
-    rows, as wide as the first block or ``n_features``, as soon as it is read;
-    a larger index copies it into a wider one. Each allocation is checked
-    against memory first. The first failed check, in the order non-finite
-    value, declared dimension, size, is raised after the last block."""
+    rows, as wide as the widest block so far, as soon as it is read; a larger
+    index copies it into a wider one, after checking that this fits in memory."""
     X, m, labels = np.zeros((most_rows, 0)), 0, []
-    max_index, errors = -1, {}  # message by rank of the check
     for rows in blocks:
-        vals = np.asarray(rows.data, dtype=np.float64)
-        finite = np.isfinite(vals)
-        if 0 not in errors and not finite.all():
-            pos = int(np.argmin(finite))
-            row = int(np.searchsorted(rows.indptr, pos, side="right")) - 1
-            errors[0] = (
-                f"line {rows.row_lines[row]}: non-finite value {float(vals[pos])!r} "
-                f"at index {rows.indices[pos] + 1}"
-            )
         labels.append(np.asarray(rows.labels, dtype=np.float64))
-        max_index = max(max_index, rows.max_index)
-        n = max_index + 1 if n_features is None else n_features
-        if errors or max_index >= n:
-            continue
+        n = max(X.shape[1], rows.max_index + 1)
         if n > X.shape[1]:
             size, limit = most_rows * n * 8, _memory_bytes()
             if size > limit:
-                errors[2] = (
+                raise ParseError(
                     f"dense matrix of m={most_rows} rows and n={n} features needs "
                     f"{size} bytes, more than the {limit} bytes of memory"
                 )
-                continue
             wider = np.zeros((most_rows, n))
             wider[:m, : X.shape[1]] = X[:m]
             X = wider
         k = labels[-1].size
         at = np.repeat(np.arange(m, m + k) * n, np.diff(rows.indptr))
         at += np.asarray(rows.indices, dtype=np.int64)
-        X.ravel()[at] = vals + 0.0  # an explicit -0 reads +0, as a sum into zeros
+        # an explicit -0 reads +0, as a sum into zeros would
+        X.ravel()[at] = np.asarray(rows.data, dtype=np.float64) + 0.0
         m += k
-    if max_index >= n:
-        errors[1] = f"feature index {max_index + 1} exceeds declared dimension {n_features}"
-    if errors:
-        raise ParseError(errors[min(errors)])
     return Dataset(X[:m], np.concatenate(labels))
 
 
-def parse_libsvm(text, n_features: int | None = None) -> Dataset:
-    """Parse LIBSVM text ("<label> <idx>:<val> ...", 1-based indices).
+def parse_libsvm(text: str | bytes) -> Dataset:
+    """Parse LIBSVM text ("<label> <idx>:<val> ...", 1-based indices) from a
+    string or from UTF-8 bytes.
 
-    Accepts a string, bytes, or a line iterable. Blank lines and '#' comments
-    are ignored. Labels in {+1,-1} are kept and {0,1} files map to {-1,+1}.
-    Feature values must be finite: nan, inf and literals that overflow to inf
-    (1e400) are errors, reported with their line, and so is an index above
-    2**31 - 1, the largest that int32 holds. The feature count is
-    inferred as 1 + the largest (0-based) index unless ``n_features``
-    overrides it, in which case any out-of-range index is an error. In a
-    string or bytes only the newline character ends a line; a carriage
-    return is blank space.
+    LF, CRLF and a lone CR each end a line. Blank lines and '#' comments are
+    ignored. Labels in {+1,-1} are kept and {0,1} files map to {-1,+1}. The
+    feature count is 1 + the largest (0-based) index; ``widen`` pads to more.
+    The first defect in file order is a ParseError naming its line: a
+    malformed label or token, an index that is not 1-based, increasing and at
+    most 2**31 - 1 (the largest that int32 holds), a value that is not finite
+    (nan, inf, or a literal like 1e400 that overflows), or a non-UTF-8 byte.
 
-    The matrix is dense and filled while the input is read; one larger than
-    physical memory is an error, sized at one row per line of text.
+    The matrix is dense and filled while the input is read, in chunks of
+    about 256 KiB cut at line ends. One larger than physical memory, sized at
+    one row per line, is an error as soon as a chunk needs it.
 
-    ASCII strings and bytes are parsed in numpy, in chunks of about 256 KiB
-    cut at newlines, where every line is "label idx:val ..." with space or
-    tab separators, decimal literals, indices of at most 9 digits and labels
-    in {-1, 0, +1}. There, a value or label of at most 15 digits is read in
-    integer arithmetic, which is exact, and the other values, then the other
-    labels, of a chunk by one call each to numpy's correctly rounded parser:
-    both give the bits of ``float``. A per-line reader takes everything else
-    and gives the same rows and the same errors: line iterables, non-ASCII
-    text, and each chunk that holds a comment, a carriage return, a nan, inf
-    or underscore literal, a signed index, or any malformed line.
+    A chunk whose lines all fit the common grammar of ``_read_fields`` is
+    parsed in numpy, bit for bit as ``float`` reads it. A per-line reader
+    gives the same rows for every other chunk, such as one with a comment, a
+    non-ASCII byte, a nan, inf or underscore literal, or a defect.
     """
-    if isinstance(text, str) and text.isascii():
-        text = text.encode("ascii")
-    if isinstance(text, bytes) and text.isascii():
-        lines = text.count(b"\n") + (not text.endswith(b"\n"))
-        return _dataset(lines, _read_bytes(text), n_features)
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    rows = _read_lines(io.StringIO(text) if isinstance(text, str) else text)
-    return _dataset(len(rows.labels), [rows], n_features)
+    if isinstance(text, str):
+        text = text.encode("utf-8")
+    elif not isinstance(text, bytes):
+        raise TypeError(f"need str or bytes, got {type(text).__name__}")
+    if b"\r" in text:
+        text = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    lines = text.count(b"\n") + (not text.endswith(b"\n"))
+    return _dataset(lines, _read_bytes(text))
 
 
 def write_libsvm(ds: Dataset) -> str:
@@ -525,9 +484,10 @@ def subset(ds: Dataset, idx: np.ndarray) -> Dataset:
 
 
 def widen(ds: Dataset, n: int) -> Dataset:
-    """The dataset with zero columns appended up to ``n`` features, the same
-    arrays that ``parse_libsvm(..., n_features=n)`` gives; the input itself,
-    not a copy, when it has ``n`` features or more."""
+    """The dataset with zero columns appended up to ``n`` features, as if its
+    text had declared them; the input itself, not a copy, when it has ``n``
+    features or more. It is the one way to fix a width past the largest
+    index read."""
     if ds.n >= n:
         return ds
     return Dataset(np.pad(ds.X, ((0, 0), (0, n - ds.n))), ds.y)

@@ -114,10 +114,10 @@ NCPU = os.cpu_count() or 1
 def _splice_runs():
     train_path = require_dataset("splice")
     test_path = require_dataset("splice.t")
-    with open(train_path) as fh:
-        train_ds = parse_libsvm(fh)
-    with open(test_path) as fh:
-        test_ds = parse_libsvm(fh)
+    with open(train_path, "rb") as fh:
+        train_ds = parse_libsvm(fh.read())
+    with open(test_path, "rb") as fh:
+        test_ds = parse_libsvm(fh.read())
     train_ds, test_ds = align_features(train_ds, test_ds)
     assert (train_ds.m, test_ds.m) == (1000, 2175)
     rows = flip_experiment(
@@ -153,10 +153,10 @@ def test_leukemia_stretch_run():
     solve path; not a shipping gate."""
     train_path = require_dataset("leukemia")
     test_path = require_dataset("leukemia.t")
-    with open(train_path) as fh:
-        train_ds = parse_libsvm(fh)
-    with open(test_path) as fh:
-        test_ds = parse_libsvm(fh)
+    with open(train_path, "rb") as fh:
+        train_ds = parse_libsvm(fh.read())
+    with open(test_path, "rb") as fh:
+        test_ds = parse_libsvm(fh.read())
     train_ds, test_ds = align_features(train_ds, test_ds)
     assert (train_ds.m, test_ds.m) == (38, 34)
     from slidesvm.tuning import grid_search

@@ -3,7 +3,7 @@ import pytest
 
 from slidesvm import cli, data
 from slidesvm.cli import main
-from slidesvm.data import gaussian_clusters, parse_libsvm, write_libsvm
+from slidesvm.data import gaussian_clusters, parse_libsvm, widen, write_libsvm
 from slidesvm.loss import SlideParams, prox_thresholds
 from slidesvm.model import (
     Model,
@@ -109,6 +109,15 @@ class TestTrainCommand:
         assert "line 2: non-finite value nan" in captured.err
         assert captured.out == "" and not model_path.exists()
 
+    def test_byte_that_is_not_utf8_fails_with_its_path_and_line(self, tmp_path, capsys):
+        data = tmp_path / "latin1.svm"
+        data.write_bytes(b"+1 1:0.5\n-1 1:1 # caf\xe9\n+1 1:0.7\n")
+        model_path = tmp_path / "m.txt"
+        assert run(["train", "--data", data, "--out", model_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {data}: line 2: byte 0xe9 is not UTF-8\n"
+        assert not model_path.exists()
+
     def test_nonconvergence_still_exits_zero(self, data_files, tmp_path, capsys):
         train, _ = data_files
         model_path = tmp_path / "model.txt"
@@ -206,7 +215,7 @@ class TestEvalCommand:
         assert run(["eval", "--model", model_path, "--data", slim]) == 0
         assert len(parsed) == 1  # widened in memory, not parsed again
         mdl = load_model(model_path)
-        ds = parse_libsvm(slim.read_text(), n_features=mdl.n)
+        ds = widen(parse_libsvm(slim.read_text()), mdl.n)
         tp, fp, tn, fn = confusion_counts(mdl, ds)
         assert capsys.readouterr().out == (
             f"accuracy {accuracy(mdl, ds):.4f}\ntp {tp} fp {fp} tn {tn} fn {fn}\n"
@@ -354,6 +363,28 @@ class TestProxcheckCommand:
 
 
 class TestParser:
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("grid", "--folds", "1"), ("grid", "--repeats", "0"), ("grid", "--parallel", "-3"),
+         ("flip", "--folds", "1"), ("flip", "--parallel", "0"),
+         ("proxcheck", "--step", "0"), ("proxcheck", "--step", "nan")],
+    )
+    def test_out_of_range_flags_are_usage_errors(self, command, flag, value, tmp_path, capsys):
+        # rejected before any data is read: the data files do not exist
+        missing = {"grid": ["--data", tmp_path / "a.svm"], "proxcheck": [],
+                   "flip": ["--data", tmp_path / "a.svm", "--test", tmp_path / "b.svm"]}
+        with pytest.raises(SystemExit) as exc:
+            run([command, flag, value] + missing[command])
+        assert exc.value.code == 2
+        assert f"argument {flag}: need " in capsys.readouterr().err
+
+    def test_more_folds_than_rows_is_a_data_error(self, tmp_path, capsys):
+        data = tmp_path / "three.svm"
+        data.write_text("+1 1:1\n-1 1:-1\n+1 1:2\n")
+        assert run(["grid", "--data", data, "--folds", "4", "--c-values", "1",
+                    "--delta-values", "1", "--v-values", "1"]) == 1
+        assert "need 2 <= k <= m, got k=4, m=3" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["--version"])

@@ -1,4 +1,5 @@
 import io
+import re
 from unittest import mock
 
 import numpy as np
@@ -94,8 +95,6 @@ class TestParseLibsvm:
             "bytes, more than the 1073741824 bytes of memory$",
         ):
             parse_libsvm("+1 1234567890:1\n")
-        with pytest.raises(ParseError, match="m=1 rows and n=200000000 features"):
-            parse_libsvm("+1 1:1\n", n_features=200_000_000)
 
     def test_widening_is_checked_before_it_allocates(self, monkeypatch):
         probes = []
@@ -112,28 +111,42 @@ class TestParseLibsvm:
         assert len(probes) == 2  # the first chunk's matrix fitted; the wider one did not
         assert parse_libsvm(text.replace("1000:", "100:")).X.shape == (11, 100)
 
-    def test_size_is_checked_after_the_other_errors(self, small_memory):
+    def test_size_is_checked_when_a_chunk_needs_it(self, small_memory, monkeypatch):
+        text = "+1 1234567890:1\n-1 x\n"
+        # in one chunk with the wide row, a later defect is read first ...
         with pytest.raises(ParseError, match="^line 2: malformed token"):
-            parse_libsvm("+1 1234567890:1\n-1 x\n")
-        with pytest.raises(ParseError, match="^line 2: non-finite value"):
-            parse_libsvm("+1 1234567890:1\n-1 1:nan\n")
-        with pytest.raises(ParseError, match="^feature index 1234567890 exceeds"):
-            parse_libsvm("+1 1234567890:1\n", n_features=5)
+            parse_libsvm(text)
+        # ... and in a later chunk it is never reached
+        monkeypatch.setattr(data, "_CHUNK_BYTES", 16)
+        with pytest.raises(ParseError, match="^dense matrix of m=2 rows and n=1234567890"):
+            parse_libsvm(text)
 
     def test_comments_and_blank_lines(self):
         ds = parse_libsvm("\n# full comment\n+1 1:2.0  # trailing\n\n-1 1:1.0\n")
         assert ds.m == 2 and ds.n == 1
 
-    def test_accepts_bytes_and_iterables(self):
-        text = "+1 1:1\n-1 2:1\n"
-        assert bits(parse_libsvm(text.encode())) == bits(parse_libsvm(text))
-        assert bits(parse_libsvm(iter(text.splitlines(True)))) == bits(parse_libsvm(text))
+    def test_accepts_str_and_bytes(self):
+        for text in ("+1 1:1\n-1 2:1\n", "+1 1:1 # café\n-1 2:1\n"):
+            assert bits(parse_libsvm(text.encode())) == bits(parse_libsvm(text))
+        with pytest.raises(TypeError, match="need str or bytes, got list"):
+            parse_libsvm(["+1 1:1\n"])
 
-    def test_n_override(self):
-        ds = parse_libsvm("+1 1:1\n", n_features=5)
-        assert ds.n == 5
-        with pytest.raises(ParseError, match="exceeds"):
-            parse_libsvm("+1 7:1\n", n_features=5)
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_cr_and_crlf_end_a_line(self, end):
+        text = "+1 1:1\n-1 2:0.5\n+1\n"
+        assert bits(parse_libsvm(text.replace("\n", end))) == bits(parse_libsvm(text))
+        with pytest.raises(ParseError, match="^line 3: malformed token '1:x'$"):
+            parse_libsvm(f"+1 1:1{end}{end}-1 1:x{end}")
+
+    def test_byte_that_is_not_utf8_reports_its_line(self, monkeypatch):
+        text = b"+1 1:1\n-1 1:2 # caf\xe9\n+1 2:1\n"
+        for chunk in (8, 1 << 18):
+            monkeypatch.setattr(data, "_CHUNK_BYTES", chunk)
+            with pytest.raises(ParseError, match="^line 2: byte 0xe9 is not UTF-8$"):
+                parse_libsvm(text)
+            # a defect on an earlier line of the same chunk comes first
+            with pytest.raises(ParseError, match="^line 1: malformed token"):
+                parse_libsvm(b"+1 1:x\n" + text)
 
     @pytest.mark.parametrize("literal", ["nan", "inf", "-inf", "NaN", "1e400"])
     def test_non_finite_value_reports_line(self, literal):
@@ -157,32 +170,44 @@ class TestParseLibsvm:
                     [label] + [f"{j + 1}:{rng.normal():.17g}" for j in picked]
                 )
             )
-        ds = parse_libsvm("\n".join(rows) + "\n", n_features=12)
-        assert bits(parse_libsvm(write_libsvm(ds), n_features=12)) == bits(ds)
+        ds = widen(parse_libsvm("\n".join(rows) + "\n"), 12)
+        assert bits(widen(parse_libsvm(write_libsvm(ds)), 12)) == bits(ds)
 
 
-def parse_outcome(text, **kwargs):
-    """The parsed arrays, bit for bit, or the type and message of the error."""
+def outcome(parse, *args):
+    """The arrays ``parse`` gives, bit for bit, or the type and message of
+    its error."""
     try:
-        ds = parse_libsvm(text, **kwargs)
+        ds = parse(*args)
     except Exception as exc:  # noqa: BLE001 - the comparison covers every error
         return ("error", type(exc).__name__, str(exc))
     return bits(ds)
 
 
-def per_line_outcome(text, **kwargs):
-    """What the per-line reader gives, which takes every line iterable."""
-    return parse_outcome(io.StringIO(text), **kwargs)
+def parse_outcome(text):
+    return outcome(parse_libsvm, text)
 
 
-def read_outcome(text):
-    """The rows the reader gives before any dense matrix is built, joined
-    over chunks, bit for bit, or the type and message of its error."""
+def per_line_outcome(text):
+    """What the per-line reader gives over the whole text, its lines split at
+    LF, CRLF and CR by Python's universal newlines, assembled into a matrix
+    as the parser assembles its chunks."""
+    lines = [line.encode() for line in io.StringIO(text, newline=None)]
+    return outcome(lambda: data._dataset(len(lines), [data._read_lines(lines)]))
+
+
+def read_outcome(text, per_line=False):
+    """The rows read before any dense matrix is built, joined over chunks,
+    bit for bit, or the type and message of the error; from the chunked
+    reader, or from the per-line reader over the whole text."""
+    if isinstance(text, str):
+        text = text.encode()
+    text = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
-        if isinstance(text, io.StringIO):
-            blocks = [data._read_lines(text)]
+        if per_line:
+            blocks = [data._read_lines(io.BytesIO(text))]
         else:
-            blocks = list(data._read_bytes(text.encode() if isinstance(text, str) else text))
+            blocks = list(data._read_bytes(text))
     except Exception as exc:  # noqa: BLE001 - the comparison covers every error
         return ("error", type(exc).__name__, str(exc))
 
@@ -279,20 +304,19 @@ class TestVectorisedParse:
     """The vectorised reader against the per-line reader: bit-identical
     arrays, or the same error with the same message."""
 
-    @given(_LIBSVM_TEXT, st.sampled_from([1, 8, 64, 1 << 18]),
-           st.sampled_from([None, 0, 5, 60, 80]))
+    @given(_LIBSVM_TEXT, st.sampled_from([1, 8, 64, 1 << 18]))
     @settings(max_examples=400, deadline=None)
-    def test_matches_per_line_reader(self, text, chunk, n_features):
+    def test_matches_per_line_reader(self, text, chunk):
         # rows are compared before assembly: valid rows may hold indices up to
         # 2**31 - 1, too wide for a dense matrix; small ones are assembled too
-        rows = read_outcome(io.StringIO(text))
+        rows = read_outcome(text, per_line=True)
         wide = rows[0] != "error" and rows[-1] >= 1000
-        expected = None if wide else per_line_outcome(text, n_features=n_features)
+        expected = None if wide else per_line_outcome(text)
         with mock.patch.object(data, "_CHUNK_BYTES", chunk):
             for source in (text, text.encode()):
                 assert read_outcome(source) == rows
                 if not wide:
-                    assert parse_outcome(source, n_features=n_features) == expected
+                    assert parse_outcome(source) == expected
 
     def test_common_grammar_takes_the_vectorised_path(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -346,7 +370,7 @@ class TestVectorisedParse:
     )
     def test_odd_line_matches_per_line_reader(self, line, small_memory):
         for text in (f"{line}\n", f"-1 1:1\n{line}\n+1 2:2\n"):
-            assert read_outcome(text) == read_outcome(io.StringIO(text))
+            assert read_outcome(text) == read_outcome(text, per_line=True)
             assert parse_outcome(text) == per_line_outcome(text)
 
     def test_whitespace_only_input(self):
@@ -390,18 +414,37 @@ class TestVectorisedParse:
         with pytest.raises(ParseError, match="^line 38: non-finite value inf at index 3$"):
             parse_libsvm("\n".join(rows) + "\n")
 
-    def test_malformed_line_after_a_non_finite_value_is_reported_first(self, monkeypatch):
-        monkeypatch.setattr(data, "_CHUNK_BYTES", 8)
-        with pytest.raises(ParseError, match="^line 3: malformed token"):
-            parse_libsvm("+1 1:nan\n-1 1:1\n+1 2:x\n")
+    @pytest.mark.parametrize(
+        "text, message",
+        [("+1 1:nan\n-1 1:1\n+1 2:x\n", "line 1: non-finite value nan at index 1"),
+         ("+1 2:x\n-1 1:inf\n", "line 1: malformed token '2:x'"),
+         ("-1 1:1\n+1 1:1 2:-inf 1:3\n", "line 2: non-finite value -inf at index 2"),
+         ("-1 1:1\n+1 3:1e999 2:1\n", "line 2: non-finite value inf at index 3"),
+         ("+1 1:1\n-1 1:1 2:nan\n3 1:1\n", "line 2: non-finite value nan at index 2"),
+         ("+1 1:1\n-1 0:nan\n", "line 2: index 0 is not 1-based")],
+        ids=["nan-before-malformed", "malformed-before-inf", "nan-before-order",
+             "overflow-before-order", "nan-before-label", "index-before-nan"],
+    )
+    def test_first_defect_in_file_order_is_reported(self, text, message, monkeypatch):
+        for chunk in (8, 1 << 18):
+            monkeypatch.setattr(data, "_CHUNK_BYTES", chunk)
+            with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+                parse_libsvm(text)
 
-    def test_n_features_widens_and_is_checked(self):
-        text = "+1 1:1 3:2\n-1 2:1\n"
-        ds = parse_libsvm(text, n_features=7)
-        assert ds.X.tolist() == [[1, 0, 2, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0]]
-        assert parse_outcome(text, n_features=7) == per_line_outcome(text, n_features=7)
-        with pytest.raises(ParseError, match="^feature index 3 exceeds declared dimension 2$"):
-            parse_libsvm(text, n_features=2)
+    def test_non_ascii_chunk_leaves_the_others_on_the_numpy_path(self, monkeypatch):
+        first = "+1 1:0.5 2:-1\n-1 2:3\n"
+        second = "+1 1:1 # café\n-1 2:2\n"
+        expected = per_line_outcome(first + second)
+        read, per_line = data._read_lines, []
+
+        def counting(lines, first_lineno=1):
+            per_line.append(first_lineno)
+            return read(lines, first_lineno)
+
+        monkeypatch.setattr(data, "_read_lines", counting)
+        monkeypatch.setattr(data, "_CHUNK_BYTES", len(first.encode()))
+        assert parse_outcome(first + second) == expected
+        assert per_line == [3]  # only the second chunk, from its first line
 
 
 class TestScaling:
@@ -549,7 +592,8 @@ class TestDatasetHelpers:
         wide = widen(ds, 4)
         assert wide.X.tolist() == [[1.5, 0.0, 0.0, 0.0], [0.0, -2.0, 0.0, 0.0]]
         assert wide.X.flags.c_contiguous
-        assert bits(wide) == bits(parse_libsvm("+1 1:1.5\n-1 2:-2\n", n_features=4))
+        # as if the text had declared the last column with an explicit zero
+        assert bits(wide) == bits(parse_libsvm("+1 1:1.5 4:0\n-1 2:-2\n"))
 
     def test_signed_matrix(self):
         ds = dense_dataset([[1.0, 2.0], [3.0, 4.0]], [1, -1])

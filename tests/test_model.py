@@ -102,7 +102,7 @@ class TestPredict:
         mdl = make_model([2.0, 0.0, -1.0], b=0.0)
         x = parse_libsvm("+1 1:1 3:1.5\n").X[0]
         assert predict(mdl, x) == 1
-        assert predict(mdl, parse_libsvm("+1 3:1\n", n_features=3).X[0]) == -1
+        assert predict(mdl, parse_libsvm("+1 3:1\n").X[0]) == -1
 
 
 class TestAccuracy:
