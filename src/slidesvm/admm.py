@@ -8,6 +8,8 @@ with A the matrix of label-signed samples. Each sweep selects a working set
 from thresholds of the closed-form prox, applies the u/w/b block updates, and
 takes a damped multiplier step restricted to the working set. Convergence is
 declared from four residuals derived from the stationarity conditions.
+``train`` is the one driver of the sweep; each step function it calls takes
+the products it reads as arguments.
 """
 
 from __future__ import annotations
@@ -71,14 +73,12 @@ class TrainConfig:
     tol: float = 1e-3
 
     def __post_init__(self):
-        if self.C <= 0.0:
-            raise ValueError(f"C must be positive, got {self.C}")
-        if self.delta <= 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        for name in ("C", "delta", "tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if not 0.0 < self.eta < ETA_MAX:
             raise ValueError(f"eta must lie in (0, {ETA_MAX}), got {self.eta}")
-        if self.tol <= 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
         if self.K < 1:
             raise ValueError(f"K must be at least 1, got {self.K}")
 
@@ -171,26 +171,17 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(float(x @ x))
 
 
-# Each per-step function below is the one definition of its formula. The
-# products it needs (A @ w, A[T], lambda/delta) are keyword arguments: train
-# computes each once per sweep and passes it in; left out, they are derived
-# from the arguments.
+# Each step function below is the one definition of its formula. It takes
+# the products its formula reads (A @ w, A[T], lambda/delta) as arguments,
+# together with the labels y and the working-set indices; train computes each
+# product once per sweep and is the one place that runs the steps in order.
 
 
 def compute_z(
-    state: AdmmState,
-    ds: Dataset,
-    cfg: TrainConfig,
-    *,
-    Aw: Optional[np.ndarray] = None,
-    lam_d: Optional[np.ndarray] = None,
+    Aw: np.ndarray, b: float, y: np.ndarray, lam_d: np.ndarray
 ) -> np.ndarray:
     """z_i = 1 - y_i<w, x_i> - b*y_i - lambda_i/delta."""
-    if Aw is None:
-        Aw = ds.signed_matrix() @ state.w
-    if lam_d is None:
-        lam_d = state.lam / cfg.delta
-    return 1.0 - Aw - state.b * ds.y - lam_d
+    return 1.0 - Aw - b * y - lam_d
 
 
 def select_working_set(
@@ -268,127 +259,91 @@ def solve_w_system(
 
 
 def update_w(
-    state: AdmmState,
+    a_t: np.ndarray,
+    idx: np.ndarray,
     u_next: np.ndarray,
-    ds: Dataset,
+    b: float,
+    y: np.ndarray,
+    lam_d: np.ndarray,
     cfg: TrainConfig,
-    *,
-    a_t: Optional[np.ndarray] = None,
-    lam_d: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Minimize the w block over the working set, with the previous b and
-    multipliers held fixed. ``a_t`` is A restricted to the working set."""
-    idx = state.working_set.indices
-    if a_t is None:
-        a_t = ds.signed_matrix()[idx]
-    if lam_d is None:
-        lam_d = state.lam / cfg.delta
-    r = lam_d + u_next + state.b * ds.y - 1.0
-    return solve_w_system(a_t, r[idx], cfg.delta)
+    """Minimize the w block over the working set ``idx``, with the previous b
+    and multipliers held fixed. ``a_t`` is A restricted to the working set."""
+    r_t = lam_d[idx] + u_next[idx] + b * y[idx] - 1.0
+    return solve_w_system(a_t, r_t, cfg.delta)
 
 
 def update_b(
-    u_next: np.ndarray,
-    w_next: np.ndarray,
-    lam: np.ndarray,
-    ds: Dataset,
-    cfg: TrainConfig,
-    *,
-    Aw: Optional[np.ndarray] = None,
-    lam_d: Optional[np.ndarray] = None,
+    u_next: np.ndarray, Aw: np.ndarray, y: np.ndarray, lam_d: np.ndarray
 ) -> float:
-    """b = <y, 1 - u - Aw - lambda/delta> / m (zeroes the b-block gradient)."""
-    if ds.m == 0:
-        raise ValueError("empty dataset")
-    if Aw is None:
-        Aw = ds.signed_matrix() @ w_next
-    if lam_d is None:
-        lam_d = lam / cfg.delta
-    return float(ds.y @ (1.0 - u_next - Aw - lam_d)) / ds.m
+    """b = <y, 1 - u - Aw - lambda/delta> / m (zeroes the b-block gradient),
+    with ``Aw`` the product at the new w."""
+    return float(y @ (1.0 - u_next - Aw - lam_d)) / y.size
 
 
 def update_lambda(
-    state: AdmmState,
+    lam: np.ndarray,
+    idx: np.ndarray,
     u_next: np.ndarray,
-    w_next: np.ndarray,
+    Aw: np.ndarray,
     b_next: float,
-    ds: Dataset,
+    y: np.ndarray,
     cfg: TrainConfig,
-    *,
-    Aw: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Damped dual ascent on the working set; zero elsewhere."""
-    if Aw is None:
-        Aw = ds.signed_matrix() @ w_next
-    idx = state.working_set.indices
-    lam = np.zeros(ds.m)
-    violation = u_next + Aw + b_next * ds.y - 1.0
-    lam[idx] = state.lam[idx] + cfg.dual_step * violation[idx]
-    return lam
+    """Damped dual ascent on the working set ``idx``; zero elsewhere."""
+    lam_next = np.zeros(y.size)
+    violation = u_next[idx] + Aw[idx] + b_next * y[idx] - 1.0
+    lam_next[idx] = lam[idx] + cfg.dual_step * violation
+    return lam_next
 
 
 def _defect_norms(
     state: AdmmState,
-    ds: Dataset,
+    y: np.ndarray,
+    Aw: np.ndarray,
+    a_t: np.ndarray,
+    lam_d: np.ndarray,
     cfg: TrainConfig,
-    *,
-    Aw: Optional[np.ndarray] = None,
-    a_t: Optional[np.ndarray] = None,
-    lam_d: Optional[np.ndarray] = None,
 ) -> tuple[float, float, float, float]:
     """Raw norms of the four stationarity defects over the working set T:
     ||w + A_T' lambda_T||, |y_T' lambda_T|, ||1 - u - Aw - by|| and
     ||u - prox_{gamma_c loss}(u - lambda/delta)||."""
     idx = state.working_set.indices
-    if Aw is None:
-        Aw = ds.signed_matrix() @ state.w
-    if a_t is None:
-        a_t = ds.signed_matrix()[idx]
-    if lam_d is None:
-        lam_d = state.lam / cfg.delta
     lam_t = state.lam[idx]
     prox = prox_slide_vector(
         state.u - lam_d, cfg.gamma_c, cfg.slide, th=cfg.thresholds
     )
     return (
         _norm(state.w + a_t.T @ lam_t),
-        abs(float(ds.y[idx] @ lam_t)),
-        _norm(1.0 - state.u - Aw - state.b * ds.y),
+        abs(float(y[idx] @ lam_t)),
+        _norm(1.0 - state.u - Aw - state.b * y),
         _norm(state.u - prox),
     )
 
 
 def residuals(
     state: AdmmState,
-    ds: Dataset,
+    y: np.ndarray,
+    Aw: np.ndarray,
+    a_t: np.ndarray,
+    lam_d: np.ndarray,
     cfg: TrainConfig,
-    *,
-    Aw: Optional[np.ndarray] = None,
-    a_t: Optional[np.ndarray] = None,
-    lam_d: Optional[np.ndarray] = None,
 ) -> Residuals:
     """Normalized residuals of the stationarity system at the current state."""
-    e1, e2, e3, e4 = _defect_norms(state, ds, cfg, Aw=Aw, a_t=a_t, lam_d=lam_d)
+    e1, e2, e3, e4 = _defect_norms(state, y, Aw, a_t, lam_d, cfg)
     return Residuals(
         e1 / (1.0 + _norm(state.w)),
         e2 / (1.0 + state.working_set.size),
-        e3 / math.sqrt(ds.m),
+        e3 / math.sqrt(y.size),
         e4 / (1.0 + _norm(state.u)),
     )
 
 
 def objective_value(
-    w: np.ndarray,
-    b: float,
-    ds: Dataset,
-    cfg: TrainConfig,
-    *,
-    Aw: Optional[np.ndarray] = None,
+    w: np.ndarray, b: float, Aw: np.ndarray, y: np.ndarray, cfg: TrainConfig
 ) -> float:
     """Primal objective ||w||^2/2 + C * sum_i loss(1 - y_i f(x_i))."""
-    if Aw is None:
-        Aw = ds.signed_matrix() @ w
-    margins = 1.0 - Aw - b * ds.y
+    margins = 1.0 - Aw - b * y
     return 0.5 * float(w @ w) + slide_loss_sum(margins, cfg.slide, cfg.C)
 
 
@@ -429,32 +384,33 @@ def train(ds: Dataset, cfg: TrainConfig):
     """
     if ds.m == 0:
         raise ValueError("empty dataset")
-    A = ds.signed_matrix()
+    A, y = ds.signed_matrix(), ds.y
     state = AdmmState.initial(ds.m, ds.n)
     history: list[Residuals] = []
     sizes: list[int] = []
     objectives: list[float] = []
     converged = False
     # A @ w, A[T] and lambda/delta are computed once per sweep, each right
-    # after its inputs change, and shared by every step that reads them
+    # after its inputs change, and passed to every step that reads them
     Aw = A @ state.w
     lam_d = state.lam / cfg.delta
     for k in range(1, cfg.K + 1):
-        z = compute_z(state, ds, cfg, Aw=Aw, lam_d=lam_d)
+        z = compute_z(Aw, state.b, y, lam_d)
         ws = state.working_set = select_working_set(z, state.lam, cfg)
-        a_t = A[ws.indices]
+        idx = ws.indices
+        a_t = A[idx]
         u_next = update_u(z, ws, cfg)
-        w_next = update_w(state, u_next, ds, cfg, a_t=a_t, lam_d=lam_d)
+        w_next = update_w(a_t, idx, u_next, state.b, y, lam_d, cfg)
         Aw = A @ w_next
-        b_next = update_b(u_next, w_next, state.lam, ds, cfg, Aw=Aw, lam_d=lam_d)
-        state.lam = update_lambda(state, u_next, w_next, b_next, ds, cfg, Aw=Aw)
+        b_next = update_b(u_next, Aw, y, lam_d)
+        state.lam = update_lambda(state.lam, idx, u_next, Aw, b_next, y, cfg)
         state.u, state.w, state.b, state.k = u_next, w_next, b_next, k
         lam_d = state.lam / cfg.delta
 
-        res = residuals(state, ds, cfg, Aw=Aw, a_t=a_t, lam_d=lam_d)
+        res = residuals(state, y, Aw, a_t, lam_d, cfg)
         history.append(res)
         sizes.append(ws.size)
-        objectives.append(objective_value(state.w, state.b, ds, cfg, Aw=Aw))
+        objectives.append(objective_value(state.w, state.b, Aw, y, cfg))
         if res.max() < cfg.tol:
             converged = True
             break
@@ -500,6 +456,7 @@ def check_proximal_stationarity(
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     cfg = TrainConfig(C=C, delta=1.0 / gamma, slide=p)
+    A = ds.signed_matrix()
     every_row = WorkingSet(np.arange(ds.m), _EMPTY)
     point = AdmmState(w, b, u, lam, working_set=every_row)
-    return Residuals(*_defect_norms(point, ds, cfg))
+    return Residuals(*_defect_norms(point, ds.y, A @ w, A, lam / cfg.delta, cfg))

@@ -148,8 +148,8 @@ def _grid_from_args(args) -> Grid:
 
 
 def cmd_grid(args) -> int:
-    ds = _read_dataset(args.data)
     grid = _grid_from_args(args)
+    ds = _read_dataset(args.data)
     test_ds = None
     if args.test:
         test_ds = _read_dataset(args.test)
@@ -193,13 +193,13 @@ def cmd_grid(args) -> int:
 
 
 def cmd_flip(args) -> int:
-    ds = _read_dataset(args.data)
-    test_ds = _read_dataset(args.test)
-    ds, test_ds = align_features(ds, test_ds)
     for rate in args.rates:
         if not 0.0 <= rate <= 1.0:
             raise CliError(f"flip rate must be in [0, 1], got {rate}", status=2)
     grid = _grid_from_args(args)
+    ds = _read_dataset(args.data)
+    test_ds = _read_dataset(args.test)
+    ds, test_ds = align_features(ds, test_ds)
     rows = flip_experiment(
         ds,
         test_ds,

@@ -296,8 +296,16 @@ def _read_bytes(text: bytes):
 
 
 def _memory_bytes() -> int:
-    """Physical memory of the host: no dense matrix may be larger."""
+    """Physical memory of the host: no dense array may be larger."""
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _check_fits(what: str, floats: int, error: type[ValueError]) -> None:
+    """Raise ``error`` before allocating ``what``, ``floats`` float64 values,
+    when it would be larger than physical memory."""
+    size, limit = floats * 8, _memory_bytes()
+    if size > limit:
+        raise error(f"{what} needs {size} bytes, more than the {limit} bytes of memory")
 
 
 def _dataset(most_rows: int, blocks) -> Dataset:
@@ -309,12 +317,8 @@ def _dataset(most_rows: int, blocks) -> Dataset:
         labels.append(np.asarray(rows.labels, dtype=np.float64))
         n = max(X.shape[1], rows.max_index + 1)
         if n > X.shape[1]:
-            size, limit = most_rows * n * 8, _memory_bytes()
-            if size > limit:
-                raise ParseError(
-                    f"dense matrix of m={most_rows} rows and n={n} features needs "
-                    f"{size} bytes, more than the {limit} bytes of memory"
-                )
+            shape = f"dense matrix of m={most_rows} rows and n={n} features"
+            _check_fits(shape, most_rows * n, ParseError)
             wider = np.zeros((most_rows, n))
             wider[:m, : X.shape[1]] = X[:m]
             X = wider
@@ -487,9 +491,10 @@ def widen(ds: Dataset, n: int) -> Dataset:
     """The dataset with zero columns appended up to ``n`` features, as if its
     text had declared them; the input itself, not a copy, when it has ``n``
     features or more. It is the one way to fix a width past the largest
-    index read."""
+    index read. A result larger than physical memory is a ValueError."""
     if ds.n >= n:
         return ds
+    _check_fits(f"dense matrix of m={ds.m} rows and n={n} features", ds.m * n, ValueError)
     return Dataset(np.pad(ds.X, ((0, 0), (0, n - ds.n))), ds.y)
 
 

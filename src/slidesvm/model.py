@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _check_fits
 from .loss import SlideParams
 
 if TYPE_CHECKING:
@@ -256,6 +256,9 @@ def loads_model(text: str) -> Model:
         raise ModelFormatError(f"bad header field: {exc}") from None
     if not math.isfinite(b):
         raise ModelFormatError(f"non-finite bias b={fields['b']}")
+    if n < 0:
+        raise ModelFormatError(f"negative dimension n={n}")
+    _check_fits(f"weight vector of n={n} features", n, ModelFormatError)
 
     w_idx, w_val = _parse_entries(fields["w"], "weight")
     if w_idx.size and w_idx.max() >= n:

@@ -10,6 +10,7 @@ were never fetched. Everything else is self-contained.
 """
 
 import csv
+import dataclasses
 import functools
 import os
 import time
@@ -22,7 +23,6 @@ from hypothesis import strategies as st
 from conftest import dataset_path, require_dataset
 
 from slidesvm.admm import (
-    AdmmState,
     TrainConfig,
     check_proximal_stationarity,
     compute_z,
@@ -30,9 +30,7 @@ from slidesvm.admm import (
     solve_w_system,
     train,
     update_b,
-    update_lambda,
     update_u,
-    update_w,
 )
 from slidesvm.cli import main as cli_main
 from slidesvm.data import Dataset, align_features, gaussian_clusters, parse_libsvm
@@ -295,15 +293,9 @@ def test_criterion_8b_multiplier_support_zeroing():
     @settings(max_examples=N_CASES, deadline=None)
     def prop(problem):
         ds, cfg = problem
-        state = AdmmState.initial(ds.m, ds.n)
+        # train capped at K = k ends on the iterate of sweep k
         for k in range(1, 4):
-            z = compute_z(state, ds, cfg)
-            state.working_set = select_working_set(z, state.lam, cfg)
-            u_next = update_u(z, state.working_set, cfg)
-            w_next = update_w(state, u_next, ds, cfg)
-            b_next = update_b(u_next, w_next, state.lam, ds, cfg)
-            state.lam = update_lambda(state, u_next, w_next, b_next, ds, cfg)
-            state.u, state.w, state.b, state.k = u_next, w_next, b_next, k
+            state = train(ds, dataclasses.replace(cfg, K=k))[1].final_state
             off = state.working_set.complement_mask(ds.m)
             assert np.array_equal(state.lam[off], np.zeros(int(off.sum())))
 
@@ -320,8 +312,8 @@ def test_criterion_8c_b_update_zeroes_gradient():
         u = rng.uniform(-3.0, 3.0, size=ds.m)
         w = rng.uniform(-3.0, 3.0, size=ds.n)
         lam = rng.uniform(-3.0, 3.0, size=ds.m)
-        b = update_b(u, w, lam, ds, cfg)
         A = ds.signed_matrix()
+        b = update_b(u, A @ w, ds.y, lam / cfg.delta)
         grad = float(lam @ ds.y) + cfg.delta * float(
             ds.y @ (u + A @ w + b * ds.y - 1.0)
         )
@@ -337,14 +329,13 @@ def test_criterion_8d_u_update_is_the_prox():
     def prop(problem, seed):
         ds, cfg = problem
         rng = np.random.default_rng(seed)
-        state = AdmmState.initial(ds.m, ds.n)
-        state.w = rng.uniform(-2.0, 2.0, size=ds.n)
-        state.b = float(rng.uniform(-1.0, 1.0))
-        state.lam = np.where(
+        w = rng.uniform(-2.0, 2.0, size=ds.n)
+        b = float(rng.uniform(-1.0, 1.0))
+        lam = np.where(
             rng.integers(0, 2, size=ds.m) == 1, rng.uniform(-2.0, 0.0, size=ds.m), 0.0
         )
-        z = compute_z(state, ds, cfg)
-        ws = select_working_set(z, state.lam, cfg)
+        z = compute_z(ds.signed_matrix() @ w, b, ds.y, lam / cfg.delta)
+        ws = select_working_set(z, lam, cfg)
         u = update_u(z, ws, cfg)
         prox = prox_slide_vector(z, cfg.gamma_c, cfg.slide)
         from slidesvm.loss import prox_thresholds

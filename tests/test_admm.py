@@ -23,7 +23,13 @@ from slidesvm.admm import (
     update_w,
 )
 from slidesvm.data import Dataset, gaussian_clusters
-from slidesvm.loss import SlideParams, prox_oracle, prox_slide_vector, prox_thresholds
+from slidesvm.loss import (
+    SlideParams,
+    prox_oracle,
+    prox_slide_vector,
+    prox_thresholds,
+    slide_loss_sum,
+)
 from slidesvm.model import accuracy
 
 P_WIDE = SlideParams(0.1, 1.0)
@@ -46,29 +52,37 @@ def random_problem(rng, m, n):
     return dense_dataset(X, y)
 
 
-def run_sweeps(ds, cfg, sweeps):
-    """Drive the block updates directly so intermediate states are visible."""
-    state = AdmmState.initial(ds.m, ds.n)
-    seen = []
+def iterates(ds, cfg, sweeps):
+    """The initial state, then the final state of ``train`` capped at K = 1,
+    2, ..., ``sweeps`` sweeps, up to the first converged run; and that last
+    run's diagnostics."""
+    states = [AdmmState.initial(ds.m, ds.n)]
     for k in range(1, sweeps + 1):
-        z = compute_z(state, ds, cfg)
-        state.working_set = select_working_set(z, state.lam, cfg)
-        u_next = update_u(z, state.working_set, cfg)
-        w_next = update_w(state, u_next, ds, cfg)
-        b_next = update_b(u_next, w_next, state.lam, ds, cfg)
-        state.lam = update_lambda(state, u_next, w_next, b_next, ds, cfg)
-        state.u, state.w, state.b, state.k = u_next, w_next, b_next, k
-        seen.append(
-            AdmmState(
-                state.w.copy(),
-                state.b,
-                state.u.copy(),
-                state.lam.copy(),
-                state.k,
-                state.working_set,
-            )
-        )
-    return seen
+        _, diag = train(ds, dataclasses.replace(cfg, K=k))
+        states.append(diag.final_state)
+        if diag.converged:
+            break
+    return states, diag
+
+
+def fresh_z(state, ds, cfg):
+    """z at ``state`` in plain numpy."""
+    A = ds.X * ds.y[:, None]
+    return 1.0 - A @ state.w - state.b * ds.y - state.lam / cfg.delta
+
+
+def z_at(state, ds, cfg):
+    """compute_z at ``state``, with its products computed here."""
+    return compute_z(
+        ds.signed_matrix() @ state.w, state.b, ds.y, state.lam / cfg.delta
+    )
+
+
+def residuals_at(state, ds, cfg):
+    """residuals at ``state``, with its products computed here."""
+    A = ds.signed_matrix()
+    a_t = A[state.working_set.indices]
+    return residuals(state, ds.y, A @ state.w, a_t, state.lam / cfg.delta, cfg)
 
 
 class TestConfig:
@@ -83,6 +97,10 @@ class TestConfig:
             make_cfg(tol=0.0)
         with pytest.raises(ValueError):
             make_cfg(K=0)
+        for name in ("C", "delta", "tol"):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                    make_cfg(**{name: bad})
 
     def test_default_eta_is_legal(self):
         assert make_cfg().eta == 1.618 < (1.0 + math.sqrt(5.0)) / 2.0
@@ -91,13 +109,13 @@ class TestConfig:
 class TestComputeZ:
     def test_initial_state_gives_ones(self):
         ds = gaussian_clusters(10, seed=0)
-        z = compute_z(AdmmState.initial(ds.m, ds.n), ds, make_cfg())
+        z = z_at(AdmmState.initial(ds.m, ds.n), ds, make_cfg())
         assert np.array_equal(z, np.ones(10))
 
     def test_single_sample_arithmetic(self):
         ds = dense_dataset([[1.0, 0.0]], [1.0])
         state = AdmmState(np.array([0.5, 0.0]), 0.25, np.ones(1), np.zeros(1))
-        z = compute_z(state, ds, make_cfg(delta=3.0))
+        z = z_at(state, ds, make_cfg(delta=3.0))
         assert z == pytest.approx([0.25], abs=1e-15)
 
     def test_multiplier_shift(self):
@@ -105,7 +123,7 @@ class TestComputeZ:
         delta = 2.5
         state = AdmmState.initial(ds.m, ds.n)
         state.lam = delta * np.ones(ds.m)
-        z = compute_z(state, ds, make_cfg(delta=delta))
+        z = z_at(state, ds, make_cfg(delta=delta))
         assert z == pytest.approx(np.zeros(ds.m), abs=1e-15)
 
 
@@ -207,12 +225,12 @@ class TestUpdateW:
         state = AdmmState.initial(ds.m, ds.n)
         state.b = 0.4
         state.lam = np.where(np.arange(8) % 2 == 0, -0.2, 0.0)
-        z = compute_z(state, ds, cfg)
-        state.working_set = select_working_set(z, state.lam, cfg)
-        u_next = update_u(z, state.working_set, cfg)
-        w = update_w(state, u_next, ds, cfg)
-        idx = state.working_set.indices
+        z = z_at(state, ds, cfg)
+        ws = select_working_set(z, state.lam, cfg)
+        u_next = update_u(z, ws, cfg)
+        idx = ws.indices
         a_t = ds.signed_matrix()[idx]
+        w = update_w(a_t, idx, u_next, state.b, ds.y, state.lam / cfg.delta, cfg)
         r = state.lam / cfg.delta + u_next + state.b * ds.y - 1.0
         defect = w + cfg.delta * (a_t.T @ (a_t @ w)) + cfg.delta * (a_t.T @ r[idx])
         assert np.linalg.norm(defect) <= 1e-10
@@ -221,14 +239,14 @@ class TestUpdateW:
 class TestUpdateB:
     def test_feasible_start_gives_zero(self):
         ds = gaussian_clusters(12, seed=2)
-        b = update_b(np.ones(12), np.zeros(2), np.zeros(12), ds, make_cfg())
+        b = update_b(np.ones(12), np.zeros(12), ds.y, np.zeros(12))
         assert b == 0.0
 
     def test_two_sample_arithmetic(self):
         # w=0, lam=0, so b = <y, 1-u>/m; u chosen so that 1-u = (0.4, 0.2)
         ds = dense_dataset([[0.0], [0.0]], [1.0, -1.0])
         u = np.array([0.6, 0.8])
-        b = update_b(u, np.zeros(1), np.zeros(2), ds, make_cfg())
+        b = update_b(u, np.zeros(2), ds.y, np.zeros(2))
         assert b == pytest.approx((0.4 - 0.2) / 2.0, abs=1e-15)
 
     def test_gradient_identity(self):
@@ -238,8 +256,8 @@ class TestUpdateB:
         u = rng.normal(size=9)
         w = rng.normal(size=4)
         lam = rng.normal(size=9)
-        b = update_b(u, w, lam, ds, cfg)
         A = ds.signed_matrix()
+        b = update_b(u, A @ w, ds.y, lam / cfg.delta)
         grad = float(lam @ ds.y) + cfg.delta * float(
             ds.y @ (u + A @ w + b * ds.y - 1.0)
         )
@@ -249,31 +267,30 @@ class TestUpdateB:
 class TestUpdateLambda:
     def test_empty_working_set_zeroes_everything(self):
         ds = gaussian_clusters(7, seed=3)
-        state = AdmmState.initial(ds.m, ds.n)
-        state.lam = np.full(7, -0.5)
-        lam = update_lambda(state, np.ones(7), np.zeros(2), 0.0, ds, make_cfg())
+        no_rows = np.empty(0, dtype=np.int64)
+        lam = update_lambda(
+            np.full(7, -0.5), no_rows, np.ones(7), np.zeros(7), 0.0, ds.y, make_cfg()
+        )
         assert np.array_equal(lam, np.zeros(7))
 
     def test_feasible_iterate_keeps_values_on_set(self):
         ds = dense_dataset([[1.0], [2.0]], [1.0, -1.0])
         cfg = make_cfg()
-        state = AdmmState.initial(2, 1)
-        state.lam = np.array([-0.4, -0.2])
-        state.working_set = select_working_set(
-            np.array([0.5, 0.5]), state.lam, cfg
-        )
-        assert state.working_set.size == 2
+        lam = np.array([-0.4, -0.2])
+        ws = select_working_set(np.array([0.5, 0.5]), lam, cfg)
+        assert ws.size == 2
         # u chosen to satisfy u + Aw + by = 1 exactly with w=0, b=0
-        lam = update_lambda(state, np.ones(2), np.zeros(1), 0.0, ds, cfg)
-        assert np.array_equal(lam, state.lam)
+        lam_next = update_lambda(lam, ws.indices, np.ones(2), np.zeros(2), 0.0, ds.y, cfg)
+        assert np.array_equal(lam_next, lam)
 
     def test_step_arithmetic(self):
         ds = dense_dataset([[1.0]], [1.0])
         cfg = make_cfg(delta=2.0, eta=1.618)
-        state = AdmmState.initial(1, 1)
-        state.working_set = select_working_set(np.array([0.5]), np.zeros(1), cfg)
+        ws = select_working_set(np.array([0.5]), np.zeros(1), cfg)
         # u + Aw + by - 1 = 0.1 via u = 1.1, w = 0, b = 0
-        lam = update_lambda(state, np.array([1.1]), np.zeros(1), 0.0, ds, cfg)
+        lam = update_lambda(
+            np.zeros(1), ws.indices, np.array([1.1]), np.zeros(1), 0.0, ds.y, cfg
+        )
         assert lam[0] == pytest.approx(0.3236, abs=1e-12)
 
 
@@ -284,18 +301,16 @@ class TestResiduals:
         ds = gaussian_clusters(9, seed=4)
         cfg = make_cfg(C=1.0, delta=50.0, slide=SlideParams(0.1, 0.3))
         state = AdmmState.initial(ds.m, ds.n)
-        state.working_set = select_working_set(
-            compute_z(state, ds, cfg), state.lam, cfg
-        )
+        state.working_set = select_working_set(z_at(state, ds, cfg), state.lam, cfg)
         assert state.working_set.size == 0
-        res = residuals(state, ds, cfg)
+        res = residuals_at(state, ds, cfg)
         assert (res.e1, res.e2, res.e3, res.e4) == (0.0, 0.0, 0.0, 0.0)
 
     def test_initial_state_prox_gap(self):
         ds = gaussian_clusters(16, seed=5)
         cfg = make_cfg(C=1.0, delta=1.0)
         state = AdmmState.initial(ds.m, ds.n)
-        res = residuals(state, ds, cfg)
+        res = residuals_at(state, ds, cfg)
         assert (res.e1, res.e2, res.e3) == (0.0, 0.0, 0.0)
         # independent scalar oracle for the prox of the all-ones vector
         p1 = prox_oracle(1.0, cfg.gamma_c, cfg.slide)
@@ -307,7 +322,7 @@ class TestResiduals:
         ds = dense_dataset([[0.0], [0.0]], [1.0, -1.0])
         state = AdmmState.initial(2, 1)
         state.u = np.array([0.7, 0.6])  # violation (0.3, 0.4)
-        res = residuals(state, ds, make_cfg())
+        res = residuals_at(state, ds, make_cfg())
         assert res.e3 == pytest.approx(0.5 / math.sqrt(2.0), abs=1e-15)
 
 
@@ -392,7 +407,9 @@ class TestTrain:
     def test_lambda_zero_off_working_set_every_sweep(self):
         ds = random_problem(np.random.default_rng(7), 12, 3)
         cfg = make_cfg(C=1.0)
-        for state in run_sweeps(ds, cfg, sweeps=6):
+        states, _ = iterates(ds, cfg, sweeps=6)
+        assert len(states) == 7
+        for state in states[1:]:
             off = state.working_set.complement_mask(ds.m)
             assert np.array_equal(state.lam[off], np.zeros(off.sum()))
 
@@ -401,11 +418,11 @@ class TestTrain:
         for slide in (P_WIDE, SlideParams(0.05, 0.25)):
             ds = random_problem(rng, 15, 3)
             cfg = make_cfg(C=0.8, delta=1.3, slide=slide)
-            previous = AdmmState.initial(ds.m, ds.n)
-            for state in run_sweeps(ds, cfg, sweeps=5):
-                z = compute_z(previous, ds, cfg)
+            states, _ = iterates(ds, cfg, sweeps=5)
+            assert len(states) == 6
+            for previous, state in zip(states, states[1:]):
+                z = fresh_z(previous, ds, cfg)
                 assert np.array_equal(state.u, prox_slide_vector(z, cfg.gamma_c, cfg.slide))
-                previous = state
 
     def test_multiplier_range_at_convergence(self, trained_clusters, clusters_config):
         mdl, diag = trained_clusters
@@ -449,22 +466,22 @@ class TestTrain:
     def test_tightly_converged_point_is_locally_minimal(self, clusters200):
         # a near-exact stationary point should beat every nearby hyperplane;
         # at looser tolerances tol-scale improvements remain possible
-        from slidesvm.admm import objective_value
-
         cfg = TrainConfig(
             C=1.0, delta=1.0, slide=SlideParams(0.1, 1.0), tol=1e-6, K=5000
         )
         mdl, diag = train(clusters200, cfg)
         assert diag.converged
-        base = objective_value(mdl.w, mdl.b, clusters200, cfg)
+        A, y = clusters200.signed_matrix(), clusters200.y
+
+        def objective(w, b):
+            return objective_value(w, b, A @ w, y, cfg)
+
+        base = objective(mdl.w, mdl.b)
         rng = np.random.default_rng(21)
         for _ in range(200):
             step = rng.normal(size=3)
             step *= 1e-3 / np.linalg.norm(step)
-            perturbed = objective_value(
-                mdl.w + step[:2], mdl.b + step[2], clusters200, cfg
-            )
-            assert base <= perturbed + 1e-9
+            assert base <= objective(mdl.w + step[:2], mdl.b + step[2]) + 1e-9
 
 
 class TestStationarityCheck:
@@ -567,7 +584,8 @@ class TestSweepProperties:
     @settings(max_examples=150, deadline=None)
     def test_lambda_support_zeroing(self, problem):
         ds, cfg = problem
-        for state in run_sweeps(ds, cfg, sweeps=3):
+        states, _ = iterates(ds, cfg, sweeps=3)
+        for state in states[1:]:
             off = state.working_set.complement_mask(ds.m)
             assert np.array_equal(state.lam[off], np.zeros(int(off.sum())))
 
@@ -579,35 +597,73 @@ class TestSweepProperties:
         u = rng.normal(size=ds.m)
         w = rng.normal(size=ds.n)
         lam = rng.normal(size=ds.m)
-        b = update_b(u, w, lam, ds, cfg)
         A = ds.signed_matrix()
+        b = update_b(u, A @ w, ds.y, lam / cfg.delta)
         grad = float(lam @ ds.y) + cfg.delta * float(ds.y @ (u + A @ w + b * ds.y - 1.0))
         assert abs(grad) <= 1e-10 * ds.m
 
 
-def check_train_matches_run_sweeps(ds, cfg, sweeps):
-    """train, with its cached products, against the uncached block updates
-    that the invariant tests drive: the final iterate and every recorded
-    residual and objective must be bit-identical. Returns the sweep kinds met
-    (w branch or empty working set, and the prox regime)."""
-    _, diag = train(ds, dataclasses.replace(cfg, K=sweeps))
-    assert diag.iterations == sweeps or diag.converged
-    seen = run_sweeps(ds, cfg, diag.iterations)
-    final, ref = diag.final_state, seen[-1]
-    assert final.k == ref.k and final.b == ref.b
-    for name in ("w", "u", "lam"):
-        assert np.array_equal(getattr(final, name), getattr(ref, name)), name
-    assert np.array_equal(final.working_set.pinned, ref.working_set.pinned)
-    assert np.array_equal(final.working_set.shifted, ref.working_set.shifted)
-    assert len(diag.residual_history) == len(diag.objective_history) == len(seen)
+CLOSE = dict(rel=1e-12, abs=1e-12)
 
+
+def check_sweep(ds, cfg, before, after):
+    """One sweep of train, from ``before`` to ``after``, against the block
+    updates written out in plain numpy with products computed afresh."""
+    A, y, delta = ds.X * ds.y[:, None], ds.y, cfg.delta
+    lam_d = before.lam / delta
+    z = fresh_z(before, ds, cfg)
+    # T: rows above epsilon and below the tie point, or on it with lambda != 0
+    tie = prox_thresholds(cfg.gamma_c, cfg.slide).tie_point
+    on_t = (z > cfg.slide.epsilon) & (z < tie) | (z == tie) & (before.lam != 0.0)
+    T = np.flatnonzero(on_t)
+    assert np.array_equal(np.sort(after.working_set.indices), T)
+    off_tie = z != tie
+    prox = prox_slide_vector(z, cfg.gamma_c, cfg.slide)
+    assert np.array_equal(after.u[off_tie], prox[off_tie])
+    # (I + delta A_T'A_T) w = -delta A_T' r_T, r = lambda/delta + u + b y - 1
+    a_t = A[T]
+    rhs = -delta * (a_t.T @ (lam_d + after.u + before.b * y - 1.0)[T])
+    defect = after.w + delta * (a_t.T @ (a_t @ after.w)) - rhs
+    assert np.linalg.norm(defect) <= 1e-10 * (1.0 + np.linalg.norm(rhs))
+    Aw = A @ after.w
+    assert after.b == pytest.approx(float(y @ (1.0 - after.u - Aw - lam_d)) / ds.m, **CLOSE)
+    step = before.lam + cfg.eta * delta * (after.u + Aw + after.b * y - 1.0)
+    assert after.lam[T] == pytest.approx(step[T], **CLOSE)
+    assert not np.delete(after.lam, T).any()
+
+
+def check_records(ds, cfg, state, res, obj):
+    """The residuals and objective recorded for ``state``, recomputed in plain
+    numpy from fresh products."""
+    A, y, w, u = ds.X * ds.y[:, None], ds.y, state.w, state.u
+    T = state.working_set.indices
+    prox = prox_slide_vector(u - state.lam / cfg.delta, cfg.gamma_c, cfg.slide)
+    expected = (
+        np.linalg.norm(w + A[T].T @ state.lam[T]) / (1.0 + np.linalg.norm(w)),
+        abs(y[T] @ state.lam[T]) / (1.0 + T.size),
+        np.linalg.norm(1.0 - u - A @ w - state.b * y) / math.sqrt(ds.m),
+        np.linalg.norm(u - prox) / (1.0 + np.linalg.norm(u)),
+    )
+    assert (res.e1, res.e2, res.e3, res.e4) == pytest.approx(expected, **CLOSE)
+    margins = 1.0 - A @ w - state.b * y
+    expected_obj = 0.5 * w @ w + slide_loss_sum(margins, cfg.slide, cfg.C)
+    assert obj == pytest.approx(expected_obj, **CLOSE)
+
+
+def check_train_sweeps(ds, cfg, sweeps):
+    """Every sweep of train capped at ``sweeps``, checked from consecutive
+    iterates, with every recorded residual and objective. Returns the sweep
+    kinds met (w branch or empty working set, and the prox regime)."""
+    states, diag = iterates(ds, cfg, sweeps)
+    assert diag.iterations == len(states) - 1
+    assert diag.iterations == sweeps or diag.converged
+    assert len(diag.residual_history) == len(diag.objective_history) == diag.iterations
     kinds = {"ramp" if cfg.thresholds.ramp_regime else "pin"}
-    for res, obj, size, state in zip(
-        diag.residual_history, diag.objective_history, diag.working_set_sizes, seen
-    ):
-        assert res == residuals(state, ds, cfg)
-        assert obj == objective_value(state.w, state.b, ds, cfg)
-        assert size == state.working_set.size
+    records = zip(diag.residual_history, diag.objective_history, diag.working_set_sizes)
+    for before, after, (res, obj, size) in zip(states, states[1:], records):
+        assert after.k == before.k + 1 and size == after.working_set.size
+        check_sweep(ds, cfg, before, after)
+        check_records(ds, cfg, after, res, obj)
         if size == 0:
             kinds.add("empty")
         else:
@@ -631,14 +687,14 @@ class TestTrainIsTheCheckedSweep:
         ]
         kinds = set()
         for ds, cfg in cases:
-            kinds |= check_train_matches_run_sweeps(ds, cfg, sweeps=4)
+            kinds |= check_train_sweeps(ds, cfg, sweeps=4)
         assert kinds == {"ramp", "pin", "direct", "smw", "empty"}
 
     @given(tiny_problem(), st.integers(min_value=1, max_value=6))
     @settings(max_examples=150, deadline=None)
-    def test_train_equals_run_sweeps(self, problem, sweeps):
+    def test_every_sweep_follows_the_block_updates(self, problem, sweeps):
         ds, cfg = problem
-        for kind in sorted(check_train_matches_run_sweeps(ds, cfg, sweeps)):
+        for kind in sorted(check_train_sweeps(ds, cfg, sweeps)):
             event(kind)
 
 

@@ -188,6 +188,28 @@ class TestEvalCommand:
         assert captured.out == ""
         assert f"error: {bad}: " in captured.err and message in captured.err
 
+    @pytest.mark.parametrize(
+        "n, message",
+        [("-1", "{model}: negative dimension n=-1"),
+         ("501", "{model}: weight vector of n=501 features needs 4008 bytes, "
+                 "more than the 4000 bytes of memory"),
+         ("400", "dense matrix of m=40 rows and n=400 features needs 128000 bytes, "
+                 "more than the 4000 bytes of memory")],
+        ids=["negative", "weights-too-large", "widened-data-too-large"],
+    )
+    def test_model_dimension_is_checked(self, data_files, tmp_path, monkeypatch, capsys, n, message):
+        train, test = data_files
+        model_path = tmp_path / "m.txt"
+        assert run(["train", "--data", train, "--out", model_path]) == 0
+        text = model_path.read_text()
+        model_path.write_text(text.replace("n=2\n", f"n={n}\n"))
+        monkeypatch.setattr(data, "_memory_bytes", lambda: 4000)
+        capsys.readouterr()
+        assert run(["eval", "--model", model_path, "--data", test]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message.format(model=model_path)}\n"
+        assert captured.out == ""
+
     def test_dimension_mismatch_fails(self, tmp_path, capsys):
         wide = tmp_path / "wide.svm"
         wide.write_text("+1 9:1.0\n")
@@ -377,6 +399,24 @@ class TestParser:
             run([command, flag, value] + missing[command])
         assert exc.value.code == 2
         assert f"argument {flag}: need " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("train", "--C", "nan"), ("train", "--C", "inf"), ("train", "--delta", "inf"),
+         ("train", "--delta", "nan"), ("train", "--tol", "nan"), ("train", "--tol", "inf"),
+         ("grid", "--c-values", "nan"), ("grid", "--c-values", "-1"),
+         ("grid", "--delta-values", "inf"), ("grid", "--tol", "nan"),
+         ("flip", "--c-values", "nan"), ("flip", "--rates", "2")],
+    )
+    def test_bad_solver_settings_are_usage_errors(self, command, flag, value, tmp_path, capsys):
+        # rejected before any data is read: the data files do not exist
+        data = ["--data", tmp_path / "a.svm"]
+        rest = {"train": ["--out", tmp_path / "m.txt"], "grid": [],
+                "flip": ["--test", tmp_path / "b.svm"]}
+        assert run([command, flag, value] + data + rest[command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cannot read" not in err
+        assert not (tmp_path / "m.txt").exists()
 
     def test_more_folds_than_rows_is_a_data_error(self, tmp_path, capsys):
         data = tmp_path / "three.svm"

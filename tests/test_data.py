@@ -595,6 +595,17 @@ class TestDatasetHelpers:
         # as if the text had declared the last column with an explicit zero
         assert bits(wide) == bits(parse_libsvm("+1 1:1.5 4:0\n-1 2:-2\n"))
 
+    def test_widen_is_checked_before_it_allocates(self, monkeypatch):
+        monkeypatch.setattr(data, "_memory_bytes", lambda: 1600)
+        ds = parse_libsvm("+1 1:1.5\n-1 2:-2\n")
+        assert widen(ds, 100).X.shape == (2, 100)
+        with pytest.raises(
+            ValueError,
+            match="^dense matrix of m=2 rows and n=101 features needs 1616 bytes, "
+            "more than the 1600 bytes of memory$",
+        ):
+            widen(ds, 101)
+
     def test_signed_matrix(self):
         ds = dense_dataset([[1.0, 2.0], [3.0, 4.0]], [1, -1])
         assert np.array_equal(ds.signed_matrix(), [[1.0, 2.0], [-3.0, -4.0]])

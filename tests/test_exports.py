@@ -3,11 +3,15 @@ import os
 import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import slidesvm
+from slidesvm import admm
+from slidesvm.data import gaussian_clusters
+from slidesvm.loss import SlideParams
 
 MODULES = ["slidesvm"] + [
     f"slidesvm.{info.name}" for info in pkgutil.iter_modules(slidesvm.__path__)
@@ -20,6 +24,47 @@ def test_every_exported_name_resolves(name):
     exported = getattr(module, "__all__", [])
     assert [n for n in exported if not hasattr(module, n)] == []
 
+
+@pytest.fixture()
+def report(monkeypatch):
+    """The benchmark's report module, whose names the tracer wraps."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    return importlib.import_module("report")
+
+
+def test_every_traced_name_is_a_function_of_its_module(report):
+    # the tracer wraps module-level functions by name; a name that no longer
+    # resolves reads as absent in the trace, with its metrics at 0
+    absent = []
+    for dotted in report.EXPECTED:
+        layer, name = dotted.split(".")
+        module = importlib.import_module(f"slidesvm.{layer}")
+        fn = getattr(module, name, None)
+        if not (isinstance(fn, types.FunctionType) and fn.__module__ == module.__name__):
+            absent.append(dotted)
+    assert absent == []
+
+
+def test_train_calls_each_phase_by_its_module_name_once_per_sweep(report, monkeypatch):
+    # the tracer times the phases by rebinding these module attributes, so it
+    # sees a phase only while train calls it through that name
+    calls = {}
+
+    def counting(dotted, fn):
+        def wrapper(*args, **kwargs):
+            calls[dotted] = calls.get(dotted, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for dotted in report.PHASES.values():
+        layer, name = dotted.split(".")
+        assert layer == "admm"
+        monkeypatch.setattr(admm, name, counting(dotted, getattr(admm, name)))
+    cfg = admm.TrainConfig(C=1.0, delta=1.0, slide=SlideParams(0.1, 1.0), K=7, tol=1e-12)
+    _, diag = admm.train(gaussian_clusters(40, seed=0), cfg)
+    assert diag.iterations == 7 and not diag.converged
+    assert calls == {dotted: 7 for dotted in report.PHASES.values()}
 
 
 def test_cli_import_leaves_out_scipy_sparse():

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from slidesvm import data
 from slidesvm.admm import TrainConfig
 from slidesvm.data import Dataset, gaussian_clusters, parse_libsvm
 from slidesvm.loss import SlideParams
@@ -227,6 +228,22 @@ class TestPersistence:
         text = dumps_model(mdl).replace("n=2", "n=1")
         with pytest.raises(ModelFormatError, match="inconsistent"):
             loads_model(text)
+
+    def test_negative_dimension_rejected(self):
+        text = dumps_model(make_model([0.0, 0.0], b=0.5)).replace("n=2\n", "n=-1\n")
+        with pytest.raises(ModelFormatError, match="^negative dimension n=-1$"):
+            loads_model(text)
+
+    def test_weight_vector_larger_than_memory_rejected(self, monkeypatch):
+        monkeypatch.setattr(data, "_memory_bytes", lambda: 4000)
+        text = dumps_model(make_model([1.0, 2.0], b=0.5))
+        assert loads_model(text.replace("n=2\n", "n=500\n")).n == 500
+        with pytest.raises(
+            ModelFormatError,
+            match="^weight vector of n=501 features needs 4008 bytes, "
+            "more than the 4000 bytes of memory$",
+        ):
+            loads_model(text.replace("n=2\n", "n=501\n"))
 
     def test_bad_field_rejected(self, trained_clusters):
         mdl, _ = trained_clusters
