@@ -14,8 +14,6 @@ the products it reads as arguments.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -243,7 +241,7 @@ def solve_w_system(
     picks whichever system is smaller. Both sides agree to 1e-8 relative.
     """
     t_size, n = a_t.shape
-    if t_size == 0:
+    if t_size == 0 or n == 0:
         return np.zeros(n)
     if branch is None:
         branch = "direct" if n <= t_size else "smw"
@@ -349,7 +347,7 @@ def objective_value(
 
 @dataclass
 class TrainDiagnostics:
-    """Per-sweep history plus the final iterate, for inspection and CSV dumps."""
+    """Per-sweep history plus the final iterate."""
 
     residual_history: list[Residuals]
     working_set_sizes: list[int]
@@ -357,19 +355,6 @@ class TrainDiagnostics:
     iterations: int
     converged: bool
     final_state: AdmmState
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["k", "working_set_size", "e1", "e2", "e3", "e4", "objective"])
-        for k, (res, ws, obj) in enumerate(
-            zip(self.residual_history, self.working_set_sizes, self.objective_history),
-            start=1,
-        ):
-            writer.writerow(
-                [k, ws, repr(res.e1), repr(res.e2), repr(res.e3), repr(res.e4), repr(obj)]
-            )
-        return buf.getvalue()
 
 
 def train(ds: Dataset, cfg: TrainConfig):

@@ -32,7 +32,6 @@ from .tuning import (
     default_grid,
     fit_full,
     flip_experiment,
-    flip_rows_to_csv,
     grid_search,
     repeat_cv,
 )
@@ -88,6 +87,22 @@ def _write_text(path: str, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc}") from exc
 
 
+def _write_csv(path: str, header, rows) -> None:
+    """Write a table with float cells as ``repr(float(x))``, which reads back
+    bit for bit, and int and str cells as they are."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(
+        [repr(float(c)) if isinstance(c, float) else c for c in row] for row in rows
+    )
+    _write_text(path, buf.getvalue())
+
+
+def _config_cells(cfg: TrainConfig) -> list:
+    return [cfg.C, cfg.delta, cfg.slide.v, cfg.slide.epsilon]
+
+
 def cmd_train(args) -> int:
     cfg = _train_config(args)
     ds = _read_dataset(args.data)
@@ -97,7 +112,15 @@ def cmd_train(args) -> int:
     except OSError as exc:
         raise CliError(f"cannot write {args.out}: {exc}") from exc
     if args.diagnostics:
-        _write_text(args.diagnostics, diag.to_csv())
+        sweeps = zip(diag.residual_history, diag.working_set_sizes, diag.objective_history)
+        _write_csv(
+            args.diagnostics,
+            ["k", "working_set_size", "e1", "e2", "e3", "e4", "objective"],
+            (
+                [k, size, res.e1, res.e2, res.e3, res.e4, obj]
+                for k, (res, size, obj) in enumerate(sweeps, start=1)
+            ),
+        )
     print(
         f"trained on {ds.m} samples, {ds.n} features: "
         f"converged={str(diag.converged).lower()} iterations={diag.iterations} "
@@ -141,7 +164,6 @@ def _grid_from_args(args) -> Grid:
             K=args.max_iter,
             tol=args.tol,
         )
-        grid.configs()  # surface bad (eps, v) pairs and solver settings now
     except ValueError as exc:
         raise CliError(str(exc), status=2) from exc
     return grid
@@ -156,39 +178,39 @@ def cmd_grid(args) -> int:
         ds, test_ds = align_features(ds, test_ds)
     result = grid_search(ds, grid, k=args.folds, seed=args.seed, parallelism=args.parallel)
 
-    extra_rows = []
+    best = result.best
     if test_ds is not None:
-        _, diag, test_acc = fit_full(ds, test_ds, result.best)
-        extra_rows.append(("test", test_acc, int(diag.converged)))
+        _, diag, test_acc = fit_full(ds, test_ds, best)
+        trailer = [test_acc, "test", int(diag.converged)]
         print(f"test accuracy {test_acc:.4f}")
     else:
-        mean_acc, _ = repeat_cv(ds, result.best, k=args.folds, n_repeats=args.repeats, seed=args.seed)
-        extra_rows.append(("repeated_cv", mean_acc, args.repeats))
+        mean_acc, _ = repeat_cv(ds, best, k=args.folds, n_repeats=args.repeats, seed=args.seed)
+        trailer = [mean_acc, "repeated_cv", args.repeats]
         print(f"repeated cv accuracy {mean_acc:.4f}")
 
-    best = result.best
     print(
         f"best config: C={best.C!r} delta={best.delta!r} "
         f"v={best.slide.v!r} epsilon={best.slide.epsilon!r} "
         f"cv_acc={result.best_accuracy:.4f}"
     )
     if args.out:
-        buf = io.StringIO()
-        buf.write(result.to_csv())
-        writer = csv.writer(buf, lineterminator="\n")
-        for kind, value, extra in extra_rows:
-            writer.writerow(
-                [
-                    repr(best.C),
-                    repr(best.delta),
-                    repr(best.slide.v),
-                    repr(best.slide.epsilon),
-                    repr(float(value)),
-                    kind,
-                    extra,
-                ]
+        # the last row reports the best config; its last three cells do not
+        # follow the header
+        rows = [
+            [*_config_cells(cfg), mean, ";".join(repr(float(a)) for a in accs), int(conv)]
+            for cfg, mean, accs, conv in zip(
+                result.configs,
+                result.mean_accuracies,
+                result.fold_accuracies,
+                result.converged_folds,
             )
-        _write_text(args.out, buf.getvalue())
+        ]
+        rows.append(_config_cells(best) + trailer)
+        _write_csv(
+            args.out,
+            ["C", "delta", "v", "epsilon", "mean_acc", "fold_accs", "converged_folds"],
+            rows,
+        )
     return 0
 
 
@@ -215,7 +237,15 @@ def cmd_flip(args) -> int:
             f"(C={row.config.C!r} delta={row.config.delta!r} v={row.config.slide.v!r})"
         )
     if args.out:
-        _write_text(args.out, flip_rows_to_csv(rows))
+        _write_csv(
+            args.out,
+            ["rate", "C", "delta", "v", "epsilon", "cv_acc", "test_acc", "converged"],
+            (
+                [row.rate, *_config_cells(row.config), row.cv_accuracy,
+                 row.test_accuracy, int(row.converged)]
+                for row in rows
+            ),
+        )
     return 0
 
 
@@ -260,17 +290,7 @@ def cmd_proxcheck(args) -> int:
             deviations.append(deviation)
         failures += int(not ok)
         rows.append(
-            (
-                repr(s),
-                repr(gamma_c),
-                repr(p.epsilon),
-                repr(p.v),
-                repr(closed),
-                repr(oracle),
-                repr(deviation),
-                int(near_tie),
-                int(not ok),
-            )
+            [s, gamma_c, p.epsilon, p.v, closed, oracle, deviation, int(near_tie), int(not ok)]
         )
 
     elapsed = time.perf_counter() - started
@@ -281,23 +301,11 @@ def cmd_proxcheck(args) -> int:
         f"mean_dev={mean_dev:.3g} failures={failures} ({elapsed:.2f}s)"
     )
     if args.out:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            [
-                "s",
-                "gamma_c",
-                "epsilon",
-                "v",
-                "prox",
-                "oracle",
-                "abs_dev",
-                "near_tie",
-                "fail",
-            ]
+        _write_csv(
+            args.out,
+            ["s", "gamma_c", "epsilon", "v", "prox", "oracle", "abs_dev", "near_tie", "fail"],
+            rows,
         )
-        writer.writerows(rows)
-        _write_text(args.out, buf.getvalue())
     return 0 if failures == 0 else 1
 
 

@@ -385,27 +385,6 @@ class ScalingMap:
     def n(self) -> int:
         return self.mins.shape[0]
 
-    def to_text(self) -> str:
-        lines = [f"n={self.n}"]
-        lines += [
-            f"{j}={float(self.mins[j])!r},{float(self.maxs[j])!r}"
-            for j in range(self.n)
-        ]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "ScalingMap":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        n = int(lines[0].split("=", 1)[1])
-        mins = np.empty(n)
-        maxs = np.empty(n)
-        for ln in lines[1:]:
-            key, _, rest = ln.partition("=")
-            lo, hi = rest.split(",")
-            mins[int(key)] = float(lo)
-            maxs[int(key)] = float(hi)
-        return cls(mins, maxs)
-
 
 def fit_scaling(train: Dataset) -> ScalingMap:
     """Per-feature min/max over the training split."""
@@ -455,20 +434,6 @@ class FoldPlan:
         test = np.flatnonzero(self.assignments == fold)
         train = np.flatnonzero(self.assignments != fold)
         return test, train
-
-    def to_text(self) -> str:
-        body = ",".join(str(int(a)) for a in self.assignments)
-        return f"k={self.k}\nseed={self.seed}\nassignments={body}\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "FoldPlan":
-        fields = dict(
-            ln.split("=", 1) for ln in text.splitlines() if ln.strip()
-        )
-        assignments = np.array(
-            [int(a) for a in fields["assignments"].split(",")], dtype=np.int64
-        )
-        return cls(int(fields["k"]), assignments, int(fields["seed"]))
 
 
 def kfold_plan(m: int, k: int, seed: int) -> FoldPlan:

@@ -8,9 +8,6 @@ parallelism degrees only in wall time, never in output.
 
 from __future__ import annotations
 
-import csv
-import hashlib
-import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -53,17 +50,10 @@ class Grid:
     tol: float = 1e-3
 
     def __post_init__(self):
-        for name, values in (
-            ("c_values", self.c_values),
-            ("delta_values", self.delta_values),
-            ("v_values", self.v_values),
-        ):
-            if not values:
+        for name in ("c_values", "delta_values", "v_values"):
+            if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
-            if any(val <= 0 for val in values):
-                raise ValueError(f"{name} must be positive")
-        if any(v > 1.0 for v in self.v_values):
-            raise ValueError("v values must lie in (0, 1]")
+        self.configs()  # TrainConfig and SlideParams check every value
 
     def configs(self) -> list[TrainConfig]:
         """All configurations, ordered ascending by (C, delta, v, epsilon).
@@ -165,31 +155,6 @@ class CvResult:
     @property
     def best_accuracy(self) -> float:
         return float(self.mean_accuracies[self.best_index])
-
-    def fold_plan_digest(self) -> str:
-        payload = self.fold_plan.to_text().encode()
-        return hashlib.sha256(payload).hexdigest()
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["C", "delta", "v", "epsilon", "mean_acc", "fold_accs", "converged_folds"]
-        )
-        for i, cfg in enumerate(self.configs):
-            folds = ";".join(repr(float(a)) for a in self.fold_accuracies[i])
-            writer.writerow(
-                [
-                    repr(cfg.C),
-                    repr(cfg.delta),
-                    repr(cfg.slide.v),
-                    repr(cfg.slide.epsilon),
-                    repr(float(self.mean_accuracies[i])),
-                    folds,
-                    int(self.converged_folds[i]),
-                ]
-            )
-        return buf.getvalue()
 
 
 def _pick_best(configs, means) -> int:
@@ -300,25 +265,3 @@ def flip_experiment(
             )
         )
     return rows
-
-
-def flip_rows_to_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["rate", "C", "delta", "v", "epsilon", "cv_acc", "test_acc", "converged"]
-    )
-    for row in rows:
-        writer.writerow(
-            [
-                repr(row.rate),
-                repr(row.config.C),
-                repr(row.config.delta),
-                repr(row.config.slide.v),
-                repr(row.config.slide.epsilon),
-                repr(row.cv_accuracy),
-                repr(row.test_accuracy),
-                int(row.converged),
-            ]
-        )
-    return buf.getvalue()

@@ -1,7 +1,10 @@
+import csv
+import dataclasses
+
 import numpy as np
 import pytest
 
-from slidesvm import cli, data
+from slidesvm import admm, cli, data
 from slidesvm.cli import main
 from slidesvm.data import gaussian_clusters, parse_libsvm, widen, write_libsvm
 from slidesvm.loss import SlideParams, prox_thresholds
@@ -13,6 +16,7 @@ from slidesvm.model import (
     load_model,
     save_model,
 )
+from slidesvm.tuning import Grid, grid_search
 
 
 @pytest.fixture()
@@ -26,6 +30,11 @@ def data_files(tmp_path):
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
 
 
 class TestTrainCommand:
@@ -42,9 +51,18 @@ class TestTrainCommand:
         assert "converged=true" in out
         mdl = load_model(model_path)
         assert mdl.converged and mdl.n == 2
-        lines = diag_path.read_text().splitlines()
-        assert lines[0].startswith("k,working_set_size")
-        assert len(lines) == mdl.iterations + 1
+        header, *rows = read_csv(diag_path)
+        assert header == ["k", "working_set_size", "e1", "e2", "e3", "e4", "objective"]
+        # every float cell reads back as the in-process history, bit for bit
+        cfg = admm.TrainConfig(C=1.0, delta=1.0, slide=SlideParams(0.1, 1.0))
+        _, diag = admm.train(parse_libsvm(train.read_bytes()), cfg)
+        assert [row[:2] for row in rows] == [
+            [str(k), str(size)] for k, size in enumerate(diag.working_set_sizes, start=1)
+        ]
+        assert [[float(cell) for cell in row[2:]] for row in rows] == [
+            [*dataclasses.astuple(res), obj]
+            for res, obj in zip(diag.residual_history, diag.objective_history)
+        ]
 
     def test_eps_defaults_to_tenth_of_v(self, data_files, tmp_path):
         train, _ = data_files
@@ -117,6 +135,18 @@ class TestTrainCommand:
         captured = capsys.readouterr()
         assert captured.err == f"error: {data}: line 2: byte 0xe9 is not UTF-8\n"
         assert not model_path.exists()
+
+    def test_label_only_file_fits_the_bias_alone(self, tmp_path, capsys):
+        data = tmp_path / "labels.svm"
+        data.write_text("+1\n-1\n+1\n")
+        model_path = tmp_path / "m.txt"
+        assert run(["train", "--data", data, "--out", model_path]) == 0
+        assert "on 3 samples, 0 features: converged=true" in capsys.readouterr().out
+        assert load_model(model_path).n == 0
+        assert run(["eval", "--model", model_path, "--data", data]) == 0
+        assert capsys.readouterr().out == "accuracy 0.6667\ntp 2 fp 1 tn 0 fn 0\n"
+        assert run(["grid", "--data", data, "--folds", "2", "--repeats", "1",
+                    "--c-values", "1", "--delta-values", "1", "--v-values", "1"]) == 0
 
     def test_nonconvergence_still_exits_zero(self, data_files, tmp_path, capsys):
         train, _ = data_files
@@ -309,6 +339,25 @@ class TestGridCommand:
         assert run(args + ["--parallel", "1", "--out", out1]) == 0
         assert run(args + ["--parallel", "4", "--out", out2]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+        lines = out1.read_text().splitlines()
+        assert lines[0] == "C,delta,v,epsilon,mean_acc,fold_accs,converged_folds"
+        assert len(lines) == 1 + 4 + 1  # header, four configs, test row
+
+    def test_cells_read_back_bit_for_bit(self, tmp_path):
+        # overlapping clusters, so the accuracies are not short decimals
+        train = tmp_path / "overlap.svm"
+        train.write_text(write_libsvm(gaussian_clusters(80, seed=30, center=1.0)))
+        out = tmp_path / "grid.csv"
+        assert run(["grid", "--data", train, "--folds", "3", "--seed", "4", "--repeats", "1",
+                    "--c-values", "0.5,1.0", "--delta-values", "1.0", "--v-values", "0.3,1.0",
+                    "--max-iter", "200", "--out", out]) == 0
+        grid = Grid(c_values=(0.5, 1.0), delta_values=(1.0,), v_values=(0.3, 1.0), K=200)
+        result = grid_search(parse_libsvm(train.read_bytes()), grid, k=3, seed=4)
+        rows = read_csv(out)[1:-1]
+        assert [float(row[4]) for row in rows] == result.mean_accuracies.tolist()
+        assert [
+            [float(acc) for acc in row[5].split(";")] for row in rows
+        ] == result.fold_accuracies.tolist()
 
 
 class TestFlipCommand:
@@ -333,8 +382,9 @@ class TestFlipCommand:
              "--v-values", "1.0", "--max-iter", "200", "--out", out]
         )
         assert status == 0
-        rates = [ln.split(",")[0] for ln in out.read_text().splitlines()[1:]]
-        assert rates == ["0.0", "0.05", "0.15"]
+        lines = out.read_text().splitlines()
+        assert lines[0] == "rate,C,delta,v,epsilon,cv_acc,test_acc,converged"
+        assert [ln.split(",")[0] for ln in lines[1:]] == ["0.0", "0.05", "0.15"]
 
     def test_invalid_rate_rejected(self, data_files, tmp_path, capsys):
         train, test = data_files

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from slidesvm import data
 from slidesvm.data import (
     Dataset,
-    FoldPlan,
     ParseError,
     ScalingMap,
     align_features,
@@ -494,12 +493,6 @@ class TestScaling:
         with pytest.raises(ValueError, match="mismatch"):
             apply_scaling(ds, ScalingMap(np.zeros(3), np.ones(3)))
 
-    def test_text_round_trip(self):
-        smap = ScalingMap(np.array([-1.5, 0.0]), np.array([2.25, 0.0]))
-        back = ScalingMap.from_text(smap.to_text())
-        assert np.array_equal(back.mins, smap.mins)
-        assert np.array_equal(back.maxs, smap.maxs)
-
 
 class TestFlipLabels:
     def test_rate_zero_is_identity(self):
@@ -558,12 +551,6 @@ class TestKfoldPlan:
             kfold_plan(5, 6, seed=0)
         with pytest.raises(ValueError):
             kfold_plan(5, 1, seed=0)
-
-    def test_text_round_trip(self):
-        plan = kfold_plan(23, 4, seed=17)
-        back = FoldPlan.from_text(plan.to_text())
-        assert back.k == plan.k and back.seed == plan.seed
-        assert np.array_equal(back.assignments, plan.assignments)
 
 
 class TestDatasetHelpers:
