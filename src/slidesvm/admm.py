@@ -170,16 +170,16 @@ def _norm(x: np.ndarray) -> float:
 
 
 # Each step function below is the one definition of its formula. It takes
-# the products its formula reads (A @ w, A[T], lambda/delta) as arguments,
-# together with the labels y and the working-set indices; train computes each
-# product once per sweep and is the one place that runs the steps in order.
+# the products its formula reads (A @ w, A[T], b*y, lambda/delta and the
+# vectors built from them) as arguments, together with the labels y and the
+# working-set indices; train computes each product once per sweep and is the
+# one place that runs the steps in order.
 
 
-def compute_z(
-    Aw: np.ndarray, b: float, y: np.ndarray, lam_d: np.ndarray
-) -> np.ndarray:
-    """z_i = 1 - y_i<w, x_i> - b*y_i - lambda_i/delta."""
-    return 1.0 - Aw - b * y - lam_d
+def compute_z(margins: np.ndarray, lam_d: np.ndarray) -> np.ndarray:
+    """z_i = 1 - y_i<w, x_i> - b*y_i - lambda_i/delta, from the margins
+    ``1 - Aw - b*y``."""
+    return margins - lam_d
 
 
 def select_working_set(
@@ -191,15 +191,19 @@ def select_working_set(
     outermost breakpoint joins only while its multiplier is nonzero.
     """
     th = cfg.thresholds
-    active = z > cfg.slide.epsilon
-    on_tie = (z == th.tie_point) & (lam != 0.0)
+    inside = ((z > cfg.slide.epsilon) & (z < th.tie_point)).nonzero()[0]
+    ties = (z == th.tie_point).nonzero()[0]
+    if ties.size:
+        ties = ties[lam[ties] != 0.0]
     if th.ramp_regime:
-        pinned = active & (z < th.pin_upper)
-        shifted = (z >= th.pin_upper) & (z < th.tie_point) | on_tie
-    else:
-        pinned = active & (z < th.tie_point) | on_tie
-        shifted = np.zeros_like(pinned)
-    return WorkingSet(np.flatnonzero(pinned), np.flatnonzero(shifted))
+        low = z[inside] < th.pin_upper
+        return WorkingSet(inside[low], _merge_sorted(inside[~low], ties))
+    return WorkingSet(_merge_sorted(inside, ties), _EMPTY)
+
+
+def _merge_sorted(rows: np.ndarray, ties: np.ndarray) -> np.ndarray:
+    """Union of two disjoint sorted index arrays, sorted; tie rows are rare."""
+    return np.sort(np.concatenate([rows, ties])) if ties.size else rows
 
 
 def update_u(z: np.ndarray, ws: WorkingSet, cfg: TrainConfig) -> np.ndarray:
@@ -271,12 +275,10 @@ def update_w(
     return solve_w_system(a_t, r_t, cfg.delta)
 
 
-def update_b(
-    u_next: np.ndarray, Aw: np.ndarray, y: np.ndarray, lam_d: np.ndarray
-) -> float:
+def update_b(t: np.ndarray, y: np.ndarray, lam_d: np.ndarray) -> float:
     """b = <y, 1 - u - Aw - lambda/delta> / m (zeroes the b-block gradient),
-    with ``Aw`` the product at the new w."""
-    return float(y @ (1.0 - u_next - Aw - lam_d)) / y.size
+    with ``t = 1 - u - Aw`` at the new u and w."""
+    return float(y @ (t - lam_d)) / y.size
 
 
 def update_lambda(
@@ -284,13 +286,13 @@ def update_lambda(
     idx: np.ndarray,
     u_next: np.ndarray,
     Aw: np.ndarray,
-    b_next: float,
-    y: np.ndarray,
+    by: np.ndarray,
     cfg: TrainConfig,
 ) -> np.ndarray:
-    """Damped dual ascent on the working set ``idx``; zero elsewhere."""
-    lam_next = np.zeros(y.size)
-    violation = u_next[idx] + Aw[idx] + b_next * y[idx] - 1.0
+    """Damped dual ascent on the working set ``idx``; zero elsewhere. ``by``
+    is b*y at the new b."""
+    lam_next = np.zeros(lam.size)
+    violation = u_next[idx] + Aw[idx] + by[idx] - 1.0
     lam_next[idx] = lam[idx] + cfg.dual_step * violation
     return lam_next
 
@@ -298,37 +300,45 @@ def update_lambda(
 def _defect_norms(
     state: AdmmState,
     y: np.ndarray,
-    Aw: np.ndarray,
+    gap: np.ndarray,
     a_t: np.ndarray,
     lam_d: np.ndarray,
     cfg: TrainConfig,
 ) -> tuple[float, float, float, float]:
     """Raw norms of the four stationarity defects over the working set T:
-    ||w + A_T' lambda_T||, |y_T' lambda_T|, ||1 - u - Aw - by|| and
-    ||u - prox_{gamma_c loss}(u - lambda/delta)||."""
+    ||w + A_T' lambda_T||, |y_T' lambda_T|, ||gap|| with
+    ``gap = 1 - u - Aw - b*y``, and ||u - prox_{gamma_c loss}(u - lambda/delta)||.
+
+    The prox defect is formed on T and scattered into zeros. Off T a sweep
+    leaves lambda = 0 and u = z, which the prox maps to itself, so every row
+    there contributes exactly 0; the norm then sums the same vector as over
+    all rows, bit for bit."""
     idx = state.working_set.indices
     lam_t = state.lam[idx]
-    prox = prox_slide_vector(
-        state.u - lam_d, cfg.gamma_c, cfg.slide, th=cfg.thresholds
+    u_t = state.u[idx]
+    prox_gap = np.zeros(y.size)
+    prox_gap[idx] = u_t - prox_slide_vector(
+        u_t - lam_d[idx], cfg.gamma_c, cfg.slide, th=cfg.thresholds
     )
     return (
         _norm(state.w + a_t.T @ lam_t),
         abs(float(y[idx] @ lam_t)),
-        _norm(1.0 - state.u - Aw - state.b * y),
-        _norm(state.u - prox),
+        _norm(gap),
+        _norm(prox_gap),
     )
 
 
 def residuals(
     state: AdmmState,
     y: np.ndarray,
-    Aw: np.ndarray,
+    gap: np.ndarray,
     a_t: np.ndarray,
     lam_d: np.ndarray,
     cfg: TrainConfig,
 ) -> Residuals:
-    """Normalized residuals of the stationarity system at the current state."""
-    e1, e2, e3, e4 = _defect_norms(state, y, Aw, a_t, lam_d, cfg)
+    """Normalized residuals of the stationarity system at a state left by a
+    sweep, with ``gap = 1 - u - Aw - b*y``."""
+    e1, e2, e3, e4 = _defect_norms(state, y, gap, a_t, lam_d, cfg)
     return Residuals(
         e1 / (1.0 + _norm(state.w)),
         e2 / (1.0 + state.working_set.size),
@@ -337,11 +347,9 @@ def residuals(
     )
 
 
-def objective_value(
-    w: np.ndarray, b: float, Aw: np.ndarray, y: np.ndarray, cfg: TrainConfig
-) -> float:
-    """Primal objective ||w||^2/2 + C * sum_i loss(1 - y_i f(x_i))."""
-    margins = 1.0 - Aw - b * y
+def objective_value(w: np.ndarray, margins: np.ndarray, cfg: TrainConfig) -> float:
+    """Primal objective ||w||^2/2 + C * sum_i loss(1 - y_i f(x_i)), from the
+    margins ``1 - Aw - b*y``."""
     return 0.5 * float(w @ w) + slide_loss_sum(margins, cfg.slide, cfg.C)
 
 
@@ -369,33 +377,39 @@ def train(ds: Dataset, cfg: TrainConfig):
     """
     if ds.m == 0:
         raise ValueError("empty dataset")
-    A, y = ds.signed_matrix(), ds.y
-    state = AdmmState.initial(ds.m, ds.n)
+    A, y, m = ds.signed_matrix(), ds.y, ds.m
+    state = AdmmState.initial(m, ds.n)
     history: list[Residuals] = []
     sizes: list[int] = []
     objectives: list[float] = []
     converged = False
-    # A @ w, A[T] and lambda/delta are computed once per sweep, each right
-    # after its inputs change, and passed to every step that reads them
-    Aw = A @ state.w
-    lam_d = state.lam / cfg.delta
+    # A @ w, A[T], b*y, lambda/delta, the margins 1 - Aw - b*y and
+    # t = 1 - u - Aw are computed once per sweep, each right after its inputs
+    # change, and passed to every step that reads them
+    margins = 1.0 - A @ state.w - state.b * y
+    lam_d = np.zeros(m)
     for k in range(1, cfg.K + 1):
-        z = compute_z(Aw, state.b, y, lam_d)
+        z = compute_z(margins, lam_d)
         ws = state.working_set = select_working_set(z, state.lam, cfg)
         idx = ws.indices
         a_t = A[idx]
         u_next = update_u(z, ws, cfg)
         w_next = update_w(a_t, idx, u_next, state.b, y, lam_d, cfg)
         Aw = A @ w_next
-        b_next = update_b(u_next, Aw, y, lam_d)
-        state.lam = update_lambda(state.lam, idx, u_next, Aw, b_next, y, cfg)
+        t = 1.0 - u_next - Aw
+        b_next = update_b(t, y, lam_d)
+        by = b_next * y
+        state.lam = update_lambda(state.lam, idx, u_next, Aw, by, cfg)
         state.u, state.w, state.b, state.k = u_next, w_next, b_next, k
-        lam_d = state.lam / cfg.delta
+        # lambda is zero off T, and so is lambda/delta
+        lam_d = np.zeros(m)
+        lam_d[idx] = state.lam[idx] / cfg.delta
+        margins = 1.0 - Aw - by
 
-        res = residuals(state, y, Aw, a_t, lam_d, cfg)
+        res = residuals(state, y, t - by, a_t, lam_d, cfg)
         history.append(res)
         sizes.append(ws.size)
-        objectives.append(objective_value(state.w, state.b, Aw, y, cfg))
+        objectives.append(objective_value(state.w, margins, cfg))
         if res.max() < cfg.tol:
             converged = True
             break
@@ -444,4 +458,5 @@ def check_proximal_stationarity(
     A = ds.signed_matrix()
     every_row = WorkingSet(np.arange(ds.m), _EMPTY)
     point = AdmmState(w, b, u, lam, working_set=every_row)
-    return Residuals(*_defect_norms(point, ds.y, A @ w, A, lam / cfg.delta, cfg))
+    gap = 1.0 - u - A @ w - b * ds.y
+    return Residuals(*_defect_norms(point, ds.y, gap, A, lam / cfg.delta, cfg))

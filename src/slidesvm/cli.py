@@ -28,8 +28,9 @@ from .model import (
     save_model,
 )
 from .tuning import (
+    STOCK_POWERS,
+    STOCK_V_VALUES,
     Grid,
-    default_grid,
     fit_full,
     flip_experiment,
     grid_search,
@@ -151,14 +152,13 @@ def cmd_eval(args) -> int:
 
 
 def _grid_from_args(args) -> Grid:
-    base = default_grid()
     try:
         grid = Grid(
-            c_values=tuple(args.c_values) if args.c_values else base.c_values,
+            c_values=tuple(args.c_values) if args.c_values else STOCK_POWERS,
             delta_values=(
-                tuple(args.delta_values) if args.delta_values else base.delta_values
+                tuple(args.delta_values) if args.delta_values else STOCK_POWERS
             ),
-            v_values=tuple(args.v_values) if args.v_values else base.v_values,
+            v_values=tuple(args.v_values) if args.v_values else STOCK_V_VALUES,
             eps_values=tuple(args.eps_values) if args.eps_values else None,
             eta=args.eta,
             K=args.max_iter,

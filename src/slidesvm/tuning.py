@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -22,6 +23,8 @@ __all__ = [
     "Grid",
     "CvResult",
     "FlipRow",
+    "STOCK_POWERS",
+    "STOCK_V_VALUES",
     "default_grid",
     "cross_validate",
     "grid_search",
@@ -31,6 +34,10 @@ __all__ = [
 ]
 
 SQRT2 = np.sqrt(2.0)
+# the stock grid's values: C and delta over the powers sqrt(2)^-7..sqrt(2)^7,
+# v over 0.1..1.0
+STOCK_POWERS = tuple(float(SQRT2**i) for i in range(-7, 8))
+STOCK_V_VALUES = tuple(round(0.1 * i, 1) for i in range(1, 11))
 
 
 @dataclass(frozen=True)
@@ -85,9 +92,7 @@ class Grid:
 def default_grid() -> Grid:
     """The stock grid: C and delta over the 15 powers sqrt(2)^-7..sqrt(2)^7,
     v over 0.1..1.0, epsilon = v/10, eta=1.618, K=1000, tol=1e-3."""
-    powers = tuple(float(SQRT2**i) for i in range(-7, 8))
-    vs = tuple(round(0.1 * i, 1) for i in range(1, 11))
-    return Grid(c_values=powers, delta_values=powers, v_values=vs)
+    return Grid(c_values=STOCK_POWERS, delta_values=STOCK_POWERS, v_values=STOCK_V_VALUES)
 
 
 def _scaled_folds(ds: Dataset, plan: FoldPlan):
@@ -124,6 +129,12 @@ def cross_validate(ds: Dataset, cfg: TrainConfig, k: int, seed: int):
     return float(accs.mean()), accs
 
 
+def _score_task(folds, task):
+    """Score one (config, fold index) task on its fold alone."""
+    cfg, fold = task
+    return _score_folds([folds[fold]], cfg)
+
+
 _WORKER_FOLDS = None
 
 
@@ -132,9 +143,8 @@ def _init_worker(folds):
     _WORKER_FOLDS = folds
 
 
-def _eval_config(cfg: TrainConfig):
-    accs, converged = _score_folds(_WORKER_FOLDS, cfg)
-    return accs, converged
+def _worker_task(task):
+    return _score_task(_WORKER_FOLDS, task)
 
 
 @dataclass
@@ -171,25 +181,27 @@ def grid_search(
 ) -> CvResult:
     """Cross-validate every grid configuration on one shared fold plan.
 
-    Workers evaluate disjoint configs on the same immutable fold data;
-    results are assembled in config order, so the outcome is identical for
-    any parallelism degree.
+    Each (config, fold) pair is one task, and workers take them one at a
+    time in config-major order on the same immutable fold data, so a costly
+    config spreads over every worker. Results are assembled in config order,
+    so the outcome is identical for any parallelism degree.
     """
     configs = grid.configs()
     plan = kfold_plan(ds.m, k, seed)
     folds = _scaled_folds(ds, plan)
+    tasks = [(cfg, fold) for cfg in configs for fold in range(k)]
 
     if parallelism > 1:
-        chunk = max(1, len(configs) // (parallelism * 4))
         with ProcessPoolExecutor(
             max_workers=parallelism, initializer=_init_worker, initargs=(folds,)
         ) as ex:
-            results = list(ex.map(_eval_config, configs, chunksize=chunk))
+            results = list(ex.map(_worker_task, tasks, chunksize=1))
     else:
-        results = [(_score_folds(folds, cfg)) for cfg in configs]
+        results = list(map(partial(_score_task, folds), tasks))
 
-    fold_accs = np.vstack([accs for accs, _ in results])
+    fold_accs = np.concatenate([accs for accs, _ in results]).reshape(len(configs), k)
     converged = np.array([conv for _, conv in results], dtype=np.int64)
+    converged = converged.reshape(len(configs), k).sum(axis=1)
     means = fold_accs.mean(axis=1)
     best = _pick_best(configs, means)
     return CvResult(configs, fold_accs, means, converged, best, plan)

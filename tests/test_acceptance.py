@@ -313,7 +313,7 @@ def test_criterion_8c_b_update_zeroes_gradient():
         w = rng.uniform(-3.0, 3.0, size=ds.n)
         lam = rng.uniform(-3.0, 3.0, size=ds.m)
         A = ds.signed_matrix()
-        b = update_b(u, A @ w, ds.y, lam / cfg.delta)
+        b = update_b(1.0 - u - A @ w, ds.y, lam / cfg.delta)
         grad = float(lam @ ds.y) + cfg.delta * float(
             ds.y @ (u + A @ w + b * ds.y - 1.0)
         )
@@ -334,7 +334,7 @@ def test_criterion_8d_u_update_is_the_prox():
         lam = np.where(
             rng.integers(0, 2, size=ds.m) == 1, rng.uniform(-2.0, 0.0, size=ds.m), 0.0
         )
-        z = compute_z(ds.signed_matrix() @ w, b, ds.y, lam / cfg.delta)
+        z = compute_z(1.0 - ds.signed_matrix() @ w - b * ds.y, lam / cfg.delta)
         ws = select_working_set(z, lam, cfg)
         u = update_u(z, ws, cfg)
         prox = prox_slide_vector(z, cfg.gamma_c, cfg.slide)

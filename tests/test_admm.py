@@ -10,6 +10,7 @@ from slidesvm.admm import (
     AdmmState,
     Residuals,
     TrainConfig,
+    WorkingSet,
     check_proximal_stationarity,
     compute_z,
     objective_value,
@@ -73,16 +74,16 @@ def fresh_z(state, ds, cfg):
 
 def z_at(state, ds, cfg):
     """compute_z at ``state``, with its products computed here."""
-    return compute_z(
-        ds.signed_matrix() @ state.w, state.b, ds.y, state.lam / cfg.delta
-    )
+    margins = 1.0 - ds.signed_matrix() @ state.w - state.b * ds.y
+    return compute_z(margins, state.lam / cfg.delta)
 
 
 def residuals_at(state, ds, cfg):
     """residuals at ``state``, with its products computed here."""
     A = ds.signed_matrix()
     a_t = A[state.working_set.indices]
-    return residuals(state, ds.y, A @ state.w, a_t, state.lam / cfg.delta, cfg)
+    gap = 1.0 - state.u - A @ state.w - state.b * ds.y
+    return residuals(state, ds.y, gap, a_t, state.lam / cfg.delta, cfg)
 
 
 class TestConfig:
@@ -239,14 +240,14 @@ class TestUpdateW:
 class TestUpdateB:
     def test_feasible_start_gives_zero(self):
         ds = gaussian_clusters(12, seed=2)
-        b = update_b(np.ones(12), np.zeros(12), ds.y, np.zeros(12))
+        b = update_b(1.0 - np.ones(12) - np.zeros(12), ds.y, np.zeros(12))
         assert b == 0.0
 
     def test_two_sample_arithmetic(self):
         # w=0, lam=0, so b = <y, 1-u>/m; u chosen so that 1-u = (0.4, 0.2)
         ds = dense_dataset([[0.0], [0.0]], [1.0, -1.0])
         u = np.array([0.6, 0.8])
-        b = update_b(u, np.zeros(2), ds.y, np.zeros(2))
+        b = update_b(1.0 - u - np.zeros(2), ds.y, np.zeros(2))
         assert b == pytest.approx((0.4 - 0.2) / 2.0, abs=1e-15)
 
     def test_gradient_identity(self):
@@ -257,7 +258,7 @@ class TestUpdateB:
         w = rng.normal(size=4)
         lam = rng.normal(size=9)
         A = ds.signed_matrix()
-        b = update_b(u, A @ w, ds.y, lam / cfg.delta)
+        b = update_b(1.0 - u - A @ w, ds.y, lam / cfg.delta)
         grad = float(lam @ ds.y) + cfg.delta * float(
             ds.y @ (u + A @ w + b * ds.y - 1.0)
         )
@@ -269,7 +270,7 @@ class TestUpdateLambda:
         ds = gaussian_clusters(7, seed=3)
         no_rows = np.empty(0, dtype=np.int64)
         lam = update_lambda(
-            np.full(7, -0.5), no_rows, np.ones(7), np.zeros(7), 0.0, ds.y, make_cfg()
+            np.full(7, -0.5), no_rows, np.ones(7), np.zeros(7), 0.0 * ds.y, make_cfg()
         )
         assert np.array_equal(lam, np.zeros(7))
 
@@ -280,7 +281,7 @@ class TestUpdateLambda:
         ws = select_working_set(np.array([0.5, 0.5]), lam, cfg)
         assert ws.size == 2
         # u chosen to satisfy u + Aw + by = 1 exactly with w=0, b=0
-        lam_next = update_lambda(lam, ws.indices, np.ones(2), np.zeros(2), 0.0, ds.y, cfg)
+        lam_next = update_lambda(lam, ws.indices, np.ones(2), np.zeros(2), 0.0 * ds.y, cfg)
         assert np.array_equal(lam_next, lam)
 
     def test_step_arithmetic(self):
@@ -289,7 +290,7 @@ class TestUpdateLambda:
         ws = select_working_set(np.array([0.5]), np.zeros(1), cfg)
         # u + Aw + by - 1 = 0.1 via u = 1.1, w = 0, b = 0
         lam = update_lambda(
-            np.zeros(1), ws.indices, np.array([1.1]), np.zeros(1), 0.0, ds.y, cfg
+            np.zeros(1), ws.indices, np.array([1.1]), np.zeros(1), 0.0 * ds.y, cfg
         )
         assert lam[0] == pytest.approx(0.3236, abs=1e-12)
 
@@ -310,6 +311,10 @@ class TestResiduals:
         ds = gaussian_clusters(16, seed=5)
         cfg = make_cfg(C=1.0, delta=1.0)
         state = AdmmState.initial(ds.m, ds.n)
+        # residuals take the prox defect over the working set, as a sweep
+        # leaves every row off it at a prox fixed point; the initial state
+        # is not such a state, so every row is put in the set
+        state.working_set = WorkingSet(np.arange(ds.m), np.empty(0, dtype=np.int64))
         res = residuals_at(state, ds, cfg)
         assert (res.e1, res.e2, res.e3) == (0.0, 0.0, 0.0)
         # independent scalar oracle for the prox of the all-ones vector
@@ -487,7 +492,7 @@ class TestTrain:
         A, y = clusters200.signed_matrix(), clusters200.y
 
         def objective(w, b):
-            return objective_value(w, b, A @ w, y, cfg)
+            return objective_value(w, 1.0 - A @ w - b * y, cfg)
 
         base = objective(mdl.w, mdl.b)
         rng = np.random.default_rng(21)
@@ -611,9 +616,104 @@ class TestSweepProperties:
         w = rng.normal(size=ds.n)
         lam = rng.normal(size=ds.m)
         A = ds.signed_matrix()
-        b = update_b(u, A @ w, ds.y, lam / cfg.delta)
+        b = update_b(1.0 - u - A @ w, ds.y, lam / cfg.delta)
         grad = float(lam @ ds.y) + cfg.delta * float(ds.y @ (u + A @ w + b * ds.y - 1.0))
         assert abs(grad) <= 1e-10 * ds.m
+
+
+def mask_selection(z, lam, cfg):
+    """(pinned, shifted) by full-length masks over every row: the reference
+    for the selection from candidate rows."""
+    th = cfg.thresholds
+    active = z > cfg.slide.epsilon
+    on_tie = (z == th.tie_point) & (lam != 0.0)
+    if th.ramp_regime:
+        pinned = active & (z < th.pin_upper)
+        shifted = (z >= th.pin_upper) & (z < th.tie_point) | on_tie
+    else:
+        pinned = active & (z < th.tie_point) | on_tie
+        shifted = np.zeros_like(pinned)
+    return np.flatnonzero(pinned), np.flatnonzero(shifted)
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+class TestFusedSweepIdentities:
+    """The sweep forms each product once and restricts lambda/delta and the
+    prox defect to the working set T; these are the bitwise identities that
+    keep its results equal to the full-length formulas."""
+
+    @given(tiny_problem(), st.integers(min_value=1, max_value=6))
+    @settings(max_examples=150, deadline=None)
+    def test_z_from_margins_and_scattered_multipliers(self, problem, sweeps):
+        ds, cfg = problem
+        A, y = ds.signed_matrix(), ds.y
+        states, _ = iterates(ds, cfg, sweeps)
+        for state in states:
+            Aw = A @ state.w
+            idx = state.working_set.indices
+            lam_d = np.zeros(ds.m)
+            lam_d[idx] = state.lam[idx] / cfg.delta
+            assert bits(lam_d) == bits(state.lam / cfg.delta)
+            z = compute_z(1.0 - Aw - state.b * y, lam_d)
+            assert bits(z) == bits(1.0 - Aw - state.b * y - state.lam / cfg.delta)
+
+    @staticmethod
+    def check_prox_defect(ds, cfg, sweeps):
+        states, diag = iterates(ds, cfg, sweeps)
+        assert len(diag.residual_history) == len(states) - 1
+        for state, res in zip(states[1:], diag.residual_history):
+            u = state.u
+            prox = prox_slide_vector(u - state.lam / cfg.delta, cfg.gamma_c, cfg.slide)
+            full = math.sqrt(float((u - prox) @ (u - prox)))
+            assert bits(res.e4) == bits(full / (1.0 + math.sqrt(float(u @ u))))
+        return [state.working_set.size for state in states[1:]]
+
+    @given(tiny_problem(), st.integers(min_value=1, max_value=6))
+    @settings(max_examples=150, deadline=None)
+    def test_prox_defect_on_the_working_set_is_the_full_norm(self, problem, sweeps):
+        self.check_prox_defect(*problem, sweeps)
+
+    def test_prox_defect_bits_on_a_blocked_dot_product(self):
+        # hundreds of rows, so the dot product of the norm runs in the
+        # blocked BLAS kernel, where summing only the rows of T would
+        # group the terms differently from summing every row
+        ds = random_problem(np.random.default_rng(12), 400, 5)
+        sizes = self.check_prox_defect(ds, make_cfg(C=2.0, delta=1.0), 8)
+        assert sum(25 <= size < 400 for size in sizes) == 7  # all but sweep 1
+
+    @given(
+        tiny_problem(),
+        st.integers(min_value=1, max_value=6),
+        st.lists(
+            st.tuples(st.sampled_from(["keep", "eps", "pin", "tie"]), st.booleans()),
+            min_size=1,
+            max_size=10,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_selection_matches_the_mask_formulas(self, problem, sweeps, overrides):
+        # rows are moved exactly onto epsilon, pin_upper and the tie point,
+        # with lambda zero or not; in these configs epsilon + shift > epsilon,
+        # so pin_upper lies strictly above epsilon
+        ds, cfg = problem
+        th = cfg.thresholds
+        on = {"eps": cfg.slide.epsilon, "pin": th.pin_upper, "tie": th.tie_point}
+        states, _ = iterates(ds, cfg, sweeps)
+        for state in states:
+            z, lam = fresh_z(state, ds, cfg), state.lam.copy()
+            for row, (where, nonzero) in enumerate(overrides[: ds.m]):
+                if where != "keep":
+                    z[row] = on[where]
+                lam[row] = -0.25 if nonzero else 0.0
+            ws = select_working_set(z, lam, cfg)
+            pinned, shifted = mask_selection(z, lam, cfg)
+            assert ws.pinned.dtype == pinned.dtype and ws.shifted.dtype == shifted.dtype
+            assert np.array_equal(ws.pinned, pinned)
+            assert np.array_equal(ws.shifted, shifted)
+        event("ramp regime" if th.ramp_regime else "pin regime")
 
 
 CLOSE = dict(rel=1e-12, abs=1e-12)

@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from slidesvm import admm, cli, data
+from slidesvm import admm, cli, data, tuning
 from slidesvm.cli import main
 from slidesvm.data import gaussian_clusters, parse_libsvm, widen, write_libsvm
 from slidesvm.loss import SlideParams, prox_thresholds
@@ -467,6 +467,30 @@ class TestParser:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "cannot read" not in err
         assert not (tmp_path / "m.txt").exists()
+
+    def test_grid_flags_build_only_the_requested_configs(self, monkeypatch):
+        # the stock values come from constants, not from building the stock
+        # grid's 2250 configs
+        stock_v = tuning.default_grid().v_values
+        built = []
+        post_init = admm.TrainConfig.__post_init__
+
+        def counting(cfg):
+            built.append((cfg.C, cfg.delta, cfg.slide.v))
+            post_init(cfg)
+
+        monkeypatch.setattr(admm.TrainConfig, "__post_init__", counting)
+        parser = cli.build_parser()
+        args = parser.parse_args(["grid", "--data", "a.svm", "--c-values", "1,2",
+                                  "--delta-values", "1", "--v-values", "0.5"])
+        cli._grid_from_args(args)
+        assert built == [(1.0, 1.0, 0.5), (2.0, 1.0, 0.5)]
+        built.clear()
+        args = parser.parse_args(["flip", "--data", "a.svm", "--test", "b.svm",
+                                  "--c-values", "1", "--delta-values", "1"])
+        grid = cli._grid_from_args(args)
+        assert built == [(1.0, 1.0, v) for v in stock_v]
+        assert grid.v_values == stock_v
 
     def test_more_folds_than_rows_is_a_data_error(self, tmp_path, capsys):
         data = tmp_path / "three.svm"

@@ -128,6 +128,35 @@ class TestGridSearch:
         assert np.array_equal(serial.converged_folds, parallel.converged_folds)
         assert serial.best_index == parallel.best_index
 
+    @pytest.mark.parametrize(
+        "grid, converged",
+        [
+            # fewer configs than workers
+            (Grid(c_values=(1.0,), delta_values=(1.0,), v_values=(0.5,), K=40), None),
+            # C/delta = 0.125 at v = 0.2 puts the tie point at 0.52, so the
+            # first config is trivial; every fold of the others hits K
+            (
+                Grid(c_values=(0.125, 4.0), delta_values=(1.0,), v_values=(0.2, 1.0), K=40),
+                [5, 0, 0, 0],
+            ),
+        ],
+        ids=["one config", "trivial and capped"],
+    )
+    def test_same_bytes_at_one_two_and_three_workers(self, grid, converged):
+        ds = gaussian_clusters(48, seed=15, center=1.0)
+        runs = [grid_search(ds, grid, k=5, seed=6, parallelism=p) for p in (1, 2, 3)]
+        if converged is not None:
+            assert [cfg.thresholds.tie_point <= 1.0 for cfg in grid.configs()] == [
+                True, False, False, False
+            ]
+            assert runs[0].converged_folds.tolist() == converged
+        for other in runs[1:]:
+            assert other.configs == runs[0].configs
+            assert other.fold_accuracies.tobytes() == runs[0].fold_accuracies.tobytes()
+            assert other.mean_accuracies.tobytes() == runs[0].mean_accuracies.tobytes()
+            assert other.converged_folds.tobytes() == runs[0].converged_folds.tobytes()
+            assert other.best_index == runs[0].best_index
+
     def test_equal_accuracy_breaks_toward_smaller_c(self):
         ds = gaussian_clusters(40, seed=16, center=5.0)
         grid = Grid(c_values=(4.0, 0.25), delta_values=(1.0,), v_values=(1.0,), K=300)
@@ -183,6 +212,15 @@ class TestFlipExperiment:
         a = flip_experiment(train_ds, test_ds, grid, rates=[0.1], seed=6, k=3)
         b = flip_experiment(train_ds, test_ds, grid, rates=[0.1], seed=6, k=3)
         assert a == b
+
+    def test_parallel_rows_equal_serial_rows(self):
+        train_ds = gaussian_clusters(40, seed=28, center=1.5)
+        test_ds = gaussian_clusters(20, seed=29, center=1.5)
+        serial = flip_experiment(train_ds, test_ds, SMALL_GRID, rates=[0.1], seed=3, k=4)
+        parallel = flip_experiment(
+            train_ds, test_ds, SMALL_GRID, rates=[0.1], seed=3, k=4, parallelism=2
+        )
+        assert serial == parallel
 
     def test_rejects_bad_inputs(self):
         train_ds = gaussian_clusters(20, seed=26)
