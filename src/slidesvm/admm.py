@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .data import Dataset
 from .loss import (
@@ -215,18 +214,25 @@ def update_u(z: np.ndarray, ws: WorkingSet, cfg: TrainConfig) -> np.ndarray:
     return u
 
 
-_POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.empty(0),))
+@cache
+def _lapack():
+    """LAPACK's potrf and potrs, fetched on the first solve: importing
+    scipy.linalg takes about a third of a second, and scoring never solves."""
+    import scipy.linalg
+
+    return scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.empty(0),))
 
 
 def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve gram @ x = rhs for a symmetric positive definite gram, which is
     overwritten by its factor."""
+    potrf, potrs = _lapack()
     # numpy forms X'X and XX' by computing one triangle and mirroring it, so
     # gram is exactly symmetric and its transpose is the Fortran-ordered
     # matrix LAPACK reads, without a copy
-    factor, info = _POTRF(gram.T, lower=1, overwrite_a=1, clean=0)
+    factor, info = potrf(gram.T, lower=1, overwrite_a=1, clean=0)
     if info == 0:
-        x, info = _POTRS(factor, rhs, lower=1)
+        x, info = potrs(factor, rhs, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError(
             f"Cholesky solve of the w-system failed (LAPACK info={info})"
@@ -355,23 +361,30 @@ def objective_value(w: np.ndarray, margins: np.ndarray, cfg: TrainConfig) -> flo
 
 @dataclass
 class TrainDiagnostics:
-    """Per-sweep history plus the final iterate."""
+    """Per-sweep history plus the final iterate and its objective.
+
+    ``objective_history`` holds the objective after every sweep when
+    ``train`` was asked for it, and is None otherwise: the solver stops on
+    the residuals and never reads the objective."""
 
     residual_history: list[Residuals]
     working_set_sizes: list[int]
-    objective_history: list[float]
     iterations: int
     converged: bool
     final_state: AdmmState
+    objective: float
+    objective_history: Optional[list[float]] = None
 
 
-def train(ds: Dataset, cfg: TrainConfig):
+def train(ds: Dataset, cfg: TrainConfig, *, objective_history: bool = False):
     """Run the solver from the zero hyperplane until the residuals drop below
     tol or K sweeps elapse.
 
     Non-convergence is reported through the model's ``converged`` flag, not an
     error; the final iterate is returned either way. The run is deterministic:
-    equal inputs give bit-identical results.
+    equal inputs give bit-identical results. ``objective_history`` records
+    the objective after every sweep; otherwise it is computed once, at the
+    returned iterate.
 
     Returns (Model, TrainDiagnostics).
     """
@@ -381,7 +394,7 @@ def train(ds: Dataset, cfg: TrainConfig):
     state = AdmmState.initial(m, ds.n)
     history: list[Residuals] = []
     sizes: list[int] = []
-    objectives: list[float] = []
+    objectives: Optional[list[float]] = [] if objective_history else None
     converged = False
     # A @ w, A[T], b*y, lambda/delta, the margins 1 - Aw - b*y and
     # t = 1 - u - Aw are computed once per sweep, each right after its inputs
@@ -409,7 +422,8 @@ def train(ds: Dataset, cfg: TrainConfig):
         res = residuals(state, y, t - by, a_t, lam_d, cfg)
         history.append(res)
         sizes.append(ws.size)
-        objectives.append(objective_value(state.w, margins, cfg))
+        if objectives is not None:
+            objectives.append(objective_value(state.w, margins, cfg))
         if res.max() < cfg.tol:
             converged = True
             break
@@ -417,10 +431,11 @@ def train(ds: Dataset, cfg: TrainConfig):
     diagnostics = TrainDiagnostics(
         residual_history=history,
         working_set_sizes=sizes,
-        objective_history=objectives,
         iterations=state.k,
         converged=converged,
         final_state=state,
+        objective=objectives[-1] if objectives else objective_value(state.w, margins, cfg),
+        objective_history=objectives,
     )
     support = model_mod.extract_support_vectors(state.lam, cfg)
     trained = model_mod.Model(
@@ -452,8 +467,11 @@ def check_proximal_stationarity(
 
     The point certifies as stationary at tolerance tau when ``max() <= tau``.
     """
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    # a subnormal gamma is finite, but its reciprocal, the penalty, is not
+    if not (gamma > 0.0 and math.isfinite(gamma) and math.isfinite(1.0 / gamma)):
+        raise ValueError(
+            f"gamma must be finite and positive with a finite reciprocal, got {gamma}"
+        )
     cfg = TrainConfig(C=C, delta=1.0 / gamma, slide=p)
     A = ds.signed_matrix()
     every_row = WorkingSet(np.arange(ds.m), _EMPTY)

@@ -107,7 +107,7 @@ def _config_cells(cfg: TrainConfig) -> list:
 def cmd_train(args) -> int:
     cfg = _train_config(args)
     ds = _read_dataset(args.data)
-    mdl, diag = train(ds, cfg)
+    mdl, diag = train(ds, cfg, objective_history=bool(args.diagnostics))
     try:
         save_model(mdl, args.out)
     except OSError as exc:

@@ -8,7 +8,6 @@ parallelism degrees only in wall time, never in output.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -192,6 +191,10 @@ def grid_search(
     tasks = [(cfg, fold) for cfg in configs for fold in range(k)]
 
     if parallelism > 1:
+        # loading the process pool takes about 20 ms, which a serial run
+        # need not pay
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=parallelism, initializer=_init_worker, initargs=(folds,)
         ) as ex:

@@ -56,10 +56,10 @@ def random_problem(rng, m, n):
 def iterates(ds, cfg, sweeps):
     """The initial state, then the final state of ``train`` capped at K = 1,
     2, ..., ``sweeps`` sweeps, up to the first converged run; and that last
-    run's diagnostics."""
+    run's diagnostics, with its objective history."""
     states = [AdmmState.initial(ds.m, ds.n)]
     for k in range(1, sweeps + 1):
-        _, diag = train(ds, dataclasses.replace(cfg, K=k))
+        _, diag = train(ds, dataclasses.replace(cfg, K=k), objective_history=True)
         states.append(diag.final_state)
         if diag.converged:
             break
@@ -389,8 +389,8 @@ class TestTrain:
         assert mdl.b > 0.0 and accuracy(mdl, ds) == 2 / 3
 
     def test_deterministic_reruns_bit_identical(self, clusters200, clusters_config):
-        m1, d1 = train(clusters200, clusters_config)
-        m2, d2 = train(clusters200, clusters_config)
+        m1, d1 = train(clusters200, clusters_config, objective_history=True)
+        m2, d2 = train(clusters200, clusters_config, objective_history=True)
         assert np.array_equal(m1.w, m2.w) and m1.b == m2.b
         residuals1, residuals2 = (
             np.array([dataclasses.astuple(r) for r in d.residual_history]) for d in (d1, d2)
@@ -404,23 +404,49 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(ds, make_cfg())
 
-    def test_diagnostics_csv_shape(self, trained_clusters):
+    def test_diagnostics_csv_shape(self, clusters200, clusters_config):
         # the diagnostics table has one row per sweep, read from these lists
-        _, diag = trained_clusters
+        _, diag = train(clusters200, clusters_config, objective_history=True)
         assert len(diag.residual_history) == diag.iterations
         assert len(diag.working_set_sizes) == diag.iterations
         assert len(diag.objective_history) == diag.iterations
 
     def test_diagnostics_objective_column(self, clusters200, clusters_config, trained_clusters):
-        from slidesvm.loss import slide_loss_sum
-
+        # the objective is that of the returned iterate
         mdl, diag = trained_clusters
         A = clusters200.signed_matrix()
         margins = 1.0 - A @ mdl.w - mdl.b * clusters200.y
         expected = 0.5 * float(mdl.w @ mdl.w) + slide_loss_sum(
             margins, clusters_config.slide, clusters_config.C
         )
-        assert diag.objective_history[-1] == pytest.approx(expected, rel=1e-12)
+        assert diag.objective == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "m, n, C, slide, K",
+        [
+            (200, 2, 1.0, P_WIDE, 1000),  # converges on separable clusters
+            (60, 8, 0.5, P_WIDE, 25),  # capped, ramp regime, direct w-solves
+            (40, 3, 1.0, P_WIDE, 1),  # a single sweep
+            (12, 30, 2.0, P_WIDE, 15),  # m < n: Woodbury w-solves
+            (60, 8, 1.0, SlideParams(0.02, 0.2), 25),  # pin regime
+            (30, 4, 0.01, SlideParams(0.02, 0.2), 5),  # empty working set
+        ],
+    )
+    def test_objective_with_and_without_the_history(self, m, n, C, slide, K):
+        rng = np.random.default_rng(m * 100 + n)
+        ds = gaussian_clusters(m, seed=42) if n == 2 else random_problem(rng, m, n)
+        cfg = make_cfg(C=C, slide=slide, K=K)
+        m1, d1 = train(ds, cfg)
+        m2, d2 = train(ds, cfg, objective_history=True)
+        assert d1.objective_history is None and len(d2.objective_history) == d2.iterations
+        bits = np.float64(d2.objective).tobytes()
+        assert np.float64(d2.objective_history[-1]).tobytes() == bits
+        assert np.float64(d1.objective).tobytes() == bits
+        # the history changes nothing else
+        assert (d1.iterations, d1.converged) == (d2.iterations, d2.converged)
+        assert d1.working_set_sizes == d2.working_set_sizes
+        assert d1.residual_history == d2.residual_history
+        assert m1.w.tobytes() == m2.w.tobytes() and m1.b == m2.b
 
     def test_lambda_zero_off_working_set_every_sweep(self):
         ds = random_problem(np.random.default_rng(7), 12, 3)
@@ -542,6 +568,15 @@ class TestStationarityCheck:
         with pytest.raises(ValueError):
             check_proximal_stationarity(
                 np.zeros(2), 0.0, np.ones(200), np.zeros(200), 0.0, clusters200, 1.0, P_WIDE
+            )
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324])
+    def test_rejects_bad_gamma_by_its_name(self, clusters200, gamma):
+        # the penalty 1/gamma is internal; the message must name what the
+        # caller passed
+        with pytest.raises(ValueError, match=r"^gamma must be finite and positive"):
+            check_proximal_stationarity(
+                np.zeros(2), 0.0, np.ones(200), np.zeros(200), gamma, clusters200, 1.0, P_WIDE
             )
 
 

@@ -55,7 +55,7 @@ class TestTrainCommand:
         assert header == ["k", "working_set_size", "e1", "e2", "e3", "e4", "objective"]
         # every float cell reads back as the in-process history, bit for bit
         cfg = admm.TrainConfig(C=1.0, delta=1.0, slide=SlideParams(0.1, 1.0))
-        _, diag = admm.train(parse_libsvm(train.read_bytes()), cfg)
+        _, diag = admm.train(parse_libsvm(train.read_bytes()), cfg, objective_history=True)
         assert [row[:2] for row in rows] == [
             [str(k), str(size)] for k, size in enumerate(diag.working_set_sizes, start=1)
         ]

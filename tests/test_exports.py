@@ -10,8 +10,9 @@ import pytest
 
 import slidesvm
 from slidesvm import admm
-from slidesvm.data import gaussian_clusters
+from slidesvm.data import gaussian_clusters, parse_libsvm, write_libsvm
 from slidesvm.loss import SlideParams
+from slidesvm.model import dumps_model
 
 MODULES = ["slidesvm"] + [
     f"slidesvm.{info.name}" for info in pkgutil.iter_modules(slidesvm.__path__)
@@ -47,7 +48,8 @@ def test_every_traced_name_is_a_function_of_its_module(report):
 
 def test_train_calls_each_phase_by_its_module_name_once_per_sweep(report, monkeypatch):
     # the tracer times the phases by rebinding these module attributes, so it
-    # sees a phase only while train calls it through that name
+    # sees a phase only while train calls it through that name. The objective
+    # is computed once per solve, or every sweep when its history is asked for.
     calls = {}
 
     def counting(dotted, fn):
@@ -61,20 +63,55 @@ def test_train_calls_each_phase_by_its_module_name_once_per_sweep(report, monkey
         layer, name = dotted.split(".")
         assert layer == "admm"
         monkeypatch.setattr(admm, name, counting(dotted, getattr(admm, name)))
+    objective = report.PHASES["objective"]
     cfg = admm.TrainConfig(C=1.0, delta=1.0, slide=SlideParams(0.1, 1.0), K=7, tol=1e-12)
-    _, diag = admm.train(gaussian_clusters(40, seed=0), cfg)
+    ds = gaussian_clusters(40, seed=0)
+    _, diag = admm.train(ds, cfg)
     assert diag.iterations == 7 and not diag.converged
+    assert calls == {dotted: 7 for dotted in report.PHASES.values()} | {objective: 1}
+    calls.clear()
+    admm.train(ds, cfg, objective_history=True)
     assert calls == {dotted: 7 for dotted in report.PHASES.values()}
 
 
-def test_cli_import_leaves_out_scipy_sparse():
-    # every CLI process pays for what ``import slidesvm.cli`` loads; scipy.sparse
-    # alone costs about 0.08 s and 2 MB, and nothing in the package needs it
+# run in a fresh interpreter: scores a model written by this test, then trains
+_IMPORT_PROBE = """
+import sys
+
+import slidesvm.cli as cli
+
+
+def unused():
+    return sorted(
+        m for m in sys.modules
+        if m.startswith("scipy") or m == "concurrent.futures.process"
+    )
+
+
+data, model, out = sys.argv[1:]
+assert unused() == [], unused()
+assert cli.main(["eval", "--model", model, "--data", data]) == 0
+assert unused() == [], unused()
+assert cli.main(["train", "--data", data, "--out", out]) == 0
+assert "scipy.linalg" in sys.modules
+"""
+
+
+def test_cli_import_leaves_out_scipy_sparse(tmp_path):
+    # every CLI process pays for what ``import slidesvm.cli`` loads:
+    # scipy.linalg alone takes about a third of a second and the process
+    # pool about 20 ms, and neither the import nor eval uses them. The first
+    # solve fetches LAPACK, and the model it gives keeps its bytes.
+    data, model, out = tmp_path / "data.txt", tmp_path / "model.txt", tmp_path / "out.txt"
+    data.write_text(write_libsvm(gaussian_clusters(40, seed=0)))
+    cfg = admm.TrainConfig(C=1.0, delta=1.0, slide=SlideParams(0.1, 1.0))
+    model.write_text(dumps_model(admm.train(parse_libsvm(data.read_bytes()), cfg)[0]))
     src = Path(slidesvm.__file__).resolve().parent.parent
-    code = "import sys, slidesvm.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", _IMPORT_PROBE, str(data), str(model), str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.startswith("accuracy ")
+    assert out.read_bytes() == model.read_bytes()
