@@ -31,10 +31,8 @@ from .tuning import (
     STOCK_POWERS,
     STOCK_V_VALUES,
     Grid,
-    fit_full,
     flip_experiment,
     grid_search,
-    repeat_cv,
 )
 
 
@@ -176,15 +174,18 @@ def cmd_grid(args) -> int:
     if args.test:
         test_ds = _read_dataset(args.test)
         ds, test_ds = align_features(ds, test_ds)
-    result = grid_search(ds, grid, k=args.folds, seed=args.seed, parallelism=args.parallel)
+    result = grid_search(
+        ds, grid, k=args.folds, seed=args.seed, parallelism=args.parallel,
+        test_ds=test_ds, repeats=args.repeats,
+    )
 
     best = result.best
     if test_ds is not None:
-        _, diag, test_acc = fit_full(ds, test_ds, best)
+        _, diag, test_acc = result.test
         trailer = [test_acc, "test", int(diag.converged)]
         print(f"test accuracy {test_acc:.4f}")
     else:
-        mean_acc, _ = repeat_cv(ds, best, k=args.folds, n_repeats=args.repeats, seed=args.seed)
+        mean_acc = float(result.repeated.mean())
         trailer = [mean_acc, "repeated_cv", args.repeats]
         print(f"repeated cv accuracy {mean_acc:.4f}")
 

@@ -204,6 +204,12 @@ def _parse_entries(body: str, what: str):
     return np.asarray(idx, dtype=np.int64), np.asarray(vals, dtype=np.float64)
 
 
+def _check_distinct(sorted_idx: np.ndarray, what: str):
+    twice = sorted_idx[1:][sorted_idx[1:] == sorted_idx[:-1]]
+    if twice.size:
+        raise ModelFormatError(f"{what} index {int(twice[0])} listed twice")
+
+
 def dumps_model(model: Model) -> str:
     """Line-oriented text rendering; floats use repr so the round trip is exact."""
     converged = "true" if model.converged else "false"
@@ -256,6 +262,15 @@ def loads_model(text: str) -> Model:
         raise ModelFormatError(f"bad header field: {exc}") from None
     if not math.isfinite(b):
         raise ModelFormatError(f"non-finite bias b={fields['b']}")
+    for tag, value in (("C", C), ("delta", delta)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ModelFormatError(f"{tag} must be finite and positive, got {tag}={fields[tag]}")
+    if iterations < 0:
+        raise ModelFormatError(f"negative iteration count iterations={iterations}")
+    try:
+        slide = SlideParams(epsilon, v)
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from None
     if n < 0:
         raise ModelFormatError(f"negative dimension n={n}")
     _check_fits(f"weight vector of n={n} features", n, ModelFormatError)
@@ -265,6 +280,7 @@ def loads_model(text: str) -> Model:
         raise ModelFormatError(
             f"weight index {int(w_idx.max())} inconsistent with n={n}"
         )
+    _check_distinct(np.sort(w_idx), "weight")
     w = np.zeros(n)
     w[w_idx] = w_val
 
@@ -273,12 +289,13 @@ def loads_model(text: str) -> Model:
     order = np.argsort(np.concatenate([t1_idx, t2_idx]), kind="stable")
     all_idx = np.concatenate([t1_idx, t2_idx])[order]
     all_val = np.concatenate([t1_val, t2_val])[order]
+    _check_distinct(all_idx, "support")
     support = SupportSet(all_idx, np.sort(t1_idx), np.sort(t2_idx), all_val)
 
     return Model(
         w=w,
         b=b,
-        slide=SlideParams(epsilon, v),
+        slide=slide,
         C=C,
         delta=delta,
         support=support,

@@ -1,15 +1,19 @@
 """Hyperparameter tuning: k-fold cross-validation, grid search over
 (C, delta, v), and the label-flip robustness driver.
 
-All configurations inside one grid search share a single fold plan, and the
-per-fold scaled datasets are materialized once, so a search differs across
-parallelism degrees only in wall time, never in output.
+All configurations inside one grid search share a single fold plan. A
+command is a list of (rate, fold seed, config, fold) tasks, then one task per
+final fit, all run by one set of processes: the calling process at
+parallelism 1, else one pool of forked workers, which build each rate's
+scaled folds themselves and keep only the last ones. Results are put back in
+task order, so a search differs across parallelism degrees only in wall
+time, never in output.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -128,27 +132,83 @@ def cross_validate(ds: Dataset, cfg: TrainConfig, k: int, seed: int):
     return float(accs.mean()), accs
 
 
-def _score_task(folds, task):
-    """Score one (config, fold index) task on its fold alone."""
-    cfg, fold = task
-    return _score_folds([folds[fold]], cfg)
+# What a task reads: (train set, test set, k, flip seed), set once per pool by
+# the initializer, or in the calling process at parallelism 1; and the
+# (rate, fold seed, scaled folds) of the last CV task.
+_SOURCE = None
+_FOLDS = None
 
 
-_WORKER_FOLDS = None
+def _init_worker(*source):
+    global _SOURCE, _FOLDS
+    _SOURCE, _FOLDS = source, None
 
 
-def _init_worker(folds):
-    global _WORKER_FOLDS
-    _WORKER_FOLDS = folds
+def _labels(rate):
+    train_ds, _, _, seed = _SOURCE
+    return flip_labels(train_ds, rate, seed) if rate > 0.0 else train_ds
 
 
-def _worker_task(task):
-    return _score_task(_WORKER_FOLDS, task)
+def _cv_task(task):
+    """Score one (rate, fold seed, config, fold index) task on its fold alone.
+
+    The folds of a (rate, fold seed) pair are built on its first task; the
+    previous pair's folds are dropped first.
+    """
+    global _FOLDS
+    rate, fold_seed, cfg, fold = task
+    if _FOLDS is None or _FOLDS[:2] != (rate, fold_seed):
+        _FOLDS = None
+        ds = _labels(rate)
+        plan = kfold_plan(ds.m, _SOURCE[2], fold_seed)
+        _FOLDS = (rate, fold_seed, _scaled_folds(ds, plan))
+    return _score_folds([_FOLDS[2][fold]], cfg)
+
+
+def _fit_task(task):
+    """``fit_full`` of one (rate, config) task on the test set.
+
+    Fits come after every CV task, so the folds are dropped first and do not
+    add to the fit's peak memory.
+    """
+    global _FOLDS
+    _FOLDS = None
+    rate, cfg = task
+    return fit_full(_labels(rate), _SOURCE[1], cfg)
+
+
+@contextmanager
+def _tasks(train_ds, test_ds, k, seed, parallelism, n_cv_tasks):
+    """Yield ``run(fn, tasks)``, which returns the results in task order.
+
+    At parallelism 1 the tasks run in the calling process. Otherwise they run
+    in one pool of min(parallelism, n_cv_tasks) workers, which inherit the
+    datasets through the initializer, and the calling process solves nothing.
+    """
+    source = (train_ds, test_ds, k, seed)
+    if parallelism == 1:
+        _init_worker(*source)
+        try:
+            yield lambda fn, tasks: list(map(fn, tasks))
+        finally:
+            _init_worker()  # drop the datasets and folds
+        return
+    # loading the process pool takes about 20 ms, which a serial run need
+    # not pay
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        max_workers=min(parallelism, n_cv_tasks),
+        initializer=_init_worker,
+        initargs=source,
+    ) as ex:
+        yield lambda fn, tasks: list(ex.map(fn, tasks, chunksize=1))
 
 
 @dataclass
 class CvResult:
-    """Grid-search outcome: per-config scores on one shared fold plan."""
+    """Grid-search outcome: per-config scores on one shared fold plan, and
+    the winner's score on a test set or over repeated fold seeds when asked."""
 
     configs: list[TrainConfig]
     fold_accuracies: np.ndarray = field(repr=False)  # (n_configs, k)
@@ -156,6 +216,10 @@ class CvResult:
     converged_folds: np.ndarray = field(repr=False)
     best_index: int
     fold_plan: FoldPlan = field(repr=False)
+    # fit_full(ds, test_ds, best): (model, diagnostics, test accuracy)
+    test: tuple | None = field(default=None, repr=False)
+    # the winner's mean CV accuracy at fold seeds seed, seed+1, ...
+    repeated: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def best(self) -> TrainConfig:
@@ -175,39 +239,51 @@ def _pick_best(configs, means) -> int:
     return min(range(len(configs)), key=keys.__getitem__)
 
 
+def _cv_result(configs, plan: FoldPlan, scores) -> CvResult:
+    """Assemble config-major (config, fold) task scores into a CvResult."""
+    fold_accs = np.concatenate([accs for accs, _ in scores]).reshape(len(configs), plan.k)
+    converged = np.array([conv for _, conv in scores], dtype=np.int64)
+    converged = converged.reshape(len(configs), plan.k).sum(axis=1)
+    means = fold_accs.mean(axis=1)
+    return CvResult(configs, fold_accs, means, converged, _pick_best(configs, means), plan)
+
+
 def grid_search(
-    ds: Dataset, grid: Grid, k: int, seed: int, parallelism: int = 1
+    ds: Dataset,
+    grid: Grid,
+    k: int,
+    seed: int,
+    parallelism: int = 1,
+    *,
+    test_ds: Dataset | None = None,
+    repeats: int = 0,
 ) -> CvResult:
     """Cross-validate every grid configuration on one shared fold plan.
 
     Each (config, fold) pair is one task, and workers take them one at a
-    time in config-major order on the same immutable fold data, so a costly
-    config spreads over every worker. Results are assembled in config order,
-    so the outcome is identical for any parallelism degree.
+    time in config-major order, so a costly config spreads over every
+    worker. Results are assembled in config order, so the outcome is
+    identical for any parallelism degree.
+
+    With ``test_ds``, the winner is then refit by ``fit_full`` (``test``);
+    otherwise, with ``repeats``, it is cross-validated at fold seeds seed,
+    seed+1, ... as ``repeat_cv`` does (``repeated``). Both run on the same
+    processes as the search.
     """
     configs = grid.configs()
     plan = kfold_plan(ds.m, k, seed)
-    folds = _scaled_folds(ds, plan)
-    tasks = [(cfg, fold) for cfg in configs for fold in range(k)]
-
-    if parallelism > 1:
-        # loading the process pool takes about 20 ms, which a serial run
-        # need not pay
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            max_workers=parallelism, initializer=_init_worker, initargs=(folds,)
-        ) as ex:
-            results = list(ex.map(_worker_task, tasks, chunksize=1))
-    else:
-        results = list(map(partial(_score_task, folds), tasks))
-
-    fold_accs = np.concatenate([accs for accs, _ in results]).reshape(len(configs), k)
-    converged = np.array([conv for _, conv in results], dtype=np.int64)
-    converged = converged.reshape(len(configs), k).sum(axis=1)
-    means = fold_accs.mean(axis=1)
-    best = _pick_best(configs, means)
-    return CvResult(configs, fold_accs, means, converged, best, plan)
+    tasks = [(0.0, seed, cfg, fold) for cfg in configs for fold in range(k)]
+    with _tasks(ds, test_ds, k, seed, parallelism, len(tasks)) as run:
+        result = _cv_result(configs, plan, run(_cv_task, tasks))
+        if test_ds is not None:
+            [result.test] = run(_fit_task, [(0.0, result.best)])
+        elif repeats:
+            scores = run(_cv_task, [
+                (0.0, seed + r, result.best, fold) for r in range(repeats) for fold in range(k)
+            ])
+            accs = np.concatenate([a for a, _ in scores]).reshape(repeats, k)
+            result.repeated = np.array([float(row.mean()) for row in accs])
+    return result
 
 
 def repeat_cv(
@@ -256,7 +332,8 @@ def flip_experiment(
     For the clean baseline and each flip rate: corrupt the training labels
     with a seeded flip, grid-search on the corrupted training set, retrain the
     winning config on the full corrupted training set, and score the untouched
-    test set. The rate-0 row is always included.
+    test set. The rate-0 row is always included. Every rate's search runs as
+    one task list, and the final fits after it, on the same processes.
     """
     if test_ds.m == 0:
         raise ValueError("flip experiment needs a nonempty test set")
@@ -264,19 +341,24 @@ def flip_experiment(
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"flip rate must be in [0, 1], got {rate}")
     all_rates = [0.0] + [float(r) for r in rates if r != 0.0]
-
-    rows = []
-    for rate in all_rates:
-        flipped = flip_labels(train_ds, rate, seed) if rate > 0.0 else train_ds
-        result = grid_search(flipped, grid, k=k, seed=seed, parallelism=parallelism)
-        mdl, diag, test_acc = fit_full(flipped, test_ds, result.best)
-        rows.append(
-            FlipRow(
-                rate=rate,
-                config=result.best,
-                cv_accuracy=result.best_accuracy,
-                test_accuracy=test_acc,
-                converged=diag.converged,
-            )
+    configs = grid.configs()
+    plan = kfold_plan(train_ds.m, k, seed)
+    tasks = [
+        (rate, seed, cfg, fold) for rate in all_rates for cfg in configs for fold in range(k)
+    ]
+    n = len(configs) * k
+    with _tasks(train_ds, test_ds, k, seed, parallelism, len(tasks)) as run:
+        scores = run(_cv_task, tasks)
+        results = [_cv_result(configs, plan, scores[i * n:(i + 1) * n])
+                   for i in range(len(all_rates))]
+        fits = run(_fit_task, [(rate, r.best) for rate, r in zip(all_rates, results)])
+    return [
+        FlipRow(
+            rate=rate,
+            config=result.best,
+            cv_accuracy=result.best_accuracy,
+            test_accuracy=test_acc,
+            converged=diag.converged,
         )
-    return rows
+        for rate, result, (_, diag, test_acc) in zip(all_rates, results, fits)
+    ]

@@ -343,6 +343,21 @@ class TestGridCommand:
         assert lines[0] == "C,delta,v,epsilon,mean_acc,fold_accs,converged_folds"
         assert len(lines) == 1 + 4 + 1  # header, four configs, test row
 
+    def test_repeated_cv_output_is_identical_in_parallel(self, data_files, tmp_path, capsys):
+        # the repeats run as tasks of the search's pool
+        train, _ = data_files
+        args = ["grid", "--data", train, "--folds", "3", "--seed", "2", "--repeats", "3",
+                "--c-values", "0.5,1.0", "--delta-values", "1.0", "--v-values", "0.5",
+                "--max-iter", "200"]
+        outs, stdouts = [], []
+        for parallel in (1, 2):
+            outs.append(tmp_path / f"p{parallel}.csv")
+            assert run(args + ["--parallel", parallel, "--out", outs[-1]]) == 0
+            stdouts.append(capsys.readouterr().out)
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert stdouts[0] == stdouts[1] and "repeated cv accuracy" in stdouts[0]
+        assert read_csv(outs[0])[-1][5:] == ["repeated_cv", "3"]
+
     def test_cells_read_back_bit_for_bit(self, tmp_path):
         # overlapping clusters, so the accuracies are not short decimals
         train = tmp_path / "overlap.svm"
@@ -385,6 +400,23 @@ class TestFlipCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "rate,C,delta,v,epsilon,cv_acc,test_acc,converged"
         assert [ln.split(",")[0] for ln in lines[1:]] == ["0.0", "0.05", "0.15"]
+
+    def test_parallel_output_is_identical(self, data_files, tmp_path, capsys):
+        # 3 rates x 3 configs x 3 folds = 27 tasks, which two workers cannot
+        # share evenly
+        train, test = data_files
+        args = ["flip", "--data", train, "--test", test, "--rates", "0.05,0.15",
+                "--folds", "3", "--c-values", "0.5,1.0,2.0", "--delta-values", "1.0",
+                "--v-values", "0.5", "--max-iter", "100"]
+        outs, stdouts = [], []
+        for parallel in (1, 2, 3):
+            outs.append(tmp_path / f"p{parallel}.csv")
+            assert run(args + ["--parallel", parallel, "--out", outs[-1]]) == 0
+            stdouts.append(capsys.readouterr().out)
+        assert outs[1].read_bytes() == outs[0].read_bytes()
+        assert outs[2].read_bytes() == outs[0].read_bytes()
+        assert stdouts[1] == stdouts[0] and stdouts[2] == stdouts[0]
+        assert len(read_csv(outs[0])) == 4
 
     def test_invalid_rate_rejected(self, data_files, tmp_path, capsys):
         train, test = data_files

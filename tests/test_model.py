@@ -297,3 +297,32 @@ class TestPersistence:
         lines = dumps_model(make_model([1.0, 2.0], b=0.5)).splitlines()
         with pytest.raises(ModelFormatError, match=message):
             loads_model("\n".join(edit(lines)) + "\n")
+
+    @pytest.mark.parametrize(
+        "field, bad, message",
+        [
+            ("w", "w 0:1.0 0:2.0", "^weight index 0 listed twice$"),
+            ("support_t1", "support_t1 3:-0.25 3:-0.5", "^support index 3 listed twice$"),
+            ("support_t2", "support_t2 3:-1.5", "^support index 3 listed twice$"),
+            ("C", "C=nan", "^C must be finite and positive, got C=nan$"),
+            ("delta", "delta=-2", "^delta must be finite and positive, got delta=-2$"),
+            ("iterations", "iterations=-4", "^negative iteration count iterations=-4$"),
+            ("v", "v=2.0", "^need 0 <= epsilon < v <= 1"),
+        ],
+        ids=["w-index-twice", "t1-row-twice", "row-in-t1-and-t2", "C-nan",
+             "delta-negative", "iterations-negative", "v-above-one"],
+    )
+    def test_fields_the_writer_never_produces_are_rejected(self, field, bad, message):
+        sup = SupportSet(idx(3, 8), idx(3), idx(8), np.array([-0.25, -1.5]))
+        lines = dumps_model(make_model([1.0, 2.0], b=0.5, support=sup)).splitlines()
+        at = next(i for i, ln in enumerate(lines) if ln.startswith(field))
+        loads_model("\n".join(lines) + "\n")  # the file as written loads
+        lines[at] = bad
+        with pytest.raises(ModelFormatError, match=message):
+            loads_model("\n".join(lines) + "\n")
+
+    def test_written_files_load_unchanged(self, trained_clusters):
+        # a trivial solve writes iterations=0 and empty vectors
+        for mdl in (trained_clusters[0], make_model([0.0, 0.0], b=-1.0, iterations=0)):
+            text = dumps_model(mdl)
+            assert dumps_model(loads_model(text)) == text

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import slidesvm
+from slidesvm import tuning
 from slidesvm.admm import TrainConfig
 from slidesvm.data import Dataset, gaussian_clusters, kfold_plan
 from slidesvm.loss import SlideParams
@@ -20,6 +27,9 @@ SMALL_GRID = Grid(
     v_values=(0.5, 1.0),
     K=300,
 )
+# three configs: at three rates and three folds, 27 tasks, which two workers
+# cannot share evenly
+ODD_GRID = Grid(c_values=(0.5, 1.0, 2.0), delta_values=(1.0,), v_values=(0.5,), K=100)
 
 
 class TestGrid:
@@ -227,3 +237,99 @@ class TestFlipExperiment:
         test_ds = gaussian_clusters(10, seed=27)
         with pytest.raises(ValueError):
             flip_experiment(train_ds, test_ds, SMALL_GRID, rates=[1.5], seed=0, k=3)
+
+    def test_rows_equal_at_one_two_and_three_workers(self):
+        train_ds = gaussian_clusters(36, seed=30, center=1.2)
+        test_ds = gaussian_clusters(20, seed=31, center=1.2)
+        runs = [
+            flip_experiment(train_ds, test_ds, ODD_GRID, rates=[0.05, 0.15], seed=8, k=3,
+                            parallelism=p)
+            for p in (1, 2, 3)
+        ]
+        assert [r.rate for r in runs[0]] == [0.0, 0.05, 0.15]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_serial_run_builds_each_rates_folds_once(self, monkeypatch):
+        calls = []
+        build = tuning._scaled_folds
+
+        def counting(ds, plan):
+            calls.append(plan.seed)
+            return build(ds, plan)
+
+        monkeypatch.setattr(tuning, "_scaled_folds", counting)
+        train_ds = gaussian_clusters(30, seed=32, center=3.0)
+        test_ds = gaussian_clusters(10, seed=33, center=3.0)
+        flip_experiment(train_ds, test_ds, ODD_GRID, rates=[0.05, 0.15], seed=2, k=3)
+        assert calls == [2, 2, 2]
+
+    def test_parallel_run_solves_nothing_in_the_calling_process(self):
+        # one pool serves every rate's search and every final fit, so the
+        # parent never loads LAPACK
+        done = subprocess.run(
+            [sys.executable, "-c", _ONE_POOL_PROBE],
+            env={**os.environ, "PYTHONPATH": str(Path(slidesvm.__file__).parent.parent)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["pools", "1", "rows", "3", "scipy.linalg", "False"]
+
+
+_ONE_POOL_PROBE = """
+import concurrent.futures as cf
+import sys
+
+from slidesvm.data import gaussian_clusters
+from slidesvm.tuning import Grid, flip_experiment
+
+pools = []
+
+
+class Counting(cf.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        pools.append(kwargs.get("max_workers"))
+        super().__init__(*args, **kwargs)
+
+
+cf.ProcessPoolExecutor = Counting
+grid = Grid(c_values=(0.5, 1.0), delta_values=(1.0,), v_values=(1.0,), K=100)
+rows = flip_experiment(gaussian_clusters(30, seed=1, center=2.0),
+                       gaussian_clusters(10, seed=2, center=2.0),
+                       grid, rates=[0.05, 0.15], seed=3, k=3, parallelism=2)
+print("pools", len(pools), "rows", len(rows), "scipy.linalg", "scipy.linalg" in sys.modules)
+"""
+
+
+class TestPool:
+    def test_pool_is_no_larger_than_the_task_list(self, monkeypatch):
+        import concurrent.futures as cf
+
+        asked = []
+
+        class Recording(cf.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                asked.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(cf, "ProcessPoolExecutor", Recording)
+        ds = gaussian_clusters(24, seed=34, center=3.0)
+        grid = Grid(c_values=(1.0,), delta_values=(1.0,), v_values=(1.0,), K=100)
+        serial = grid_search(ds, grid, k=4, seed=1)
+        pooled = grid_search(ds, grid, k=4, seed=1, parallelism=50)
+        assert asked == [4]
+        assert pooled.fold_accuracies.tobytes() == serial.fold_accuracies.tobytes()
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_winner_scores_match_the_library_calls(self, parallelism):
+        train_ds = gaussian_clusters(40, seed=35, center=1.5)
+        test_ds = gaussian_clusters(20, seed=36, center=1.5)
+        tested = grid_search(train_ds, SMALL_GRID, k=4, seed=3, parallelism=parallelism,
+                             test_ds=test_ds)
+        _, diag, acc = fit_full(train_ds, test_ds, tested.best)
+        assert tested.test[2] == acc and tested.test[1].converged == diag.converged
+        assert tested.repeated is None
+        repeated = grid_search(train_ds, SMALL_GRID, k=4, seed=3, parallelism=parallelism,
+                               repeats=3)
+        _, means = repeat_cv(train_ds, repeated.best, k=4, n_repeats=3, seed=3)
+        assert repeated.repeated.tobytes() == means.tobytes()
+        assert repeated.test is None
