@@ -9,13 +9,10 @@ __version__ = "0.1.0"
 
 from .loss import (
     SlideParams,
-    SubdiffKind,
-    SubdiffSet,
     prox_oracle,
     prox_slide_vector,
     slide_loss,
     slide_loss_sum,
-    slide_subdifferential,
 )
 from .data import (
     Dataset,
@@ -44,14 +41,11 @@ from .model import (
     accuracy,
     extract_support_vectors,
     load_model,
-    margin_identity_check,
-    predict,
     save_model,
 )
 from .tuning import (
     CvResult,
     Grid,
-    cross_validate,
     default_grid,
     flip_experiment,
     grid_search,
@@ -60,13 +54,10 @@ from .tuning import (
 __all__ = [
     "__version__",
     "SlideParams",
-    "SubdiffKind",
-    "SubdiffSet",
     "prox_oracle",
     "prox_slide_vector",
     "slide_loss",
     "slide_loss_sum",
-    "slide_subdifferential",
     "Dataset",
     "FoldPlan",
     "ParseError",
@@ -89,12 +80,9 @@ __all__ = [
     "accuracy",
     "extract_support_vectors",
     "load_model",
-    "margin_identity_check",
-    "predict",
     "save_model",
     "Grid",
     "CvResult",
-    "cross_validate",
     "default_grid",
     "flip_experiment",
     "grid_search",

@@ -114,11 +114,6 @@ class WorkingSet:
     def size(self) -> int:
         return self.pinned.size + self.shifted.size
 
-    def complement_mask(self, m: int) -> np.ndarray:
-        mask = np.ones(m, dtype=bool)
-        mask[self.indices] = False
-        return mask
-
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -240,30 +235,30 @@ def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve_w_system(
-    a_t: np.ndarray, r_t: np.ndarray, delta: float, branch: Optional[str] = None
-) -> np.ndarray:
-    """Solve (I + delta*A_T'A_T) w = -delta*A_T' r_T.
+def _solve_direct(a_t: np.ndarray, r_t: np.ndarray, delta: float) -> np.ndarray:
+    """w from the n x n system (I + delta*A_T'A_T) w = -delta*A_T' r_T."""
+    gram = delta * (a_t.T @ a_t)
+    gram.flat[:: a_t.shape[1] + 1] += 1.0
+    return _cholesky_solve(gram, -delta * (a_t.T @ r_t))
 
-    branch "direct" assembles the n x n system; branch "smw" solves the
-    |T| x |T| system (I + delta*A_T A_T') q = r_T and sets w = -delta*A_T' q,
-    which is the Woodbury push-through of the same equations. The default
-    picks whichever system is smaller. Both sides agree to 1e-8 relative.
-    """
+
+def _solve_smw(a_t: np.ndarray, r_t: np.ndarray, delta: float) -> np.ndarray:
+    """w = -delta*A_T' q from the |T| x |T| system (I + delta*A_T A_T') q = r_T,
+    the Woodbury push-through of the same equations."""
+    gram = delta * (a_t @ a_t.T)
+    gram.flat[:: a_t.shape[0] + 1] += 1.0
+    return -delta * (a_t.T @ _cholesky_solve(gram, r_t))
+
+
+def solve_w_system(a_t: np.ndarray, r_t: np.ndarray, delta: float) -> np.ndarray:
+    """Solve (I + delta*A_T'A_T) w = -delta*A_T' r_T through the smaller of
+    the two systems: the n x n one when n <= |T|, else the Woodbury one. Both
+    agree to 1e-8 relative."""
     t_size, n = a_t.shape
     if t_size == 0 or n == 0:
         return np.zeros(n)
-    if branch is None:
-        branch = "direct" if n <= t_size else "smw"
-    if branch == "direct":
-        gram = delta * (a_t.T @ a_t)
-        gram.flat[:: n + 1] += 1.0
-        return _cholesky_solve(gram, -delta * (a_t.T @ r_t))
-    if branch == "smw":
-        gram = delta * (a_t @ a_t.T)
-        gram.flat[:: t_size + 1] += 1.0
-        return -delta * (a_t.T @ _cholesky_solve(gram, r_t))
-    raise ValueError(f"unknown branch {branch!r}")
+    solve = _solve_direct if n <= t_size else _solve_smw
+    return solve(a_t, r_t, delta)
 
 
 def update_w(

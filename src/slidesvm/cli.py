@@ -149,15 +149,19 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _given(values, stock):
+    """An overriding value list as a tuple, or ``stock`` when the flag was not
+    given; an empty list stays empty, so the grid rejects it."""
+    return stock if values is None else tuple(values)
+
+
 def _grid_from_args(args) -> Grid:
     try:
         grid = Grid(
-            c_values=tuple(args.c_values) if args.c_values else STOCK_POWERS,
-            delta_values=(
-                tuple(args.delta_values) if args.delta_values else STOCK_POWERS
-            ),
-            v_values=tuple(args.v_values) if args.v_values else STOCK_V_VALUES,
-            eps_values=tuple(args.eps_values) if args.eps_values else None,
+            c_values=_given(args.c_values, STOCK_POWERS),
+            delta_values=_given(args.delta_values, STOCK_POWERS),
+            v_values=_given(args.v_values, STOCK_V_VALUES),
+            eps_values=_given(args.eps_values, None),
             eta=args.eta,
             K=args.max_iter,
             tol=args.tol,
@@ -266,8 +270,6 @@ def _draw_prox_case(rng: np.random.Generator):
 
 
 def cmd_proxcheck(args) -> int:
-    if args.samples < 1:
-        raise CliError(f"need at least one sample, got {args.samples}", status=2)
     rng = np.random.default_rng(args.seed)
     started = time.perf_counter()
 
@@ -394,10 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_flip)
 
     sub = subs.add_parser("proxcheck", help="closed-form prox vs grid oracle")
-    sub.add_argument("--samples", type=int, default=10000)
+    sub.add_argument("--samples", type=_bounded(int, 1), default=10000)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--step", type=_bounded(float, 0.0, strict=True), default=1e-6, help="oracle grid step")
-    sub.add_argument("--limit", type=float, default=1e-6, help="max allowed deviation")
+    sub.add_argument("--limit", type=_bounded(float, 0.0), default=1e-6, help="max allowed deviation")
     sub.add_argument("--out", default=None, help="per-sample CSV to write")
     sub.set_defaults(func=cmd_proxcheck)
 

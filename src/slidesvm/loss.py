@@ -1,27 +1,23 @@
 """Slide-loss mathematics.
 
-Scalar and vector evaluation of the loss, its limiting subdifferential, the
-two-regime closed-form proximal operator, and an independent grid oracle used
-to cross-check the closed form in tests and in ``slidesvm proxcheck``.
+Scalar and vector evaluation of the loss, the two-regime closed-form proximal
+operator, and an independent grid oracle used to cross-check the closed form
+in tests and in ``slidesvm proxcheck``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 __all__ = [
     "SlideParams",
-    "SubdiffKind",
-    "SubdiffSet",
     "ProxThresholds",
     "slide_loss",
     "slide_loss_sum",
-    "slide_subdifferential",
     "prox_thresholds",
     "prox_slide_vector",
     "prox_oracle",
@@ -76,42 +72,6 @@ def slide_loss_sum(u, p: SlideParams, scale: float) -> float:
     np.maximum(x, 0.0, out=x)
     np.minimum(x, 1.0, out=x)
     return scale * float(np.add.reduce(x))
-
-
-class SubdiffKind(Enum):
-    SINGLETON = "singleton"
-    PAIR = "pair"
-    INTERVAL = "interval"
-
-
-@dataclass(frozen=True)
-class SubdiffSet:
-    """Limiting subdifferential at a point: a singleton, a two-point set, or a
-    closed interval. All contained values lie in [0, 1/(v - epsilon)]."""
-
-    kind: SubdiffKind
-    lo: float
-    hi: float
-
-    def contains(self, g: float, atol: float = 0.0) -> bool:
-        if self.kind is SubdiffKind.INTERVAL:
-            return self.lo - atol <= g <= self.hi + atol
-        if self.kind is SubdiffKind.PAIR:
-            return min(abs(g - self.lo), abs(g - self.hi)) <= atol
-        return abs(g - self.lo) <= atol
-
-
-def slide_subdifferential(t: float, p: SlideParams) -> SubdiffSet:
-    """Subdifferential of the loss at ``t``: {0} on the flat pieces, the ramp
-    slope in the interior, both at ``v``, and the full interval at ``epsilon``."""
-    slope = 1.0 / p.ramp_width
-    if t == p.v:
-        return SubdiffSet(SubdiffKind.PAIR, 0.0, slope)
-    if t == p.epsilon:
-        return SubdiffSet(SubdiffKind.INTERVAL, 0.0, slope)
-    if p.epsilon < t < p.v:
-        return SubdiffSet(SubdiffKind.SINGLETON, slope, slope)
-    return SubdiffSet(SubdiffKind.SINGLETON, 0.0, 0.0)
 
 
 class ProxThresholds(NamedTuple):

@@ -1,5 +1,5 @@
 """Trained-model artifact: prediction, accuracy, support-vector extraction,
-margin identities, and text persistence."""
+and text persistence."""
 
 from __future__ import annotations
 
@@ -18,15 +18,11 @@ if TYPE_CHECKING:
 __all__ = [
     "Model",
     "SupportSet",
-    "MarginReport",
     "ModelFormatError",
     "extract_support_vectors",
     "decision_values",
-    "predict",
     "predict_dataset",
     "accuracy",
-    "margin_identity_check",
-    "reconstruct_hyperplane",
     "dumps_model",
     "loads_model",
     "save_model",
@@ -96,13 +92,8 @@ def decision_values(model: Model, ds: Dataset) -> np.ndarray:
     return ds.X @ model.w + model.b
 
 
-def predict(model: Model, x) -> int:
-    """Label one sample: +1 when <w, x> + b > 0, else -1 (ties go negative)."""
-    score = float(np.asarray(x, dtype=np.float64) @ model.w) + model.b
-    return 1 if score > 0.0 else -1
-
-
 def predict_dataset(model: Model, ds: Dataset) -> np.ndarray:
+    """Label every row: +1 where <w, x> + b > 0, else -1 (ties go negative)."""
     scores = decision_values(model, ds)
     return np.where(scores > 0.0, 1.0, -1.0)
 
@@ -129,46 +120,6 @@ def confusion_counts(model: Model, ds: Dataset, *, pred: np.ndarray | None = Non
     tn = int(np.sum(pred[neg] < 0))
     fp = int(np.sum(pred[neg] > 0))
     return tp, fp, tn, fn
-
-
-def reconstruct_hyperplane(ds: Dataset, support: SupportSet) -> np.ndarray:
-    """w rebuilt from the support rows alone: -sum_i lambda_i y_i x_i."""
-    A = ds.signed_matrix()
-    return -A[support.t_star].T @ support.lambda_values
-
-
-@dataclass(frozen=True)
-class MarginReport:
-    """Margin-identity violations among support rows, if any."""
-
-    checked: int
-    violations: list
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def margin_identity_check(
-    model: Model, ds: Dataset, support: SupportSet, tol: float
-) -> MarginReport:
-    """Verify the confidence margins of the support rows.
-
-    t1 rows must satisfy y_i f(x_i) = 1 - epsilon within tol; t2 rows must lie
-    in [1 + (C/delta)/(2(v-eps)) - v, 1], widened by tol on both ends.
-    """
-    margins = ds.y * decision_values(model, ds)
-    target = 1.0 - model.slide.epsilon
-    violations = []
-    for i in support.t1:
-        if abs(margins[i] - target) > tol:
-            violations.append((int(i), float(margins[i]), target, target))
-    gamma_c = model.C / model.delta
-    lo = 1.0 + gamma_c / (2.0 * model.slide.ramp_width) - model.slide.v
-    for i in support.t2:
-        if not lo - tol <= margins[i] <= 1.0 + tol:
-            violations.append((int(i), float(margins[i]), lo, 1.0))
-    return MarginReport(checked=support.size, violations=violations)
 
 
 class ModelFormatError(ValueError):

@@ -29,9 +29,7 @@ __all__ = [
     "STOCK_POWERS",
     "STOCK_V_VALUES",
     "default_grid",
-    "cross_validate",
     "grid_search",
-    "repeat_cv",
     "flip_experiment",
     "fit_full",
 ]
@@ -63,6 +61,8 @@ class Grid:
         for name in ("c_values", "delta_values", "v_values"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
+        if self.eps_values is not None and not self.eps_values:
+            raise ValueError("eps_values must be nonempty")
         self.configs()  # TrainConfig and SlideParams check every value
 
     def configs(self) -> list[TrainConfig]:
@@ -117,19 +117,6 @@ def _score_folds(folds, cfg: TrainConfig):
         accs[i] = accuracy(mdl, te)
         converged += int(diag.converged)
     return accs, converged
-
-
-def cross_validate(ds: Dataset, cfg: TrainConfig, k: int, seed: int):
-    """Mean and per-fold held-out accuracy under a seeded fold plan.
-
-    Scaling is refit on each fold's training portion. Single-class folds are
-    trained like any other; accuracy stays well defined.
-    """
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    plan = kfold_plan(ds.m, k, seed)
-    accs, _ = _score_folds(_scaled_folds(ds, plan), cfg)
-    return float(accs.mean()), accs
 
 
 # What a task reads: (train set, test set, k, flip seed), set once per pool by
@@ -267,8 +254,8 @@ def grid_search(
 
     With ``test_ds``, the winner is then refit by ``fit_full`` (``test``);
     otherwise, with ``repeats``, it is cross-validated at fold seeds seed,
-    seed+1, ... as ``repeat_cv`` does (``repeated``). Both run on the same
-    processes as the search.
+    seed+1, ... (``repeated``). Fold seed ``seed`` reuses the search's own
+    scores; the other fold seeds run on the same processes as the search.
     """
     configs = grid.configs()
     plan = kfold_plan(ds.m, k, seed)
@@ -279,24 +266,14 @@ def grid_search(
             [result.test] = run(_fit_task, [(0.0, result.best)])
         elif repeats:
             scores = run(_cv_task, [
-                (0.0, seed + r, result.best, fold) for r in range(repeats) for fold in range(k)
+                (0.0, seed + r, result.best, fold) for r in range(1, repeats) for fold in range(k)
             ])
-            accs = np.concatenate([a for a, _ in scores]).reshape(repeats, k)
+            accs = np.vstack([
+                result.fold_accuracies[result.best_index],
+                np.array([a for a, _ in scores]).reshape(repeats - 1, k),
+            ])
             result.repeated = np.array([float(row.mean()) for row in accs])
     return result
-
-
-def repeat_cv(
-    ds: Dataset, cfg: TrainConfig, k: int, n_repeats: int, seed: int
-):
-    """Mean accuracy over ``n_repeats`` distinct fold seeds (seed, seed+1, ...).
-
-    This is the reporting mode for datasets that ship without a test split.
-    """
-    means = np.array(
-        [cross_validate(ds, cfg, k, seed + r)[0] for r in range(n_repeats)]
-    )
-    return float(means.mean()), means
 
 
 def fit_full(train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig):

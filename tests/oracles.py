@@ -1,0 +1,86 @@
+"""The paper's conditions on a solution, as test oracles.
+
+Each function states one property the tests check a solve or a search
+against: the limiting subdifferential of the slide loss, the support rows'
+reconstruction of the hyperplane and their confidence margins, the rows
+outside a working set, and a plain serial k-fold cross-validation. They are
+built on slidesvm's public API only and are never called by the package.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from slidesvm.admm import train
+from slidesvm.data import apply_scaling, fit_scaling, kfold_plan, subset
+from slidesvm.model import accuracy, decision_values
+
+
+def slide_subdifferential(t: float, p):
+    """Limiting subdifferential of the loss at ``t`` as (kind, lo, hi): the
+    "singleton" {lo} (0 on the flat pieces, the ramp slope inside the ramp),
+    the "pair" {0, slope} at ``v``, and the "interval" [0, slope] at
+    ``epsilon``."""
+    slope = 1.0 / p.ramp_width
+    if t == p.v:
+        return "pair", 0.0, slope
+    if t == p.epsilon:
+        return "interval", 0.0, slope
+    if p.epsilon < t < p.v:
+        return "singleton", slope, slope
+    return "singleton", 0.0, 0.0
+
+
+def reconstruct_hyperplane(ds, support) -> np.ndarray:
+    """w rebuilt from the support rows alone: -sum_i lambda_i y_i x_i."""
+    return -ds.signed_matrix()[support.t_star].T @ support.lambda_values
+
+
+def margin_violations(model, ds, support, tol: float) -> list:
+    """Support rows off their confidence margins, as (row, margin, lo, hi).
+
+    t1 rows must satisfy y_i f(x_i) = 1 - epsilon within tol; t2 rows must lie
+    in [1 + (C/delta)/(2(v-eps)) - v, 1], widened by tol on both ends.
+    """
+    margins = ds.y * decision_values(model, ds)
+    target = 1.0 - model.slide.epsilon
+    violations = [
+        (int(i), float(margins[i]), target, target)
+        for i in support.t1
+        if abs(margins[i] - target) > tol
+    ]
+    lo = 1.0 + (model.C / model.delta) / (2.0 * model.slide.ramp_width) - model.slide.v
+    violations += [
+        (int(i), float(margins[i]), lo, 1.0)
+        for i in support.t2
+        if not lo - tol <= margins[i] <= 1.0 + tol
+    ]
+    return violations
+
+
+def complement_mask(ws, m: int) -> np.ndarray:
+    """Rows outside the working set ``ws`` of an m-row problem."""
+    mask = np.ones(m, dtype=bool)
+    mask[ws.indices] = False
+    return mask
+
+
+def cross_validate(ds, cfg, k: int, seed: int) -> np.ndarray:
+    """Held-out accuracy of each fold of ``kfold_plan(ds.m, k, seed)``, one
+    solve after another, with the scaling refit on each training portion."""
+    plan = kfold_plan(ds.m, k, seed)
+    accs = []
+    for fold in range(k):
+        test_idx, train_idx = plan.fold_indices(fold)
+        tr = subset(ds, train_idx)
+        smap = fit_scaling(tr)
+        mdl, _ = train(apply_scaling(tr, smap), cfg)
+        accs.append(accuracy(mdl, apply_scaling(subset(ds, test_idx), smap)))
+    return np.array(accs)
+
+
+def repeat_cv(ds, cfg, k: int, n_repeats: int, seed: int) -> np.ndarray:
+    """Mean cross-validated accuracy at fold seeds seed, seed+1, ..."""
+    return np.array(
+        [float(cross_validate(ds, cfg, k, seed + r).mean()) for r in range(n_repeats)]
+    )

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
+from oracles import complement_mask, margin_violations
+
+from slidesvm import admm
 from slidesvm.admm import (
     AdmmState,
     Residuals,
@@ -189,24 +192,41 @@ class TestUpdateW:
     def test_scalar_closed_form_both_branches(self):
         a, r, delta = 1.7, -0.6, 2.3
         expected = -delta * a * r / (1.0 + delta * a * a)
-        for branch in ("direct", "smw"):
-            w = solve_w_system(np.array([[a]]), np.array([r]), delta, branch=branch)
+        for solve in (admm._solve_direct, admm._solve_smw):
+            w = solve(np.array([[a]]), np.array([r]), delta)
             assert w == pytest.approx([expected], rel=1e-14)
 
     def test_indefinite_system_raises(self):
         # delta < 0 makes I + delta*A'A indefinite; the solver never passes
         # one, but a failed factorization must surface, not return garbage
-        for branch in ("direct", "smw"):
+        for solve in (admm._solve_direct, admm._solve_smw):
             with pytest.raises(np.linalg.LinAlgError):
-                solve_w_system(np.ones((3, 2)), np.ones(3), -10.0, branch=branch)
+                solve(np.ones((3, 2)), np.ones(3), -10.0)
 
     def test_branch_equivalence_20x5(self):
         rng = np.random.default_rng(3)
         a_t = rng.normal(size=(20, 5))
         r_t = rng.normal(size=20)
-        wa = solve_w_system(a_t, r_t, 1.3, branch="direct")
-        wb = solve_w_system(a_t, r_t, 1.3, branch="smw")
+        wa = admm._solve_direct(a_t, r_t, 1.3)
+        wb = admm._solve_smw(a_t, r_t, 1.3)
         assert np.linalg.norm(wa - wb) <= 1e-8 * (1.0 + np.linalg.norm(wa))
+
+    def test_public_call_solves_the_smaller_system(self):
+        # the n x n system when n <= |T|, n == |T| included, else the
+        # |T| x |T| one; an empty working set or no features give zeros
+        rng = np.random.default_rng(6)
+        shapes = [(5, 5), (6, 5), (4, 5), (1, 1), (1, 2), (2, 1)] + [
+            (int(rng.integers(1, 31)), int(rng.integers(1, 31))) for _ in range(40)
+        ]
+        for t_size, n in shapes:
+            a_t = rng.normal(size=(t_size, n))
+            r_t = rng.normal(size=t_size)
+            delta = float(rng.uniform(0.05, 10.0))
+            solve = admm._solve_direct if n <= t_size else admm._solve_smw
+            assert solve_w_system(a_t, r_t, delta).tobytes() == solve(a_t, r_t, delta).tobytes()
+        for t_size, n in [(0, 4), (3, 0), (0, 0)]:
+            w = solve_w_system(np.ones((t_size, n)), np.ones(t_size), 2.0)
+            assert w.tobytes() == np.zeros(n).tobytes()
 
     def test_normal_equation_residual(self):
         rng = np.random.default_rng(4)
@@ -454,7 +474,7 @@ class TestTrain:
         states, _ = iterates(ds, cfg, sweeps=6)
         assert len(states) == 7
         for state in states[1:]:
-            off = state.working_set.complement_mask(ds.m)
+            off = complement_mask(state.working_set, ds.m)
             assert np.array_equal(state.lam[off], np.zeros(off.sum()))
 
     def test_u_update_matches_prox_vector_every_sweep(self):
@@ -497,15 +517,10 @@ class TestTrain:
     def test_pin_regime_support_margins(self, clusters200):
         # every support row of a converged pin-regime run sits on the
         # confidence margin 1 - epsilon
-        from slidesvm.model import margin_identity_check
-
         cfg = TrainConfig(C=1.0, delta=2.0, slide=SlideParams(0.03, 0.3))
         mdl, diag = train(clusters200, cfg)
-        assert diag.converged and mdl.support.size > 0
-        report = margin_identity_check(
-            mdl, clusters200, mdl.support, tol=10.0 * cfg.tol
-        )
-        assert report.passed and report.checked == mdl.support.size
+        assert diag.converged and mdl.support.size > 0 and mdl.support.t2.size == 0
+        assert margin_violations(mdl, clusters200, mdl.support, tol=10.0 * cfg.tol) == []
 
     def test_tightly_converged_point_is_locally_minimal(self, clusters200):
         # a near-exact stationary point should beat every nearby hyperplane;
@@ -639,7 +654,7 @@ class TestSweepProperties:
         ds, cfg = problem
         states, _ = iterates(ds, cfg, sweeps=3)
         for state in states[1:]:
-            off = state.working_set.complement_mask(ds.m)
+            off = complement_mask(state.working_set, ds.m)
             assert np.array_equal(state.lam[off], np.zeros(int(off.sum())))
 
     @given(tiny_problem())

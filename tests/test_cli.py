@@ -462,16 +462,15 @@ class TestProxcheckCommand:
         assert run(["proxcheck", "--samples", "1"]) == 0
         assert "failures=0" in capsys.readouterr().out
 
-    def test_rejects_zero_samples(self, capsys):
-        assert run(["proxcheck", "--samples", "0"]) == 2
-
 
 class TestParser:
     @pytest.mark.parametrize(
         "command, flag, value",
         [("grid", "--folds", "1"), ("grid", "--repeats", "0"), ("grid", "--parallel", "-3"),
          ("flip", "--folds", "1"), ("flip", "--parallel", "0"),
-         ("proxcheck", "--step", "0"), ("proxcheck", "--step", "nan")],
+         ("proxcheck", "--step", "0"), ("proxcheck", "--step", "nan"),
+         ("proxcheck", "--limit", "nan"), ("proxcheck", "--limit", "-1"),
+         ("proxcheck", "--samples", "0")],
     )
     def test_out_of_range_flags_are_usage_errors(self, command, flag, value, tmp_path, capsys):
         # rejected before any data is read: the data files do not exist
@@ -488,7 +487,8 @@ class TestParser:
          ("train", "--delta", "nan"), ("train", "--tol", "nan"), ("train", "--tol", "inf"),
          ("grid", "--c-values", "nan"), ("grid", "--c-values", "-1"),
          ("grid", "--delta-values", "inf"), ("grid", "--tol", "nan"),
-         ("flip", "--c-values", "nan"), ("flip", "--rates", "2")],
+         ("flip", "--c-values", "nan"), ("flip", "--rates", "2"),
+         ("grid", "--c-values", ""), ("grid", "--eps-values", ","), ("flip", "--v-values", "")],
     )
     def test_bad_solver_settings_are_usage_errors(self, command, flag, value, tmp_path, capsys):
         # rejected before any data is read: the data files do not exist

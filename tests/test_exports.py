@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -24,6 +25,27 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     exported = getattr(module, "__all__", [])
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+# what only the tests call stays out of the package: the paper's conditions
+# and the serial cross-validation live in tests/oracles.py, and one sample is
+# predicted as a one-row dataset
+ORACLES = [
+    "SubdiffKind", "SubdiffSet", "slide_subdifferential", "MarginReport",
+    "margin_identity_check", "reconstruct_hyperplane", "cross_validate", "repeat_cv",
+    "predict",
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_test_oracle_ships_in_the_package(name):
+    module = importlib.import_module(name)
+    assert [n for n in ORACLES if hasattr(module, n)] == []
+
+
+def test_the_solver_keeps_no_test_only_member_or_argument():
+    assert not hasattr(admm.WorkingSet, "complement_mask")
+    assert list(inspect.signature(admm.solve_w_system).parameters) == ["a_t", "r_t", "delta"]
 
 
 @pytest.fixture()

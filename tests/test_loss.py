@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import slide_subdifferential
+
 from slidesvm.loss import (
     SlideParams,
-    SubdiffKind,
     oracle_grid_span,
     prox_objective,
     prox_oracle,
@@ -15,7 +16,6 @@ from slidesvm.loss import (
     prox_thresholds,
     slide_loss,
     slide_loss_sum,
-    slide_subdifferential,
 )
 
 P_WIDE = SlideParams(0.1, 1.0)  # gamma_c = 0.5 lands in the ramp regime
@@ -148,25 +148,18 @@ class TestSlideLoss:
 
 class TestSubdifferential:
     def test_ramp_interior(self):
-        sd = slide_subdifferential(0.5, P_WIDE)
-        assert sd.kind is SubdiffKind.SINGLETON
-        assert sd.lo == sd.hi == 1.0 / 0.9
+        assert slide_subdifferential(0.5, P_WIDE) == ("singleton", 1.0 / 0.9, 1.0 / 0.9)
 
     def test_at_epsilon(self):
-        sd = slide_subdifferential(0.1, P_WIDE)
-        assert sd.kind is SubdiffKind.INTERVAL
-        assert (sd.lo, sd.hi) == (0.0, 1.0 / 0.9)
+        assert slide_subdifferential(0.1, P_WIDE) == ("interval", 0.0, 1.0 / 0.9)
 
     def test_at_knee(self):
-        sd = slide_subdifferential(P_WIDE.v, P_WIDE)
-        assert sd.kind is SubdiffKind.PAIR
-        assert (sd.lo, sd.hi) == (0.0, 1.0 / 0.9)
+        assert slide_subdifferential(P_WIDE.v, P_WIDE) == ("pair", 0.0, 1.0 / 0.9)
 
     def test_flat_regions(self):
         for t in (-3.0, 0.05, 1.5):
-            sd = slide_subdifferential(t, P_WIDE)
-            assert sd.kind is SubdiffKind.SINGLETON
-            assert sd.lo == 0.0
+            kind, lo, _ = slide_subdifferential(t, P_WIDE)
+            assert kind == "singleton" and lo == 0.0
 
     @given(slide_params(), st.floats(-2, 3))
     @settings(max_examples=300)
@@ -175,10 +168,10 @@ class TestSubdifferential:
         # keep the difference stencil away from the two kinks
         if min(abs(t - p.epsilon), abs(t - p.v)) <= 1e-6:
             return
-        sd = slide_subdifferential(t, p)
-        assert sd.kind is SubdiffKind.SINGLETON
+        kind, lo, _ = slide_subdifferential(t, p)
+        assert kind == "singleton"
         slope = (slide_loss(t + h, p) - slide_loss(t - h, p)) / (2.0 * h)
-        assert abs(slope - sd.lo) <= 1e-5 * max(1.0, sd.lo)
+        assert abs(slope - lo) <= 1e-5 * max(1.0, lo)
 
 
 class TestProxClosedForm:

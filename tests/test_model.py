@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oracles import margin_violations, reconstruct_hyperplane
+
 from slidesvm import data
 from slidesvm.admm import TrainConfig
 from slidesvm.data import Dataset, gaussian_clusters, parse_libsvm
@@ -17,10 +19,7 @@ from slidesvm.model import (
     dumps_model,
     extract_support_vectors,
     loads_model,
-    margin_identity_check,
-    predict,
     predict_dataset,
-    reconstruct_hyperplane,
 )
 
 P_WIDE = SlideParams(0.1, 1.0)
@@ -85,25 +84,30 @@ class TestExtractSupportVectors:
         assert np.all(np.abs(lam[outside]) <= 10.0 * cfg.tol)
 
 
+def predict_one(mdl, row):
+    """The label predict_dataset gives a one-row dataset."""
+    [label] = predict_dataset(mdl, dense_dataset([row], [1.0]))
+    return label
+
+
 class TestPredict:
     def test_positive_bias_dominates(self):
         mdl = make_model([0.0, 0.0], b=1.0)
-        assert predict(mdl, [123.0, -5.0]) == 1
+        assert predict_one(mdl, [123.0, -5.0]) == 1
 
     def test_tie_goes_negative(self):
         mdl = make_model([1.0, 0.0], b=-0.5)
-        assert predict(mdl, [0.5, 9.0]) == -1
+        assert predict_one(mdl, [0.5, 9.0]) == -1
 
     def test_negative_score(self):
         mdl = make_model([1.0, 0.0], b=0.0)
-        assert predict(mdl, [-0.3, 7.0]) == -1
+        assert predict_one(mdl, [-0.3, 7.0]) == -1
 
     def test_sparse_input(self):
         # a row of sparse LIBSVM text, read into the dense matrix
         mdl = make_model([2.0, 0.0, -1.0], b=0.0)
-        x = parse_libsvm("+1 1:1 3:1.5\n").X[0]
-        assert predict(mdl, x) == 1
-        assert predict(mdl, parse_libsvm("+1 3:1\n").X[0]) == -1
+        assert predict_dataset(mdl, parse_libsvm("+1 1:1 3:1.5\n")).tolist() == [1.0]
+        assert predict_dataset(mdl, parse_libsvm("+1 3:1\n")).tolist() == [-1.0]
 
 
 class TestAccuracy:
@@ -143,38 +147,36 @@ class TestMarginIdentity:
         ds = dense_dataset([[0.9], [5.0]], [1.0, 1.0])
         sup = SupportSet(idx(0), idx(0), idx(), np.array([-0.2]))
         mdl = make_model([1.0], b=0.0, slide=slide, support=sup)
-        report = margin_identity_check(mdl, ds, sup, tol=1e-6)
-        assert report.passed and report.checked == 1
+        assert margin_violations(mdl, ds, sup, tol=1e-6) == []
 
     def test_ramp_regime_interval_upper_end_passes(self):
         # pinned-multiplier rows may sit anywhere in [1 + gc/(2(v-eps)) - v, 1]
         ds = dense_dataset([[1.0]], [1.0])
         sup = SupportSet(idx(0), idx(), idx(0), np.array([-1.0 / 0.9]))
         mdl = make_model([1.0], b=0.0, support=sup)
-        assert margin_identity_check(mdl, ds, sup, tol=1e-9).passed
+        assert margin_violations(mdl, ds, sup, tol=1e-9) == []
 
     def test_ramp_regime_interval_violations_flagged(self):
         ds = dense_dataset([[1.001], [0.4]], [1.0, 1.0])
         sup = SupportSet(idx(0, 1), idx(), idx(0, 1), np.array([-1.0 / 0.9] * 2))
         mdl = make_model([1.0], b=0.0, support=sup)
-        report = margin_identity_check(mdl, ds, sup, tol=1e-4)
+        violations = margin_violations(mdl, ds, sup, tol=1e-4)
         # 1.001 exceeds the upper end, 0.4 undershoots 1 + 0.5556 - 1
-        assert [v[0] for v in report.violations] == [0, 1]
+        assert [v[0] for v in violations] == [0, 1]
 
     def test_interior_violation_flagged_at_five_tol(self):
         tol = 1e-3
         ds = dense_dataset([[0.9 + 5.0 * tol]], [1.0])
         sup = SupportSet(idx(0), idx(0), idx(), np.array([-0.5]))
         mdl = make_model([1.0], b=0.0, support=sup)
-        report = margin_identity_check(mdl, ds, sup, tol=tol)
-        assert not report.passed and len(report.violations) == 1
+        assert len(margin_violations(mdl, ds, sup, tol=tol)) == 1
 
     def test_converged_run_passes_at_ten_tol(self, clusters200, clusters_config, trained_clusters):
         mdl, _ = trained_clusters
-        report = margin_identity_check(
+        assert mdl.support.size > 0
+        assert margin_violations(
             mdl, clusters200, mdl.support, tol=10.0 * clusters_config.tol
-        )
-        assert report.passed
+        ) == []
 
 
 class TestReconstruction:

@@ -6,20 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import cross_validate, repeat_cv
+
 import slidesvm
 from slidesvm import tuning
-from slidesvm.admm import TrainConfig
 from slidesvm.data import Dataset, gaussian_clusters, kfold_plan
 from slidesvm.loss import SlideParams
-from slidesvm.tuning import (
-    Grid,
-    cross_validate,
-    default_grid,
-    fit_full,
-    flip_experiment,
-    grid_search,
-    repeat_cv,
-)
+from slidesvm.tuning import Grid, default_grid, fit_full, flip_experiment, grid_search
 
 SMALL_GRID = Grid(
     c_values=(0.5, 1.0),
@@ -69,6 +62,8 @@ class TestGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
             Grid(c_values=(), delta_values=(1.0,), v_values=(0.5,))
+        with pytest.raises(ValueError, match="eps_values must be nonempty"):
+            Grid(c_values=(1.0,), delta_values=(1.0,), v_values=(0.5,), eps_values=())
         with pytest.raises(ValueError):
             Grid(c_values=(1.0,), delta_values=(-1.0,), v_values=(0.5,))
         with pytest.raises(ValueError):
@@ -79,39 +74,46 @@ class TestGrid:
             Grid(c_values=(1.0,), delta_values=(1.0,), v_values=(0.5,), eps_values=(0.5,))
 
 
+def one_config(K):
+    """The grid of the single config C = 1, delta = 1, v = 1, epsilon = 0.1."""
+    return Grid(c_values=(1.0,), delta_values=(1.0,), v_values=(1.0,), K=K)
+
+
 class TestCrossValidate:
     def test_separable_data_scores_one(self):
         ds = gaussian_clusters(60, seed=10, center=4.0)
-        cfg = TrainConfig(C=1.0, delta=1.0, slide=SlideParams(0.1, 1.0), K=300)
-        mean, folds = cross_validate(ds, cfg, k=5, seed=3)
-        assert mean == 1.0 and np.all(folds == 1.0)
+        result = grid_search(ds, one_config(300), k=5, seed=3)
+        assert result.best_accuracy == 1.0 and np.all(result.fold_accuracies == 1.0)
 
     def test_deterministic(self):
         ds = gaussian_clusters(40, seed=11, center=1.0)
-        cfg = TrainConfig(C=1.0, delta=1.0, slide=SlideParams(0.1, 1.0), K=200)
-        a = cross_validate(ds, cfg, k=4, seed=9)
-        b = cross_validate(ds, cfg, k=4, seed=9)
-        assert a[0] == b[0] and np.array_equal(a[1], b[1])
+        a = grid_search(ds, one_config(200), k=4, seed=9)
+        b = grid_search(ds, one_config(200), k=4, seed=9)
+        assert a.mean_accuracies.tobytes() == b.mean_accuracies.tobytes()
+        assert a.fold_accuracies.tobytes() == b.fold_accuracies.tobytes()
 
     def test_two_folds_of_two(self):
         ds = gaussian_clusters(4, seed=12, center=4.0)
-        cfg = TrainConfig(C=1.0, delta=1.0, slide=SlideParams(0.1, 1.0), K=50)
-        _, folds = cross_validate(ds, cfg, k=2, seed=0)
-        assert folds.shape == (2,)
+        result = grid_search(ds, one_config(50), k=2, seed=0)
+        assert result.fold_accuracies.shape == (1, 2)
 
     def test_rejects_k_below_two(self):
         ds = gaussian_clusters(10, seed=0)
-        cfg = TrainConfig(C=1.0, delta=1.0, slide=SlideParams(0.1, 1.0))
         with pytest.raises(ValueError):
-            cross_validate(ds, cfg, k=1, seed=0)
+            grid_search(ds, one_config(1000), k=1, seed=0)
 
     def test_single_class_fold_still_scores(self):
         # both folds end up single-class; training must not error
         base = gaussian_clusters(4, seed=1, center=4.0)
         ds = Dataset(base.X, np.ones(base.m))
-        cfg = TrainConfig(C=1.0, delta=1.0, slide=SlideParams(0.1, 1.0), K=50)
-        mean, folds = cross_validate(ds, cfg, k=2, seed=0)
-        assert 0.0 <= mean <= 1.0
+        result = grid_search(ds, one_config(50), k=2, seed=0)
+        assert 0.0 <= result.best_accuracy <= 1.0
+
+    def test_every_config_scores_as_the_serial_reference(self):
+        ds = gaussian_clusters(40, seed=17, center=1.5)
+        result = grid_search(ds, SMALL_GRID, k=4, seed=8)
+        for cfg, accs in zip(result.configs, result.fold_accuracies):
+            assert accs.tobytes() == cross_validate(ds, cfg, k=4, seed=8).tobytes()
 
 
 class TestGridSearch:
@@ -190,11 +192,26 @@ class TestGridSearch:
 class TestRepeatCv:
     def test_deterministic_and_averaged(self):
         ds = gaussian_clusters(40, seed=19, center=2.0)
-        cfg = TrainConfig(C=1.0, delta=1.0, slide=SlideParams(0.1, 1.0), K=200)
-        mean1, per1 = repeat_cv(ds, cfg, k=4, n_repeats=3, seed=11)
-        mean2, per2 = repeat_cv(ds, cfg, k=4, n_repeats=3, seed=11)
-        assert mean1 == mean2 and np.array_equal(per1, per2)
-        assert mean1 == pytest.approx(per1.mean())
+        runs = [grid_search(ds, one_config(200), k=4, seed=11, repeats=3) for _ in range(2)]
+        assert runs[0].repeated.tobytes() == runs[1].repeated.tobytes()
+        assert runs[0].repeated.shape == (3,)
+        # fold seed 11 is the search's own cross-validation
+        assert runs[0].repeated[0] == pytest.approx(runs[0].best_accuracy)
+
+    def test_repeats_reuse_the_searchs_folds(self, monkeypatch):
+        # fold seed ``seed`` was solved by the search; only seed+1, ... run again
+        calls = []
+        solve = tuning.train
+
+        def counting(ds, cfg):
+            calls.append(cfg)
+            return solve(ds, cfg)
+
+        monkeypatch.setattr(tuning, "train", counting)
+        ds = gaussian_clusters(40, seed=19, center=2.0)
+        result = grid_search(ds, SMALL_GRID, k=4, seed=11, repeats=3)
+        assert len(calls) == len(SMALL_GRID.configs()) * 4 + (3 - 1) * 4
+        assert calls[-8:] == [result.best] * 8
 
 
 class TestFlipExperiment:
@@ -330,6 +347,6 @@ class TestPool:
         assert tested.repeated is None
         repeated = grid_search(train_ds, SMALL_GRID, k=4, seed=3, parallelism=parallelism,
                                repeats=3)
-        _, means = repeat_cv(train_ds, repeated.best, k=4, n_repeats=3, seed=3)
+        means = repeat_cv(train_ds, repeated.best, k=4, n_repeats=3, seed=3)
         assert repeated.repeated.tobytes() == means.tobytes()
         assert repeated.test is None
