@@ -15,6 +15,8 @@ the products it reads as arguments.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Optional
@@ -211,11 +213,31 @@ def update_u(z: np.ndarray, ws: WorkingSet, cfg: TrainConfig) -> np.ndarray:
 
 @cache
 def _lapack():
-    """LAPACK's potrf and potrs, fetched on the first solve: importing
-    scipy.linalg takes about a third of a second, and scoring never solves."""
-    import scipy.linalg
+    """LAPACK's dpotrf and dpotrs, loaded on the first solve.
 
-    return scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.empty(0),))
+    They come from scipy's extension module ``scipy.linalg._flapack``, loaded
+    alone: the ``scipy.linalg`` package around it takes about 0.3 s and 27 MB
+    to import, the extension about 20 ms and 3.5 MB. They are the very
+    functions ``scipy.linalg.get_lapack_funcs`` returns for float64, in either
+    import order. Scoring never solves.
+    """
+    from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+    from importlib.util import module_from_spec
+
+    # the package's own __init__ is cheap (about 12 ms); it runs the
+    # distribution's set-up, which some builds need before an extension loads
+    import scipy
+
+    where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    finder = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"no LAPACK extension _flapack in {where}")
+    flapack = module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    # a later ``import scipy.linalg`` takes this module instead of a copy
+    flapack = sys.modules.setdefault(spec.name, flapack)
+    return flapack.dpotrf, flapack.dpotrs
 
 
 def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -51,9 +51,13 @@ def _read_dataset(path: str):
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     try:
-        return parse_libsvm(raw)
+        ds = parse_libsvm(raw)
     except ParseError as exc:
         raise CliError(f"{path}: {exc}") from exc
+    # every command needs rows; say which file has none before any solve
+    if ds.m == 0:
+        raise CliError(f"{path}: empty dataset, no samples")
+    return ds
 
 
 def _slide_params(args) -> SlideParams:

@@ -257,6 +257,8 @@ def grid_search(
     seed+1, ... (``repeated``). Fold seed ``seed`` reuses the search's own
     scores; the other fold seeds run on the same processes as the search.
     """
+    if test_ds is not None and test_ds.m == 0:
+        raise ValueError("grid search needs a nonempty test set")
     configs = grid.configs()
     plan = kfold_plan(ds.m, k, seed)
     tasks = [(0.0, seed, cfg, fold) for cfg in configs for fold in range(k)]

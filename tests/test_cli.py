@@ -375,6 +375,51 @@ class TestGridCommand:
         ] == result.fold_accuracies.tolist()
 
 
+class TestEmptyDataFile:
+    @pytest.fixture()
+    def solves(self, monkeypatch):
+        """Every solve a command runs in this process, train's and the grid's."""
+        calls = []
+
+        def counting(ds, cfg, **kwargs):
+            calls.append(ds.m)
+            return admm.train(ds, cfg, **kwargs)
+
+        monkeypatch.setattr(cli, "train", counting)
+        monkeypatch.setattr(tuning, "train", counting)
+        return calls
+
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--data"), ("eval", "--data"), ("grid", "--data"), ("grid", "--test"),
+        ("flip", "--data"), ("flip", "--test"),
+    ])
+    def test_every_command_names_the_empty_file_before_any_solve(
+        self, data_files, tmp_path, solves, capsys, command, flag
+    ):
+        # grid --test used to run the whole search and the final fit first
+        train, test = data_files
+        model_path = tmp_path / "model.txt"
+        assert run(["train", "--data", train, "--max-iter", "50", "--out", model_path]) == 0
+        solves.clear()
+        capsys.readouterr()
+        empty = tmp_path / "comments.svm"
+        empty.write_text("# no samples\n\n")
+        files = {"--data": train, "--test": test, "--model": model_path,
+                 "--out": tmp_path / "out.txt"}
+        wanted = {"train": ["--data", "--out"], "eval": ["--model", "--data"],
+                  "grid": ["--data", "--test", "--out"],
+                  "flip": ["--data", "--test", "--out"]}[command]
+        argv = [command] + [a for f in wanted for a in (f, empty if f == flag else files[f])]
+        if command in ("grid", "flip"):
+            argv += ["--folds", "3", "--c-values", "0.5,1", "--delta-values", "1",
+                     "--v-values", "1", "--max-iter", "50"]
+        assert run(argv) == 1
+        assert solves == []
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {empty}: empty dataset, no samples\n"
+        assert captured.out == "" and not files["--out"].exists()
+
+
 class TestFlipCommand:
     def test_zero_rate_baseline_only(self, data_files, tmp_path):
         train, test = data_files

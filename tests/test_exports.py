@@ -2,6 +2,7 @@ import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import types
@@ -115,25 +116,71 @@ assert unused() == [], unused()
 assert cli.main(["eval", "--model", model, "--data", data]) == 0
 assert unused() == [], unused()
 assert cli.main(["train", "--data", data, "--out", out]) == 0
-assert "scipy.linalg" in sys.modules
+assert "scipy.linalg._flapack" in sys.modules, unused()
+assert "scipy.linalg" not in sys.modules, unused()
 """
 
 
-def test_cli_import_leaves_out_scipy_sparse(tmp_path):
-    # every CLI process pays for what ``import slidesvm.cli`` loads:
-    # scipy.linalg alone takes about a third of a second and the process
-    # pool about 20 ms, and neither the import nor eval uses them. The first
-    # solve fetches LAPACK, and the model it gives keeps its bytes.
+def test_cli_loads_no_scipy_package_but_lapacks_extension(tmp_path):
+    # every CLI process pays for what ``import slidesvm.cli`` loads: the
+    # scipy.linalg package takes about 0.3 s and the process pool about
+    # 20 ms, and neither the import nor eval uses them. The first solve loads
+    # the LAPACK extension alone, and the model it gives keeps its bytes.
     data, model, out = tmp_path / "data.txt", tmp_path / "model.txt", tmp_path / "out.txt"
     data.write_text(write_libsvm(gaussian_clusters(40, seed=0)))
     cfg = admm.TrainConfig(C=1.0, delta=1.0, slide=SlideParams(0.1, 1.0))
     model.write_text(dumps_model(admm.train(parse_libsvm(data.read_bytes()), cfg)[0]))
-    src = Path(slidesvm.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, str(data), str(model), str(out)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_src_env(), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("accuracy ")
     assert out.read_bytes() == model.read_bytes()
+
+
+def _src_env():
+    src = Path(slidesvm.__file__).resolve().parent.parent
+    return {**os.environ, "PYTHONPATH": str(src)}
+
+
+# run in a fresh interpreter, with the solver's LAPACK loaded before or after
+# the scipy.linalg package
+_SAME_LAPACK_PROBE = """
+import sys
+
+import numpy as np
+
+from slidesvm import admm
+
+if sys.argv[1] == "solver-first":
+    ours = admm._lapack()
+    assert "scipy.linalg" not in sys.modules
+    import scipy.linalg
+else:
+    import scipy.linalg
+    ours = admm._lapack()
+theirs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.empty(0),))
+assert len(ours) == len(theirs) == 2
+assert all(a is b for a, b in zip(ours, theirs)), (ours, theirs)
+assert [f.typecode for f in theirs] == ["d", "d"]
+"""
+
+
+@pytest.mark.parametrize("order", ["solver-first", "package-first"])
+def test_solver_lapack_is_scipys_own_in_either_import_order(order):
+    # the very function objects, so every solve keeps its bits
+    done = subprocess.run(
+        [sys.executable, "-c", _SAME_LAPACK_PROBE, order],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_a_missing_lapack_extension_names_the_directory_searched(tmp_path, monkeypatch):
+    import scipy
+
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
+    where = re.escape(str(tmp_path / "scipy" / "linalg"))
+    with pytest.raises(ImportError, match=f"no LAPACK extension _flapack in {where}$"):
+        admm._lapack.__wrapped__()

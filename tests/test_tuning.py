@@ -102,6 +102,16 @@ class TestCrossValidate:
         with pytest.raises(ValueError):
             grid_search(ds, one_config(1000), k=1, seed=0)
 
+    def test_empty_test_set_is_rejected_before_any_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking the test set")
+
+        monkeypatch.setattr(tuning, "train", no_solve)
+        ds = gaussian_clusters(10, seed=0)
+        empty = Dataset(np.empty((0, ds.n)), np.empty(0))
+        with pytest.raises(ValueError, match="nonempty test set"):
+            grid_search(ds, one_config(50), k=2, seed=0, test_ds=empty)
+
     def test_single_class_fold_still_scores(self):
         # both folds end up single-class; training must not error
         base = gaussian_clusters(4, seed=1, center=4.0)
@@ -289,7 +299,7 @@ class TestFlipExperiment:
             capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["pools", "1", "rows", "3", "scipy.linalg", "False"]
+        assert done.stdout.split() == ["pools", "1", "rows", "3", "lapack", "False"]
 
 
 _ONE_POOL_PROBE = """
@@ -313,7 +323,7 @@ grid = Grid(c_values=(0.5, 1.0), delta_values=(1.0,), v_values=(1.0,), K=100)
 rows = flip_experiment(gaussian_clusters(30, seed=1, center=2.0),
                        gaussian_clusters(10, seed=2, center=2.0),
                        grid, rates=[0.05, 0.15], seed=3, k=3, parallelism=2)
-print("pools", len(pools), "rows", len(rows), "scipy.linalg", "scipy.linalg" in sys.modules)
+print("pools", len(pools), "rows", len(rows), "lapack", "scipy.linalg._flapack" in sys.modules)
 """
 
 
