@@ -311,14 +311,24 @@ def _check_fits(what: str, floats: int, error: type[ValueError]) -> None:
 def _dataset(most_rows: int, blocks) -> Dataset:
     """Scatter each block of at least one into a dense matrix of ``most_rows``
     rows, as wide as the widest block so far, as soon as it is read; a larger
-    index copies it into a wider one, after checking that this fits in memory."""
-    X, m, labels = np.zeros((most_rows, 0)), 0, []
+    index copies it into a wider one, after checking that this fits in memory.
+
+    A matrix too large for memory is reported only after the remaining blocks
+    have been read, so that a text defect anywhere in the input comes first,
+    however the input was cut into blocks."""
+    X, m, labels, too_large = np.zeros((most_rows, 0)), 0, [], None
     for rows in blocks:
+        if too_large is not None:
+            continue
         labels.append(np.asarray(rows.labels, dtype=np.float64))
         n = max(X.shape[1], rows.max_index + 1)
         if n > X.shape[1]:
             shape = f"dense matrix of m={most_rows} rows and n={n} features"
-            _check_fits(shape, most_rows * n, ParseError)
+            try:
+                _check_fits(shape, most_rows * n, ParseError)
+            except ParseError as exc:
+                too_large = exc
+                continue
             wider = np.zeros((most_rows, n))
             wider[:m, : X.shape[1]] = X[:m]
             X = wider
@@ -328,6 +338,8 @@ def _dataset(most_rows: int, blocks) -> Dataset:
         # an explicit -0 reads +0, as a sum into zeros would
         X.ravel()[at] = np.asarray(rows.data, dtype=np.float64) + 0.0
         m += k
+    if too_large is not None:
+        raise too_large
     return Dataset(X[:m], np.concatenate(labels))
 
 
@@ -345,7 +357,9 @@ def parse_libsvm(text: str | bytes) -> Dataset:
 
     The matrix is dense and filled while the input is read, in chunks of
     about 256 KiB cut at line ends. One larger than physical memory, sized at
-    one row per line, is an error as soon as a chunk needs it.
+    one row per line, is never allocated: it is a ParseError once the rest of
+    the input has been read without a defect, so the error does not depend
+    on where the chunks are cut.
 
     A chunk whose lines all fit the common grammar of ``_read_fields`` is
     parsed in numpy, bit for bit as ``float`` reads it. A per-line reader

@@ -4,10 +4,11 @@
 All configurations inside one grid search share a single fold plan. A
 command is a list of (rate, fold seed, config, fold) tasks, then one task per
 final fit, all run by one set of processes: the calling process at
-parallelism 1, else one pool of forked workers, which build each rate's
-scaled folds themselves and keep only the last ones. Results are put back in
-task order, so a search differs across parallelism degrees only in wall
-time, never in output.
+parallelism 1, else one pool of forked workers. Every task is one
+``fit_full``: a CV task flips the labels of its rate, cuts its fold, then
+scales by the fold's training part, trains and scores the held-out part; no
+fold outlives its task. Results are put back in task order, so a search
+differs across parallelism degrees only in wall time, never in output.
 """
 
 from __future__ import annotations
@@ -98,37 +99,24 @@ def default_grid() -> Grid:
     return Grid(c_values=STOCK_POWERS, delta_values=STOCK_POWERS, v_values=STOCK_V_VALUES)
 
 
-def _scaled_folds(ds: Dataset, plan: FoldPlan):
-    """Per-fold (train, heldout) datasets, scaled by the train portion only."""
-    folds = []
-    for fold in range(plan.k):
-        test_idx, train_idx = plan.fold_indices(fold)
-        tr, te = subset(ds, train_idx), subset(ds, test_idx)
-        smap = fit_scaling(tr)
-        folds.append((apply_scaling(tr, smap), apply_scaling(te, smap)))
-    return folds
+def fit_full(train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig):
+    """Scale by the full training split, train, and score the test split.
 
-
-def _score_folds(folds, cfg: TrainConfig):
-    accs = np.empty(len(folds))
-    converged = 0
-    for i, (tr, te) in enumerate(folds):
-        mdl, diag = train(tr, cfg)
-        accs[i] = accuracy(mdl, te)
-        converged += int(diag.converged)
-    return accs, converged
+    Returns (model, diagnostics, test_accuracy).
+    """
+    smap = fit_scaling(train_ds)
+    mdl, diag = train(apply_scaling(train_ds, smap), cfg)
+    return mdl, diag, accuracy(mdl, apply_scaling(test_ds, smap))
 
 
 # What a task reads: (train set, test set, k, flip seed), set once per pool by
-# the initializer, or in the calling process at parallelism 1; and the
-# (rate, fold seed, scaled folds) of the last CV task.
+# the initializer, or in the calling process at parallelism 1.
 _SOURCE = None
-_FOLDS = None
 
 
 def _init_worker(*source):
-    global _SOURCE, _FOLDS
-    _SOURCE, _FOLDS = source, None
+    global _SOURCE
+    _SOURCE = source
 
 
 def _labels(rate):
@@ -136,30 +124,21 @@ def _labels(rate):
     return flip_labels(train_ds, rate, seed) if rate > 0.0 else train_ds
 
 
-def _cv_task(task):
-    """Score one (rate, fold seed, config, fold index) task on its fold alone.
+def _score_folds(task):
+    """``fit_full`` of one (rate, fold seed, config, fold index) task: train
+    on the fold's training part and score its held-out part.
 
-    The folds of a (rate, fold seed) pair are built on its first task; the
-    previous pair's folds are dropped first.
+    Returns (held-out accuracy, converged).
     """
-    global _FOLDS
     rate, fold_seed, cfg, fold = task
-    if _FOLDS is None or _FOLDS[:2] != (rate, fold_seed):
-        _FOLDS = None
-        ds = _labels(rate)
-        plan = kfold_plan(ds.m, _SOURCE[2], fold_seed)
-        _FOLDS = (rate, fold_seed, _scaled_folds(ds, plan))
-    return _score_folds([_FOLDS[2][fold]], cfg)
+    ds = _labels(rate)
+    test_idx, train_idx = kfold_plan(ds.m, _SOURCE[2], fold_seed).fold_indices(fold)
+    _, diag, acc = fit_full(subset(ds, train_idx), subset(ds, test_idx), cfg)
+    return acc, diag.converged
 
 
 def _fit_task(task):
-    """``fit_full`` of one (rate, config) task on the test set.
-
-    Fits come after every CV task, so the folds are dropped first and do not
-    add to the fit's peak memory.
-    """
-    global _FOLDS
-    _FOLDS = None
+    """``fit_full`` of one (rate, config) task on the test set."""
     rate, cfg = task
     return fit_full(_labels(rate), _SOURCE[1], cfg)
 
@@ -178,7 +157,7 @@ def _tasks(train_ds, test_ds, k, seed, parallelism, n_cv_tasks):
         try:
             yield lambda fn, tasks: list(map(fn, tasks))
         finally:
-            _init_worker()  # drop the datasets and folds
+            _init_worker()  # drop the datasets
         return
     # loading the process pool takes about 20 ms, which a serial run need
     # not pay
@@ -217,22 +196,14 @@ class CvResult:
         return float(self.mean_accuracies[self.best_index])
 
 
-def _pick_best(configs, means) -> int:
-    # max mean accuracy; ties prefer smaller C, then delta, then v, then eps
-    keys = [
-        (-means[i], cfg.C, cfg.delta, cfg.slide.v, cfg.slide.epsilon)
-        for i, cfg in enumerate(configs)
-    ]
-    return min(range(len(configs)), key=keys.__getitem__)
-
-
 def _cv_result(configs, plan: FoldPlan, scores) -> CvResult:
     """Assemble config-major (config, fold) task scores into a CvResult."""
-    fold_accs = np.concatenate([accs for accs, _ in scores]).reshape(len(configs), plan.k)
+    fold_accs = np.array([acc for acc, _ in scores]).reshape(len(configs), plan.k)
     converged = np.array([conv for _, conv in scores], dtype=np.int64)
     converged = converged.reshape(len(configs), plan.k).sum(axis=1)
     means = fold_accs.mean(axis=1)
-    return CvResult(configs, fold_accs, means, converged, _pick_best(configs, means), plan)
+    # ties go to the earliest config, the smallest (C, delta, v, epsilon)
+    return CvResult(configs, fold_accs, means, converged, int(np.argmax(means)), plan)
 
 
 def grid_search(
@@ -263,11 +234,11 @@ def grid_search(
     plan = kfold_plan(ds.m, k, seed)
     tasks = [(0.0, seed, cfg, fold) for cfg in configs for fold in range(k)]
     with _tasks(ds, test_ds, k, seed, parallelism, len(tasks)) as run:
-        result = _cv_result(configs, plan, run(_cv_task, tasks))
+        result = _cv_result(configs, plan, run(_score_folds, tasks))
         if test_ds is not None:
             [result.test] = run(_fit_task, [(0.0, result.best)])
         elif repeats:
-            scores = run(_cv_task, [
+            scores = run(_score_folds, [
                 (0.0, seed + r, result.best, fold) for r in range(1, repeats) for fold in range(k)
             ])
             accs = np.vstack([
@@ -276,16 +247,6 @@ def grid_search(
             ])
             result.repeated = np.array([float(row.mean()) for row in accs])
     return result
-
-
-def fit_full(train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig):
-    """Scale by the full training split, train, and score the test split.
-
-    Returns (model, diagnostics, test_accuracy).
-    """
-    smap = fit_scaling(train_ds)
-    mdl, diag = train(apply_scaling(train_ds, smap), cfg)
-    return mdl, diag, accuracy(mdl, apply_scaling(test_ds, smap))
 
 
 @dataclass(frozen=True)
@@ -327,7 +288,7 @@ def flip_experiment(
     ]
     n = len(configs) * k
     with _tasks(train_ds, test_ds, k, seed, parallelism, len(tasks)) as run:
-        scores = run(_cv_task, tasks)
+        scores = run(_score_folds, tasks)
         results = [_cv_result(configs, plan, scores[i * n:(i + 1) * n])
                    for i in range(len(all_rates))]
         fits = run(_fit_task, [(rate, r.best) for rate, r in zip(all_rates, results)])

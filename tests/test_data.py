@@ -111,14 +111,20 @@ class TestParseLibsvm:
         assert parse_libsvm(text.replace("1000:", "100:")).X.shape == (11, 100)
 
     def test_size_is_checked_when_a_chunk_needs_it(self, small_memory, monkeypatch):
-        text = "+1 1234567890:1\n-1 x\n"
-        # in one chunk with the wide row, a later defect is read first ...
-        with pytest.raises(ParseError, match="^line 2: malformed token"):
-            parse_libsvm(text)
-        # ... and in a later chunk it is never reached
-        monkeypatch.setattr(data, "_CHUNK_BYTES", 16)
-        with pytest.raises(ParseError, match="^dense matrix of m=2 rows and n=1234567890"):
-            parse_libsvm(text)
+        # a matrix too large is reported only when no defect follows, whether
+        # the defect shares the wide row's chunk or lies in a later one; the
+        # second text is a case hypothesis found at one byte per chunk
+        cases = [
+            ("+1 1234567890:1\n-1 x\n", "line 2: malformed token 'x'"),
+            ("+1 1234567890:0.0\n2", "line 2: unmappable label '2' (need -1, 0, or +1)"),
+            ("+1 1234567890:1\n-1 1:1\n", "dense matrix of m=2 rows and n=1234567890 features "
+             "needs 19753086240 bytes, more than the 1048576 bytes of memory"),
+        ]
+        for text, message in cases:
+            for chunk in (1, 16, 1 << 18):
+                monkeypatch.setattr(data, "_CHUNK_BYTES", chunk)
+                assert parse_outcome(text) == ("error", "ParseError", message)
+                assert per_line_outcome(text) == ("error", "ParseError", message)
 
     def test_comments_and_blank_lines(self):
         ds = parse_libsvm("\n# full comment\n+1 1:2.0  # trailing\n\n-1 1:1.0\n")

@@ -10,9 +10,9 @@ from oracles import cross_validate, repeat_cv
 
 import slidesvm
 from slidesvm import tuning
-from slidesvm.data import Dataset, gaussian_clusters, kfold_plan
+from slidesvm.data import Dataset, flip_labels, gaussian_clusters, kfold_plan
 from slidesvm.loss import SlideParams
-from slidesvm.tuning import Grid, default_grid, fit_full, flip_experiment, grid_search
+from slidesvm.tuning import FlipRow, Grid, default_grid, fit_full, flip_experiment, grid_search
 
 SMALL_GRID = Grid(
     c_values=(0.5, 1.0),
@@ -276,19 +276,21 @@ class TestFlipExperiment:
         assert [r.rate for r in runs[0]] == [0.0, 0.05, 0.15]
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
-    def test_serial_run_builds_each_rates_folds_once(self, monkeypatch):
-        calls = []
-        build = tuning._scaled_folds
-
-        def counting(ds, plan):
-            calls.append(plan.seed)
-            return build(ds, plan)
-
-        monkeypatch.setattr(tuning, "_scaled_folds", counting)
-        train_ds = gaussian_clusters(30, seed=32, center=3.0)
-        test_ds = gaussian_clusters(10, seed=33, center=3.0)
-        flip_experiment(train_ds, test_ds, ODD_GRID, rates=[0.05, 0.15], seed=2, k=3)
-        assert calls == [2, 2, 2]
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_flipped_rows_equal_a_search_and_fit_on_flipped_labels(self, parallelism):
+        train_ds = gaussian_clusters(40, seed=37, center=1.5)
+        test_ds = gaussian_clusters(20, seed=38, center=1.5)
+        rows = flip_experiment(train_ds, test_ds, SMALL_GRID, rates=[0.1, 0.25], seed=5, k=4,
+                               parallelism=parallelism)
+        assert [r.rate for r in rows] == [0.0, 0.1, 0.25]
+        for row in rows[1:]:
+            flipped = flip_labels(train_ds, row.rate, 5)
+            result = grid_search(flipped, SMALL_GRID, k=4, seed=5)
+            _, diag, acc = fit_full(flipped, test_ds, result.best)
+            assert row == FlipRow(row.rate, result.best, result.best_accuracy, acc,
+                                  diag.converged)
+        # the flips reach the search: each rate scores differently
+        assert len({r.cv_accuracy for r in rows}) == len(rows)
 
     def test_parallel_run_solves_nothing_in_the_calling_process(self):
         # one pool serves every rate's search and every final fit, so the
