@@ -47,7 +47,6 @@ from .tuning import (
     CvResult,
     Grid,
     default_grid,
-    flip_experiment,
     grid_search,
 )
 
@@ -84,6 +83,5 @@ __all__ = [
     "Grid",
     "CvResult",
     "default_grid",
-    "flip_experiment",
     "grid_search",
 ]

@@ -27,13 +27,7 @@ from .model import (
     predict_dataset,
     save_model,
 )
-from .tuning import (
-    STOCK_POWERS,
-    STOCK_V_VALUES,
-    Grid,
-    flip_experiment,
-    grid_search,
-)
+from .tuning import STOCK_POWERS, STOCK_V_VALUES, Grid, grid_search
 
 
 class CliError(Exception):
@@ -182,7 +176,7 @@ def cmd_grid(args) -> int:
     if args.test:
         test_ds = _read_dataset(args.test)
         ds, test_ds = align_features(ds, test_ds)
-    result = grid_search(
+    [result] = grid_search(
         ds, grid, k=args.folds, seed=args.seed, parallelism=args.parallel,
         test_ds=test_ds, repeats=args.repeats,
     )
@@ -231,29 +225,25 @@ def cmd_flip(args) -> int:
     ds = _read_dataset(args.data)
     test_ds = _read_dataset(args.test)
     ds, test_ds = align_features(ds, test_ds)
-    rows = flip_experiment(
-        ds,
-        test_ds,
-        grid,
-        rates=args.rates,
-        seed=args.seed,
-        k=args.folds,
-        parallelism=args.parallel,
+    results = grid_search(
+        ds, grid, k=args.folds, seed=args.seed, parallelism=args.parallel,
+        rates=args.rates, test_ds=test_ds,
     )
-    for row in rows:
+    rows = []
+    for result in results:
+        best = result.best
+        _, diag, test_acc = result.test
         print(
-            f"rate {row.rate:g}: test accuracy {row.test_accuracy:.4f} "
-            f"(C={row.config.C!r} delta={row.config.delta!r} v={row.config.slide.v!r})"
+            f"rate {result.rate:g}: test accuracy {test_acc:.4f} "
+            f"(C={best.C!r} delta={best.delta!r} v={best.slide.v!r})"
         )
+        rows.append([result.rate, *_config_cells(best), result.best_accuracy, test_acc,
+                     int(diag.converged)])
     if args.out:
         _write_csv(
             args.out,
             ["rate", "C", "delta", "v", "epsilon", "cv_acc", "test_acc", "converged"],
-            (
-                [row.rate, *_config_cells(row.config), row.cv_accuracy,
-                 row.test_accuracy, int(row.converged)]
-                for row in rows
-            ),
+            rows,
         )
     return 0
 

@@ -154,7 +154,7 @@ _CLASS[[ord(" "), ord("\t")]] = _BLANK
 _CLASS[ord("\n")] = _NEWLINE
 
 _POW10_INT = 10 ** np.arange(15, dtype=np.uint64)
-_CHUNK_BYTES = 1 << 18
+_CHUNK_BYTES = 1 << 17
 
 
 def _integers(digit, ends, length):
@@ -356,7 +356,7 @@ def parse_libsvm(text: str | bytes) -> Dataset:
     (nan, inf, or a literal like 1e400 that overflows), or a non-UTF-8 byte.
 
     The matrix is dense and filled while the input is read, in chunks of
-    about 256 KiB cut at line ends. One larger than physical memory, sized at
+    about 128 KiB cut at line ends. One larger than physical memory, sized at
     one row per line, is never allocated: it is a ParseError once the rest of
     the input has been read without a defect, so the error does not depend
     on where the chunks are cut.

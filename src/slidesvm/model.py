@@ -261,5 +261,14 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_model(fh.read())
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(
+            f"byte 0x{raw[exc.start]:02x} at offset {exc.start} is not UTF-8"
+        ) from None
+    # splitlines in loads_model takes CRLF and CR as text mode's newline
+    # translation would
+    return loads_model(text)

@@ -1,14 +1,16 @@
-"""Hyperparameter tuning: k-fold cross-validation, grid search over
-(C, delta, v), and the label-flip robustness driver.
+"""Hyperparameter tuning: k-fold cross-validation and grid search over
+(C, delta, v), on the clean training labels and on labels flipped at given
+rates, the paper's label-noise robustness protocol.
 
-All configurations inside one grid search share a single fold plan. A
-command is a list of (rate, fold seed, config, fold) tasks, then one task per
-final fit, all run by one set of processes: the calling process at
-parallelism 1, else one pool of forked workers. Every task is one
-``fit_full``: a CV task flips the labels of its rate, cuts its fold, then
-scales by the fold's training part, trains and scores the held-out part; no
-fold outlives its task. Results are put back in task order, so a search
-differs across parallelism degrees only in wall time, never in output.
+All configurations and rates inside one grid search share a single fold
+plan. A search is a list of (rate, fold seed, config, fold) tasks, then one
+task per final fit or repeated fold, all run by one set of processes: the
+calling process at parallelism 1, else one pool of forked workers. Every
+task is one ``fit_full``: a CV task flips the labels of its rate, cuts its
+fold, then scales by the fold's training part, trains and scores the
+held-out part; no fold outlives its task. Results are put back in task
+order, so a search differs across parallelism degrees only in wall time,
+never in output.
 """
 
 from __future__ import annotations
@@ -26,12 +28,10 @@ from .model import accuracy
 __all__ = [
     "Grid",
     "CvResult",
-    "FlipRow",
     "STOCK_POWERS",
     "STOCK_V_VALUES",
     "default_grid",
     "grid_search",
-    "flip_experiment",
     "fit_full",
 ]
 
@@ -173,16 +173,18 @@ def _tasks(train_ds, test_ds, k, seed, parallelism, n_cv_tasks):
 
 @dataclass
 class CvResult:
-    """Grid-search outcome: per-config scores on one shared fold plan, and
-    the winner's score on a test set or over repeated fold seeds when asked."""
+    """Grid-search outcome at one flip rate: per-config scores on one shared
+    fold plan, and the winner's score on a test set or over repeated fold
+    seeds when asked."""
 
+    rate: float
     configs: list[TrainConfig]
     fold_accuracies: np.ndarray = field(repr=False)  # (n_configs, k)
     mean_accuracies: np.ndarray = field(repr=False)
     converged_folds: np.ndarray = field(repr=False)
     best_index: int
     fold_plan: FoldPlan = field(repr=False)
-    # fit_full(ds, test_ds, best): (model, diagnostics, test accuracy)
+    # fit_full(ds at this rate, test_ds, best): (model, diagnostics, test accuracy)
     test: tuple | None = field(default=None, repr=False)
     # the winner's mean CV accuracy at fold seeds seed, seed+1, ...
     repeated: np.ndarray | None = field(default=None, repr=False)
@@ -196,14 +198,20 @@ class CvResult:
         return float(self.mean_accuracies[self.best_index])
 
 
-def _cv_result(configs, plan: FoldPlan, scores) -> CvResult:
+def _split(scores: list, parts: int) -> list[list]:
+    """``scores`` cut into ``parts`` equal consecutive runs."""
+    n = len(scores) // parts
+    return [scores[i * n:(i + 1) * n] for i in range(parts)]
+
+
+def _cv_result(rate, configs, plan: FoldPlan, scores) -> CvResult:
     """Assemble config-major (config, fold) task scores into a CvResult."""
     fold_accs = np.array([acc for acc, _ in scores]).reshape(len(configs), plan.k)
     converged = np.array([conv for _, conv in scores], dtype=np.int64)
     converged = converged.reshape(len(configs), plan.k).sum(axis=1)
     means = fold_accs.mean(axis=1)
     # ties go to the earliest config, the smallest (C, delta, v, epsilon)
-    return CvResult(configs, fold_accs, means, converged, int(np.argmax(means)), plan)
+    return CvResult(rate, configs, fold_accs, means, converged, int(np.argmax(means)), plan)
 
 
 def grid_search(
@@ -213,92 +221,53 @@ def grid_search(
     seed: int,
     parallelism: int = 1,
     *,
+    rates=(),
     test_ds: Dataset | None = None,
     repeats: int = 0,
-) -> CvResult:
-    """Cross-validate every grid configuration on one shared fold plan.
+) -> list[CvResult]:
+    """Cross-validate every grid configuration on one shared fold plan, on
+    the clean labels and on the labels flipped at each of ``rates``.
 
-    Each (config, fold) pair is one task, and workers take them one at a
-    time in config-major order, so a costly config spreads over every
-    worker. Results are assembled in config order, so the outcome is
+    Returns one result per rate of ``[0.0]`` and the nonzero ``rates`` in
+    order; the labels of rate r are ``flip_labels(ds, r, seed)``. Each
+    (rate, config, fold) triple is one task, and workers take them one at a
+    time in rate-major, then config-major order, so a costly config spreads
+    over every worker. Results are assembled in task order, so the outcome is
     identical for any parallelism degree.
 
-    With ``test_ds``, the winner is then refit by ``fit_full`` (``test``);
-    otherwise, with ``repeats``, it is cross-validated at fold seeds seed,
-    seed+1, ... (``repeated``). Fold seed ``seed`` reuses the search's own
-    scores; the other fold seeds run on the same processes as the search.
+    With ``test_ds``, each rate's winner is then refit by ``fit_full`` on
+    that rate's labels (``test``); otherwise, with ``repeats``, it is
+    cross-validated at fold seeds seed, seed+1, ... (``repeated``). Fold seed
+    ``seed`` reuses the search's own scores; the other fold seeds run on the
+    same processes as the search.
     """
     if test_ds is not None and test_ds.m == 0:
         raise ValueError("grid search needs a nonempty test set")
-    configs = grid.configs()
-    plan = kfold_plan(ds.m, k, seed)
-    tasks = [(0.0, seed, cfg, fold) for cfg in configs for fold in range(k)]
-    with _tasks(ds, test_ds, k, seed, parallelism, len(tasks)) as run:
-        result = _cv_result(configs, plan, run(_score_folds, tasks))
-        if test_ds is not None:
-            [result.test] = run(_fit_task, [(0.0, result.best)])
-        elif repeats:
-            scores = run(_score_folds, [
-                (0.0, seed + r, result.best, fold) for r in range(1, repeats) for fold in range(k)
-            ])
-            accs = np.vstack([
-                result.fold_accuracies[result.best_index],
-                np.array([a for a, _ in scores]).reshape(repeats - 1, k),
-            ])
-            result.repeated = np.array([float(row.mean()) for row in accs])
-    return result
-
-
-@dataclass(frozen=True)
-class FlipRow:
-    rate: float
-    config: TrainConfig
-    cv_accuracy: float
-    test_accuracy: float
-    converged: bool
-
-
-def flip_experiment(
-    train_ds: Dataset,
-    test_ds: Dataset,
-    grid: Grid,
-    rates,
-    seed: int,
-    k: int = 10,
-    parallelism: int = 1,
-) -> list[FlipRow]:
-    """Label-noise robustness protocol.
-
-    For the clean baseline and each flip rate: corrupt the training labels
-    with a seeded flip, grid-search on the corrupted training set, retrain the
-    winning config on the full corrupted training set, and score the untouched
-    test set. The rate-0 row is always included. Every rate's search runs as
-    one task list, and the final fits after it, on the same processes.
-    """
-    if test_ds.m == 0:
-        raise ValueError("flip experiment needs a nonempty test set")
     for rate in rates:
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"flip rate must be in [0, 1], got {rate}")
     all_rates = [0.0] + [float(r) for r in rates if r != 0.0]
     configs = grid.configs()
-    plan = kfold_plan(train_ds.m, k, seed)
+    plan = kfold_plan(ds.m, k, seed)
     tasks = [
         (rate, seed, cfg, fold) for rate in all_rates for cfg in configs for fold in range(k)
     ]
-    n = len(configs) * k
-    with _tasks(train_ds, test_ds, k, seed, parallelism, len(tasks)) as run:
-        scores = run(_score_folds, tasks)
-        results = [_cv_result(configs, plan, scores[i * n:(i + 1) * n])
-                   for i in range(len(all_rates))]
-        fits = run(_fit_task, [(rate, r.best) for rate, r in zip(all_rates, results)])
-    return [
-        FlipRow(
-            rate=rate,
-            config=result.best,
-            cv_accuracy=result.best_accuracy,
-            test_accuracy=test_acc,
-            converged=diag.converged,
-        )
-        for rate, result, (_, diag, test_acc) in zip(all_rates, results, fits)
-    ]
+    with _tasks(ds, test_ds, k, seed, parallelism, len(tasks)) as run:
+        scores = _split(run(_score_folds, tasks), len(all_rates))
+        results = [_cv_result(r, configs, plan, part) for r, part in zip(all_rates, scores)]
+        if test_ds is not None:
+            fits = run(_fit_task, [(r.rate, r.best) for r in results])
+            for result, fit in zip(results, fits):
+                result.test = fit
+        elif repeats:
+            scores = run(_score_folds, [
+                (r.rate, seed + rep, r.best, fold)
+                for r in results for rep in range(1, repeats) for fold in range(k)
+            ])
+            for result, part in zip(results, _split(scores, len(results))):
+                accs = np.vstack([
+                    result.fold_accuracies[result.best_index],
+                    np.array([a for a, _ in part]).reshape(repeats - 1, k),
+                ])
+                result.repeated = np.array([float(row.mean()) for row in accs])
+    return results

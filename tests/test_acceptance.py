@@ -38,7 +38,7 @@ from slidesvm.cli import main as cli_main
 from slidesvm.data import Dataset, align_features, gaussian_clusters, parse_libsvm
 from slidesvm.loss import SlideParams, prox_slide_vector, slide_loss
 from slidesvm.model import decision_values
-from slidesvm.tuning import default_grid, fit_full, flip_experiment
+from slidesvm.tuning import default_grid, fit_full, grid_search
 
 
 
@@ -120,29 +120,29 @@ def _splice_runs():
         test_ds = parse_libsvm(fh.read())
     train_ds, test_ds = align_features(train_ds, test_ds)
     assert (train_ds.m, test_ds.m) == (1000, 2175)
-    rows = flip_experiment(
+    rows = grid_search(
         train_ds,
-        test_ds,
         default_grid(),
-        rates=[0.05, 0.15],
-        seed=0,
         k=10,
+        seed=0,
         parallelism=NCPU,
+        rates=[0.05, 0.15],
+        test_ds=test_ds,
     )
-    clean_model, clean_diag, clean_acc = fit_full(train_ds, test_ds, rows[0].config)
+    clean_model, clean_diag, _ = rows[0].test
     return rows, clean_model, clean_diag, train_ds, test_ds
 
 
 def test_criterion_3_splice_accuracy():
     rows, _, _, _, _ = _splice_runs()
-    acc = rows[0].test_accuracy
+    acc = rows[0].test[2]
     _report("3", acc >= 0.825, f"splice test accuracy {acc:.4f} >= 0.825")
 
 
 def test_criterion_4_splice_flip_robustness():
     rows, _, _, _, _ = _splice_runs()
-    clean = rows[0].test_accuracy
-    drifts = {row.rate: abs(row.test_accuracy - clean) for row in rows[1:]}
+    clean = rows[0].test[2]
+    drifts = {row.rate: abs(row.test[2] - clean) for row in rows[1:]}
     ok = all(d <= 0.03 for d in drifts.values())
     detail = ", ".join(f"r={r:g}: drift {d:.4f}" for r, d in sorted(drifts.items()))
     _report("4", ok, f"clean {clean:.4f}; {detail} (allowed 0.03)")
@@ -159,9 +159,7 @@ def test_leukemia_stretch_run():
         test_ds = parse_libsvm(fh.read())
     train_ds, test_ds = align_features(train_ds, test_ds)
     assert (train_ds.m, test_ds.m) == (38, 34)
-    from slidesvm.tuning import grid_search
-
-    result = grid_search(train_ds, default_grid(), k=10, seed=0, parallelism=NCPU)
+    [result] = grid_search(train_ds, default_grid(), k=10, seed=0, parallelism=NCPU)
     _, _, acc = fit_full(train_ds, test_ds, result.best)
     # one test sample is 1/34 of accuracy
     band = 1.0 / 34.0 + 1e-12
@@ -214,7 +212,7 @@ def test_criterion_5_splice_reconstruction():
     scaled_train = apply_scaling(train_ds, smap)
     scaled_test = apply_scaling(test_ds, smap)
     assert _reconstruction_agrees(
-        scaled_train, clean_model, rows[0].config.tol, scaled_test
+        scaled_train, clean_model, rows[0].best.tol, scaled_test
     )
     assert clean_model.support.size < scaled_train.m
 

@@ -289,6 +289,31 @@ class TestEvalCommand:
         assert run(["eval", "--model", model_path, "--data", other]) == 1
         assert "line 2: malformed token '1:x'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("at", [0, 40])
+    def test_model_byte_that_is_not_utf8_fails_with_its_path(self, data_files, tmp_path,
+                                                            capsys, at):
+        train, test = data_files
+        model_path = tmp_path / "m.txt"
+        run(["train", "--data", train, "--eps", "0.1", "--out", model_path])
+        raw = model_path.read_bytes()
+        model_path.write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
+        capsys.readouterr()
+        assert run(["eval", "--model", model_path, "--data", test]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {model_path}: byte 0xff at offset {at} is not UTF-8\n"
+        assert captured.out == ""
+
+    def test_crlf_model_file_loads(self, data_files, tmp_path, capsys):
+        train, test = data_files
+        model_path = tmp_path / "m.txt"
+        run(["train", "--data", train, "--eps", "0.1", "--out", model_path])
+        capsys.readouterr()
+        assert run(["eval", "--model", model_path, "--data", test]) == 0
+        expected = capsys.readouterr().out
+        model_path.write_bytes(model_path.read_bytes().replace(b"\n", b"\r\n"))
+        assert run(["eval", "--model", model_path, "--data", test]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_non_finite_model_fails(self, data_files, tmp_path, capsys):
         train, test = data_files
         model_path = tmp_path / "m.txt"
@@ -367,7 +392,7 @@ class TestGridCommand:
                     "--c-values", "0.5,1.0", "--delta-values", "1.0", "--v-values", "0.3,1.0",
                     "--max-iter", "200", "--out", out]) == 0
         grid = Grid(c_values=(0.5, 1.0), delta_values=(1.0,), v_values=(0.3, 1.0), K=200)
-        result = grid_search(parse_libsvm(train.read_bytes()), grid, k=3, seed=4)
+        [result] = grid_search(parse_libsvm(train.read_bytes()), grid, k=3, seed=4)
         rows = read_csv(out)[1:-1]
         assert [float(row[4]) for row in rows] == result.mean_accuracies.tolist()
         assert [

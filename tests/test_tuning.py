@@ -12,7 +12,7 @@ import slidesvm
 from slidesvm import tuning
 from slidesvm.data import Dataset, flip_labels, gaussian_clusters, kfold_plan
 from slidesvm.loss import SlideParams
-from slidesvm.tuning import FlipRow, Grid, default_grid, fit_full, flip_experiment, grid_search
+from slidesvm.tuning import Grid, default_grid, fit_full, grid_search
 
 SMALL_GRID = Grid(
     c_values=(0.5, 1.0),
@@ -82,19 +82,19 @@ def one_config(K):
 class TestCrossValidate:
     def test_separable_data_scores_one(self):
         ds = gaussian_clusters(60, seed=10, center=4.0)
-        result = grid_search(ds, one_config(300), k=5, seed=3)
+        [result] = grid_search(ds, one_config(300), k=5, seed=3)
         assert result.best_accuracy == 1.0 and np.all(result.fold_accuracies == 1.0)
 
     def test_deterministic(self):
         ds = gaussian_clusters(40, seed=11, center=1.0)
-        a = grid_search(ds, one_config(200), k=4, seed=9)
-        b = grid_search(ds, one_config(200), k=4, seed=9)
+        [a] = grid_search(ds, one_config(200), k=4, seed=9)
+        [b] = grid_search(ds, one_config(200), k=4, seed=9)
         assert a.mean_accuracies.tobytes() == b.mean_accuracies.tobytes()
         assert a.fold_accuracies.tobytes() == b.fold_accuracies.tobytes()
 
     def test_two_folds_of_two(self):
         ds = gaussian_clusters(4, seed=12, center=4.0)
-        result = grid_search(ds, one_config(50), k=2, seed=0)
+        [result] = grid_search(ds, one_config(50), k=2, seed=0)
         assert result.fold_accuracies.shape == (1, 2)
 
     def test_rejects_k_below_two(self):
@@ -116,12 +116,12 @@ class TestCrossValidate:
         # both folds end up single-class; training must not error
         base = gaussian_clusters(4, seed=1, center=4.0)
         ds = Dataset(base.X, np.ones(base.m))
-        result = grid_search(ds, one_config(50), k=2, seed=0)
+        [result] = grid_search(ds, one_config(50), k=2, seed=0)
         assert 0.0 <= result.best_accuracy <= 1.0
 
     def test_every_config_scores_as_the_serial_reference(self):
         ds = gaussian_clusters(40, seed=17, center=1.5)
-        result = grid_search(ds, SMALL_GRID, k=4, seed=8)
+        [result] = grid_search(ds, SMALL_GRID, k=4, seed=8)
         for cfg, accs in zip(result.configs, result.fold_accuracies):
             assert accs.tobytes() == cross_validate(ds, cfg, k=4, seed=8).tobytes()
 
@@ -130,20 +130,20 @@ class TestGridSearch:
     def test_single_config_grid(self):
         ds = gaussian_clusters(40, seed=13, center=4.0)
         grid = Grid(c_values=(1.0,), delta_values=(1.0,), v_values=(1.0,), K=200)
-        result = grid_search(ds, grid, k=4, seed=2)
+        [result] = grid_search(ds, grid, k=4, seed=2)
         assert result.best == grid.configs()[0]
         assert result.fold_accuracies.shape == (1, 4)
 
     def test_shared_fold_plan_digest(self):
         ds = gaussian_clusters(40, seed=14, center=4.0)
-        result = grid_search(ds, SMALL_GRID, k=4, seed=5)
+        [result] = grid_search(ds, SMALL_GRID, k=4, seed=5)
         expected = kfold_plan(ds.m, 4, seed=5)
         assert np.array_equal(result.fold_plan.assignments, expected.assignments)
 
     def test_parallel_matches_serial_bytewise(self):
         ds = gaussian_clusters(48, seed=15, center=1.5)
-        serial = grid_search(ds, SMALL_GRID, k=4, seed=6, parallelism=1)
-        parallel = grid_search(ds, SMALL_GRID, k=4, seed=6, parallelism=4)
+        [serial] = grid_search(ds, SMALL_GRID, k=4, seed=6, parallelism=1)
+        [parallel] = grid_search(ds, SMALL_GRID, k=4, seed=6, parallelism=4)
         assert serial.configs == parallel.configs
         assert serial.fold_accuracies.tobytes() == parallel.fold_accuracies.tobytes()
         assert serial.mean_accuracies.tobytes() == parallel.mean_accuracies.tobytes()
@@ -166,7 +166,7 @@ class TestGridSearch:
     )
     def test_same_bytes_at_one_two_and_three_workers(self, grid, converged):
         ds = gaussian_clusters(48, seed=15, center=1.0)
-        runs = [grid_search(ds, grid, k=5, seed=6, parallelism=p) for p in (1, 2, 3)]
+        runs = [grid_search(ds, grid, k=5, seed=6, parallelism=p)[0] for p in (1, 2, 3)]
         if converged is not None:
             assert [cfg.thresholds.tie_point <= 1.0 for cfg in grid.configs()] == [
                 True, False, False, False
@@ -182,7 +182,7 @@ class TestGridSearch:
     def test_equal_accuracy_breaks_toward_smaller_c(self):
         ds = gaussian_clusters(40, seed=16, center=5.0)
         grid = Grid(c_values=(4.0, 0.25), delta_values=(1.0,), v_values=(1.0,), K=300)
-        result = grid_search(ds, grid, k=4, seed=7)
+        [result] = grid_search(ds, grid, k=4, seed=7)
         assert np.all(result.mean_accuracies == 1.0)
         assert result.best.C == 0.25
 
@@ -193,7 +193,7 @@ class TestGridSearch:
             c_values=(1.0,), delta_values=(1.0,), v_values=(0.5, 1.0),
             eps_values=(0.0,), K=300,
         )
-        result = grid_search(ds, grid, k=4, seed=9)
+        [result] = grid_search(ds, grid, k=4, seed=9)
         slides = [c.slide for c in result.configs]
         assert SlideParams(0.0, 1.0) in slides and SlideParams(0.0, 0.5) in slides
         assert result.fold_accuracies.shape == (2, 4)
@@ -202,7 +202,7 @@ class TestGridSearch:
 class TestRepeatCv:
     def test_deterministic_and_averaged(self):
         ds = gaussian_clusters(40, seed=19, center=2.0)
-        runs = [grid_search(ds, one_config(200), k=4, seed=11, repeats=3) for _ in range(2)]
+        runs = [grid_search(ds, one_config(200), k=4, seed=11, repeats=3)[0] for _ in range(2)]
         assert runs[0].repeated.tobytes() == runs[1].repeated.tobytes()
         assert runs[0].repeated.shape == (3,)
         # fold seed 11 is the search's own cross-validation
@@ -219,78 +219,104 @@ class TestRepeatCv:
 
         monkeypatch.setattr(tuning, "train", counting)
         ds = gaussian_clusters(40, seed=19, center=2.0)
-        result = grid_search(ds, SMALL_GRID, k=4, seed=11, repeats=3)
+        [result] = grid_search(ds, SMALL_GRID, k=4, seed=11, repeats=3)
         assert len(calls) == len(SMALL_GRID.configs()) * 4 + (3 - 1) * 4
         assert calls[-8:] == [result.best] * 8
+
+
+def flip_rows(results):
+    """The flip protocol's table: (rate, config, cv accuracy, test accuracy,
+    converged) per rate."""
+    return [
+        (r.rate, r.best, r.best_accuracy, r.test[2], r.test[1].converged) for r in results
+    ]
 
 
 class TestFlipExperiment:
     def test_zero_rate_equals_plain_pipeline(self):
         train_ds = gaussian_clusters(40, seed=20, center=3.0)
         test_ds = gaussian_clusters(30, seed=21, center=3.0)
-        rows = flip_experiment(train_ds, test_ds, SMALL_GRID, rates=[0.0], seed=4, k=4)
-        assert len(rows) == 1 and rows[0].rate == 0.0
-        result = grid_search(train_ds, SMALL_GRID, k=4, seed=4)
-        _, _, expected_acc = fit_full(train_ds, test_ds, result.best)
-        assert rows[0].config == result.best
-        assert rows[0].test_accuracy == expected_acc
+        results = grid_search(train_ds, SMALL_GRID, k=4, seed=4, rates=[0.0], test_ds=test_ds)
+        assert [r.rate for r in results] == [0.0]
+        [plain] = grid_search(train_ds, SMALL_GRID, k=4, seed=4)
+        _, _, expected_acc = fit_full(train_ds, test_ds, plain.best)
+        assert results[0].best == plain.best
+        assert results[0].fold_accuracies.tobytes() == plain.fold_accuracies.tobytes()
+        assert results[0].test[2] == expected_acc
 
     def test_table_has_baseline_plus_rates(self):
         train_ds = gaussian_clusters(40, seed=22, center=3.0)
         test_ds = gaussian_clusters(20, seed=23, center=3.0)
         grid = Grid(c_values=(1.0,), delta_values=(1.0,), v_values=(1.0,), K=200)
-        rows = flip_experiment(train_ds, test_ds, grid, rates=[0.05, 0.15], seed=5, k=4)
-        assert [r.rate for r in rows] == [0.0, 0.05, 0.15]
+        results = grid_search(train_ds, grid, k=4, seed=5, rates=[0.05, 0.15], test_ds=test_ds)
+        assert [r.rate for r in results] == [0.0, 0.05, 0.15]
 
     def test_deterministic(self):
         train_ds = gaussian_clusters(30, seed=24, center=3.0)
         test_ds = gaussian_clusters(20, seed=25, center=3.0)
         grid = Grid(c_values=(1.0,), delta_values=(1.0,), v_values=(1.0,), K=200)
-        a = flip_experiment(train_ds, test_ds, grid, rates=[0.1], seed=6, k=3)
-        b = flip_experiment(train_ds, test_ds, grid, rates=[0.1], seed=6, k=3)
-        assert a == b
+        a = grid_search(train_ds, grid, k=3, seed=6, rates=[0.1], test_ds=test_ds)
+        b = grid_search(train_ds, grid, k=3, seed=6, rates=[0.1], test_ds=test_ds)
+        assert flip_rows(a) == flip_rows(b)
 
     def test_parallel_rows_equal_serial_rows(self):
         train_ds = gaussian_clusters(40, seed=28, center=1.5)
         test_ds = gaussian_clusters(20, seed=29, center=1.5)
-        serial = flip_experiment(train_ds, test_ds, SMALL_GRID, rates=[0.1], seed=3, k=4)
-        parallel = flip_experiment(
-            train_ds, test_ds, SMALL_GRID, rates=[0.1], seed=3, k=4, parallelism=2
-        )
-        assert serial == parallel
+        serial = grid_search(train_ds, SMALL_GRID, k=4, seed=3, rates=[0.1], test_ds=test_ds)
+        parallel = grid_search(train_ds, SMALL_GRID, k=4, seed=3, parallelism=2, rates=[0.1],
+                               test_ds=test_ds)
+        assert flip_rows(serial) == flip_rows(parallel)
 
     def test_rejects_bad_inputs(self):
         train_ds = gaussian_clusters(20, seed=26)
         test_ds = gaussian_clusters(10, seed=27)
-        with pytest.raises(ValueError):
-            flip_experiment(train_ds, test_ds, SMALL_GRID, rates=[1.5], seed=0, k=3)
+        with pytest.raises(ValueError, match="flip rate"):
+            grid_search(train_ds, SMALL_GRID, k=3, seed=0, rates=[1.5], test_ds=test_ds)
 
     def test_rows_equal_at_one_two_and_three_workers(self):
         train_ds = gaussian_clusters(36, seed=30, center=1.2)
         test_ds = gaussian_clusters(20, seed=31, center=1.2)
         runs = [
-            flip_experiment(train_ds, test_ds, ODD_GRID, rates=[0.05, 0.15], seed=8, k=3,
-                            parallelism=p)
+            grid_search(train_ds, ODD_GRID, k=3, seed=8, parallelism=p, rates=[0.05, 0.15],
+                        test_ds=test_ds)
             for p in (1, 2, 3)
         ]
         assert [r.rate for r in runs[0]] == [0.0, 0.05, 0.15]
-        assert runs[1] == runs[0] and runs[2] == runs[0]
+        for other in runs[1:]:
+            assert flip_rows(other) == flip_rows(runs[0])
+            for a, b in zip(other, runs[0]):
+                assert a.fold_accuracies.tobytes() == b.fold_accuracies.tobytes()
+                assert a.converged_folds.tobytes() == b.converged_folds.tobytes()
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_flipped_rows_equal_a_search_and_fit_on_flipped_labels(self, parallelism):
         train_ds = gaussian_clusters(40, seed=37, center=1.5)
         test_ds = gaussian_clusters(20, seed=38, center=1.5)
-        rows = flip_experiment(train_ds, test_ds, SMALL_GRID, rates=[0.1, 0.25], seed=5, k=4,
-                               parallelism=parallelism)
-        assert [r.rate for r in rows] == [0.0, 0.1, 0.25]
-        for row in rows[1:]:
+        results = grid_search(train_ds, SMALL_GRID, k=4, seed=5, parallelism=parallelism,
+                              rates=[0.1, 0.25], test_ds=test_ds)
+        assert [r.rate for r in results] == [0.0, 0.1, 0.25]
+        for row in results[1:]:
             flipped = flip_labels(train_ds, row.rate, 5)
-            result = grid_search(flipped, SMALL_GRID, k=4, seed=5)
+            [result] = grid_search(flipped, SMALL_GRID, k=4, seed=5)
             _, diag, acc = fit_full(flipped, test_ds, result.best)
-            assert row == FlipRow(row.rate, result.best, result.best_accuracy, acc,
-                                  diag.converged)
+            assert flip_rows([row]) == [
+                (row.rate, result.best, result.best_accuracy, acc, diag.converged)
+            ]
+            assert row.fold_accuracies.tobytes() == result.fold_accuracies.tobytes()
         # the flips reach the search: each rate scores differently
-        assert len({r.cv_accuracy for r in rows}) == len(rows)
+        assert len({r.best_accuracy for r in results}) == len(results)
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_each_rates_repeats_equal_repeat_cv_on_its_flipped_labels(self, parallelism):
+        train_ds = gaussian_clusters(40, seed=39, center=1.5)
+        results = grid_search(train_ds, SMALL_GRID, k=4, seed=2, parallelism=parallelism,
+                              rates=[0.1, 0.25], repeats=3)
+        assert [r.rate for r in results] == [0.0, 0.1, 0.25]
+        for row in results:
+            flipped = flip_labels(train_ds, row.rate, 2)
+            means = repeat_cv(flipped, row.best, k=4, n_repeats=3, seed=2)
+            assert row.repeated.tobytes() == means.tobytes()
+            assert row.test is None
 
     def test_parallel_run_solves_nothing_in_the_calling_process(self):
         # one pool serves every rate's search and every final fit, so the
@@ -309,7 +335,7 @@ import concurrent.futures as cf
 import sys
 
 from slidesvm.data import gaussian_clusters
-from slidesvm.tuning import Grid, flip_experiment
+from slidesvm.tuning import Grid, grid_search
 
 pools = []
 
@@ -322,9 +348,9 @@ class Counting(cf.ProcessPoolExecutor):
 
 cf.ProcessPoolExecutor = Counting
 grid = Grid(c_values=(0.5, 1.0), delta_values=(1.0,), v_values=(1.0,), K=100)
-rows = flip_experiment(gaussian_clusters(30, seed=1, center=2.0),
-                       gaussian_clusters(10, seed=2, center=2.0),
-                       grid, rates=[0.05, 0.15], seed=3, k=3, parallelism=2)
+rows = grid_search(gaussian_clusters(30, seed=1, center=2.0), grid, k=3, seed=3,
+                   parallelism=2, rates=[0.05, 0.15],
+                   test_ds=gaussian_clusters(10, seed=2, center=2.0))
 print("pools", len(pools), "rows", len(rows), "lapack", "scipy.linalg._flapack" in sys.modules)
 """
 
@@ -343,8 +369,8 @@ class TestPool:
         monkeypatch.setattr(cf, "ProcessPoolExecutor", Recording)
         ds = gaussian_clusters(24, seed=34, center=3.0)
         grid = Grid(c_values=(1.0,), delta_values=(1.0,), v_values=(1.0,), K=100)
-        serial = grid_search(ds, grid, k=4, seed=1)
-        pooled = grid_search(ds, grid, k=4, seed=1, parallelism=50)
+        [serial] = grid_search(ds, grid, k=4, seed=1)
+        [pooled] = grid_search(ds, grid, k=4, seed=1, parallelism=50)
         assert asked == [4]
         assert pooled.fold_accuracies.tobytes() == serial.fold_accuracies.tobytes()
 
@@ -352,12 +378,12 @@ class TestPool:
     def test_winner_scores_match_the_library_calls(self, parallelism):
         train_ds = gaussian_clusters(40, seed=35, center=1.5)
         test_ds = gaussian_clusters(20, seed=36, center=1.5)
-        tested = grid_search(train_ds, SMALL_GRID, k=4, seed=3, parallelism=parallelism,
+        [tested] = grid_search(train_ds, SMALL_GRID, k=4, seed=3, parallelism=parallelism,
                              test_ds=test_ds)
         _, diag, acc = fit_full(train_ds, test_ds, tested.best)
         assert tested.test[2] == acc and tested.test[1].converged == diag.converged
         assert tested.repeated is None
-        repeated = grid_search(train_ds, SMALL_GRID, k=4, seed=3, parallelism=parallelism,
+        [repeated] = grid_search(train_ds, SMALL_GRID, k=4, seed=3, parallelism=parallelism,
                                repeats=3)
         means = repeat_cv(train_ds, repeated.best, k=4, n_repeats=3, seed=3)
         assert repeated.repeated.tobytes() == means.tobytes()
