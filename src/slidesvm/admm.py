@@ -90,11 +90,6 @@ class TrainConfig:
         """Prox breakpoints of gamma_c, shared by selection, u-update and e4."""
         return prox_thresholds(self.gamma_c, self.slide)
 
-    @cached_property
-    def dual_step(self) -> float:
-        """Multiplier step eta*delta."""
-        return self.eta * self.delta
-
 
 @dataclass(frozen=True)
 class WorkingSet:
@@ -122,14 +117,13 @@ _EMPTY = np.empty(0, dtype=np.int64)
 
 @dataclass
 class AdmmState:
-    """Iterate (w, b, u, lambda) plus sweep counter and current working set.
-    lambda is zero outside the most recent working set by construction."""
+    """Iterate (w, b, u, lambda) plus the current working set. lambda is
+    zero outside the most recent working set by construction."""
 
     w: np.ndarray
     b: float
     u: np.ndarray
     lam: np.ndarray
-    k: int = 0
     working_set: WorkingSet = field(
         default_factory=lambda: WorkingSet(_EMPTY, _EMPTY)
     )
@@ -316,7 +310,7 @@ def update_lambda(
     is b*y at the new b."""
     lam_next = np.zeros(lam.size)
     violation = u_next[idx] + Aw[idx] + by[idx] - 1.0
-    lam_next[idx] = lam[idx] + cfg.dual_step * violation
+    lam_next[idx] = lam[idx] + cfg.eta * cfg.delta * violation
     return lam_next
 
 
@@ -378,30 +372,28 @@ def objective_value(w: np.ndarray, margins: np.ndarray, cfg: TrainConfig) -> flo
 
 @dataclass
 class TrainDiagnostics:
-    """Per-sweep history plus the final iterate and its objective.
+    """The record of one solve: its sweeps, whether it converged, and the
+    returned iterate with its residuals and objective. ``history`` holds one
+    (working-set size, residuals, objective) tuple per sweep when ``train``
+    was asked for it, and is None otherwise."""
 
-    ``objective_history`` holds the objective after every sweep when
-    ``train`` was asked for it, and is None otherwise: the solver stops on
-    the residuals and never reads the objective."""
-
-    residual_history: list[Residuals]
-    working_set_sizes: list[int]
     iterations: int
     converged: bool
     final_state: AdmmState
+    residuals: Residuals
     objective: float
-    objective_history: Optional[list[float]] = None
+    history: Optional[list[tuple[int, Residuals, float]]] = None
 
 
-def train(ds: Dataset, cfg: TrainConfig, *, objective_history: bool = False):
+def train(ds: Dataset, cfg: TrainConfig, *, history: bool = False):
     """Run the solver from the zero hyperplane until the residuals drop below
     tol or K sweeps elapse.
 
     Non-convergence is reported through the model's ``converged`` flag, not an
     error; the final iterate is returned either way. The run is deterministic:
-    equal inputs give bit-identical results. ``objective_history`` records
-    the objective after every sweep; otherwise it is computed once, at the
-    returned iterate.
+    equal inputs give bit-identical results. ``history`` records every
+    sweep's working-set size, residuals and objective; otherwise the
+    objective is computed once, at the returned iterate.
 
     Returns (Model, TrainDiagnostics).
     """
@@ -409,9 +401,7 @@ def train(ds: Dataset, cfg: TrainConfig, *, objective_history: bool = False):
         raise ValueError("empty dataset")
     A, y, m = ds.signed_matrix(), ds.y, ds.m
     state = AdmmState.initial(m, ds.n)
-    history: list[Residuals] = []
-    sizes: list[int] = []
-    objectives: Optional[list[float]] = [] if objective_history else None
+    sweeps = [] if history else None
     converged = False
     # A @ w, A[T], b*y, lambda/delta, the margins 1 - Aw - b*y and
     # t = 1 - u - Aw are computed once per sweep, each right after its inputs
@@ -430,40 +420,28 @@ def train(ds: Dataset, cfg: TrainConfig, *, objective_history: bool = False):
         b_next = update_b(t, y, lam_d)
         by = b_next * y
         state.lam = update_lambda(state.lam, idx, u_next, Aw, by, cfg)
-        state.u, state.w, state.b, state.k = u_next, w_next, b_next, k
+        state.u, state.w, state.b = u_next, w_next, b_next
         # lambda is zero off T, and so is lambda/delta
         lam_d = np.zeros(m)
         lam_d[idx] = state.lam[idx] / cfg.delta
         margins = 1.0 - Aw - by
 
         res = residuals(state, y, t - by, a_t, lam_d, cfg)
-        history.append(res)
-        sizes.append(ws.size)
-        if objectives is not None:
-            objectives.append(objective_value(state.w, margins, cfg))
+        if sweeps is not None:
+            sweeps.append((ws.size, res, objective_value(state.w, margins, cfg)))
         if res.max() < cfg.tol:
             converged = True
             break
 
     diagnostics = TrainDiagnostics(
-        residual_history=history,
-        working_set_sizes=sizes,
-        iterations=state.k,
-        converged=converged,
-        final_state=state,
-        objective=objectives[-1] if objectives else objective_value(state.w, margins, cfg),
-        objective_history=objectives,
+        iterations=k, converged=converged, final_state=state, residuals=res,
+        objective=sweeps[-1][2] if sweeps else objective_value(state.w, margins, cfg),
+        history=sweeps,
     )
-    support = model_mod.extract_support_vectors(state.lam, cfg)
     trained = model_mod.Model(
-        w=state.w,
-        b=state.b,
-        slide=cfg.slide,
-        C=cfg.C,
-        delta=cfg.delta,
-        support=support,
-        converged=converged,
-        iterations=state.k,
+        w=state.w, b=state.b, slide=cfg.slide, C=cfg.C, delta=cfg.delta,
+        support=model_mod.extract_support_vectors(state.lam, cfg),
+        converged=converged, iterations=k,
     )
     return trained, diagnostics
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import os
 import sys
 import time
 
@@ -27,7 +28,7 @@ from .model import (
     predict_dataset,
     save_model,
 )
-from .tuning import STOCK_POWERS, STOCK_V_VALUES, Grid, grid_search
+from .tuning import STOCK_POWERS, STOCK_V_VALUES, Grid, check_rates, grid_search
 
 
 class CliError(Exception):
@@ -76,6 +77,20 @@ def _train_config(args) -> TrainConfig:
         raise CliError(str(exc), status=2) from exc
 
 
+def _check_outputs(*paths) -> None:
+    """Fail as writing each given path would, before any solve, and leave
+    every path as it was: an existing file keeps its bytes."""
+    for path in filter(None, paths):
+        try:
+            try:
+                os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+                os.remove(path)
+            except FileExistsError:
+                os.close(os.open(path, os.O_WRONLY))
+        except OSError as exc:
+            raise CliError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_text(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -102,26 +117,26 @@ def _config_cells(cfg: TrainConfig) -> list:
 
 def cmd_train(args) -> int:
     cfg = _train_config(args)
+    _check_outputs(args.out, args.diagnostics)
     ds = _read_dataset(args.data)
-    mdl, diag = train(ds, cfg, objective_history=bool(args.diagnostics))
+    mdl, diag = train(ds, cfg, history=bool(args.diagnostics))
     try:
         save_model(mdl, args.out)
     except OSError as exc:
         raise CliError(f"cannot write {args.out}: {exc}") from exc
     if args.diagnostics:
-        sweeps = zip(diag.residual_history, diag.working_set_sizes, diag.objective_history)
         _write_csv(
             args.diagnostics,
             ["k", "working_set_size", "e1", "e2", "e3", "e4", "objective"],
             (
                 [k, size, res.e1, res.e2, res.e3, res.e4, obj]
-                for k, (res, size, obj) in enumerate(sweeps, start=1)
+                for k, (size, res, obj) in enumerate(diag.history, start=1)
             ),
         )
     print(
         f"trained on {ds.m} samples, {ds.n} features: "
         f"converged={str(diag.converged).lower()} iterations={diag.iterations} "
-        f"max_residual={diag.residual_history[-1].max():.6g}"
+        f"max_residual={diag.residuals.max():.6g}"
     )
     return 0
 
@@ -155,7 +170,7 @@ def _given(values, stock):
 
 def _grid_from_args(args) -> Grid:
     try:
-        grid = Grid(
+        return Grid(
             c_values=_given(args.c_values, STOCK_POWERS),
             delta_values=_given(args.delta_values, STOCK_POWERS),
             v_values=_given(args.v_values, STOCK_V_VALUES),
@@ -166,11 +181,11 @@ def _grid_from_args(args) -> Grid:
         )
     except ValueError as exc:
         raise CliError(str(exc), status=2) from exc
-    return grid
 
 
 def cmd_grid(args) -> int:
     grid = _grid_from_args(args)
+    _check_outputs(args.out)
     ds = _read_dataset(args.data)
     test_ds = None
     if args.test:
@@ -183,8 +198,8 @@ def cmd_grid(args) -> int:
 
     best = result.best
     if test_ds is not None:
-        _, diag, test_acc = result.test
-        trailer = [test_acc, "test", int(diag.converged)]
+        mdl, test_acc = result.test
+        trailer = [test_acc, "test", int(mdl.converged)]
         print(f"test accuracy {test_acc:.4f}")
     else:
         mean_acc = float(result.repeated.mean())
@@ -218,10 +233,14 @@ def cmd_grid(args) -> int:
 
 
 def cmd_flip(args) -> int:
-    for rate in args.rates:
-        if not 0.0 <= rate <= 1.0:
-            raise CliError(f"flip rate must be in [0, 1], got {rate}", status=2)
+    try:
+        if not args.rates:
+            raise ValueError("rates must be nonempty")
+        check_rates(args.rates)
+    except ValueError as exc:
+        raise CliError(str(exc), status=2) from exc
     grid = _grid_from_args(args)
+    _check_outputs(args.out)
     ds = _read_dataset(args.data)
     test_ds = _read_dataset(args.test)
     ds, test_ds = align_features(ds, test_ds)
@@ -232,13 +251,13 @@ def cmd_flip(args) -> int:
     rows = []
     for result in results:
         best = result.best
-        _, diag, test_acc = result.test
+        mdl, test_acc = result.test
         print(
             f"rate {result.rate:g}: test accuracy {test_acc:.4f} "
             f"(C={best.C!r} delta={best.delta!r} v={best.slide.v!r})"
         )
         rows.append([result.rate, *_config_cells(best), result.best_accuracy, test_acc,
-                     int(diag.converged)])
+                     int(mdl.converged)])
     if args.out:
         _write_csv(
             args.out,

@@ -441,7 +441,6 @@ class FoldPlan:
 
     k: int
     assignments: np.ndarray
-    seed: int
 
     def fold_indices(self, fold: int):
         """(test_idx, train_idx) for one fold."""
@@ -458,7 +457,7 @@ def kfold_plan(m: int, k: int, seed: int) -> FoldPlan:
     perm = rng.permutation(m)
     assignments = np.empty(m, dtype=np.int64)
     assignments[perm] = np.arange(m) % k
-    return FoldPlan(k, assignments, seed)
+    return FoldPlan(k, assignments)
 
 
 def subset(ds: Dataset, idx: np.ndarray) -> Dataset:

@@ -57,21 +57,8 @@ def slide_loss(t, p: SlideParams):
 
 
 def slide_loss_sum(u, p: SlideParams, scale: float) -> float:
-    """``scale`` times the loss summed over the entries of ``u``, bit-equal
-    to ``scale * float(np.sum(slide_loss(u, p)))``."""
-    # slide_loss's arithmetic, in place after the first step: at the
-    # solver's sizes the Python wrappers of np.clip and np.sum cost more than
-    # the arithmetic. Flattening in memory order keeps np.sum's summation
-    # order. np.maximum may turn a -0.0 that np.clip keeps into +0.0; the
-    # sums agree bit for bit all the same, which the tests check.
-    x = np.asarray(u, dtype=np.float64).ravel(order="K")
-    if x.size == 0:
-        return 0.0
-    x = x - p.epsilon
-    x /= p.ramp_width
-    np.maximum(x, 0.0, out=x)
-    np.minimum(x, 1.0, out=x)
-    return scale * float(np.add.reduce(x))
+    """``scale`` times the loss summed over the entries of ``u``."""
+    return scale * float(np.sum(slide_loss(u, p)))
 
 
 class ProxThresholds(NamedTuple):

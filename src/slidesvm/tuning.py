@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .admm import TrainConfig, train
-from .data import Dataset, FoldPlan, apply_scaling, fit_scaling, flip_labels, kfold_plan, subset
+from .data import Dataset, apply_scaling, fit_scaling, flip_labels, kfold_plan, subset
 from .loss import SlideParams
 from .model import accuracy
 
@@ -31,6 +32,7 @@ __all__ = [
     "STOCK_POWERS",
     "STOCK_V_VALUES",
     "default_grid",
+    "check_rates",
     "grid_search",
     "fit_full",
 ]
@@ -102,15 +104,16 @@ def default_grid() -> Grid:
 def fit_full(train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig):
     """Scale by the full training split, train, and score the test split.
 
-    Returns (model, diagnostics, test_accuracy).
+    Returns (model, test_accuracy).
     """
     smap = fit_scaling(train_ds)
-    mdl, diag = train(apply_scaling(train_ds, smap), cfg)
-    return mdl, diag, accuracy(mdl, apply_scaling(test_ds, smap))
+    mdl, _ = train(apply_scaling(train_ds, smap), cfg)
+    return mdl, accuracy(mdl, apply_scaling(test_ds, smap))
 
 
-# What a task reads: (train set, test set, k, flip seed), set once per pool by
-# the initializer, or in the calling process at parallelism 1.
+# A task reads its source: (train set, test set, k, flip seed). A serial
+# search passes it to every task; a pool's initializer puts it in this global
+# of each worker, which serves that one pool alone.
 _SOURCE = None
 
 
@@ -119,45 +122,45 @@ def _init_worker(*source):
     _SOURCE = source
 
 
-def _labels(rate):
-    train_ds, _, _, seed = _SOURCE
+def _in_worker(fn, task):
+    return fn(_SOURCE, task)
+
+
+def _labels(source, rate):
+    train_ds, _, _, seed = source
     return flip_labels(train_ds, rate, seed) if rate > 0.0 else train_ds
 
 
-def _score_folds(task):
+def _score_folds(source, task):
     """``fit_full`` of one (rate, fold seed, config, fold index) task: train
     on the fold's training part and score its held-out part.
 
     Returns (held-out accuracy, converged).
     """
     rate, fold_seed, cfg, fold = task
-    ds = _labels(rate)
-    test_idx, train_idx = kfold_plan(ds.m, _SOURCE[2], fold_seed).fold_indices(fold)
-    _, diag, acc = fit_full(subset(ds, train_idx), subset(ds, test_idx), cfg)
-    return acc, diag.converged
+    ds = _labels(source, rate)
+    test_idx, train_idx = kfold_plan(ds.m, source[2], fold_seed).fold_indices(fold)
+    mdl, acc = fit_full(subset(ds, train_idx), subset(ds, test_idx), cfg)
+    return acc, mdl.converged
 
 
-def _fit_task(task):
+def _fit_task(source, task):
     """``fit_full`` of one (rate, config) task on the test set."""
     rate, cfg = task
-    return fit_full(_labels(rate), _SOURCE[1], cfg)
+    return fit_full(_labels(source, rate), source[1], cfg)
 
 
 @contextmanager
-def _tasks(train_ds, test_ds, k, seed, parallelism, n_cv_tasks):
-    """Yield ``run(fn, tasks)``, which returns the results in task order.
+def _tasks(source, parallelism, n_cv_tasks):
+    """Yield ``run(fn, tasks)``, which returns ``fn(source, task)`` of each
+    task, in task order.
 
     At parallelism 1 the tasks run in the calling process. Otherwise they run
     in one pool of min(parallelism, n_cv_tasks) workers, which inherit the
-    datasets through the initializer, and the calling process solves nothing.
+    source through the initializer, and the calling process solves nothing.
     """
-    source = (train_ds, test_ds, k, seed)
     if parallelism == 1:
-        _init_worker(*source)
-        try:
-            yield lambda fn, tasks: list(map(fn, tasks))
-        finally:
-            _init_worker()  # drop the datasets
+        yield lambda fn, tasks: [fn(source, task) for task in tasks]
         return
     # loading the process pool takes about 20 ms, which a serial run need
     # not pay
@@ -168,7 +171,7 @@ def _tasks(train_ds, test_ds, k, seed, parallelism, n_cv_tasks):
         initializer=_init_worker,
         initargs=source,
     ) as ex:
-        yield lambda fn, tasks: list(ex.map(fn, tasks, chunksize=1))
+        yield lambda fn, tasks: list(ex.map(partial(_in_worker, fn), tasks, chunksize=1))
 
 
 @dataclass
@@ -180,14 +183,20 @@ class CvResult:
     rate: float
     configs: list[TrainConfig]
     fold_accuracies: np.ndarray = field(repr=False)  # (n_configs, k)
-    mean_accuracies: np.ndarray = field(repr=False)
     converged_folds: np.ndarray = field(repr=False)
-    best_index: int
-    fold_plan: FoldPlan = field(repr=False)
-    # fit_full(ds at this rate, test_ds, best): (model, diagnostics, test accuracy)
+    # fit_full(ds at this rate, test_ds, best): (model, test accuracy)
     test: tuple | None = field(default=None, repr=False)
     # the winner's mean CV accuracy at fold seeds seed, seed+1, ...
     repeated: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def mean_accuracies(self) -> np.ndarray:
+        return self.fold_accuracies.mean(axis=1)
+
+    @property
+    def best_index(self) -> int:
+        # ties go to the earliest config, the smallest (C, delta, v, epsilon)
+        return int(np.argmax(self.mean_accuracies))
 
     @property
     def best(self) -> TrainConfig:
@@ -204,14 +213,20 @@ def _split(scores: list, parts: int) -> list[list]:
     return [scores[i * n:(i + 1) * n] for i in range(parts)]
 
 
-def _cv_result(rate, configs, plan: FoldPlan, scores) -> CvResult:
+def _cv_result(rate, configs, k, scores) -> CvResult:
     """Assemble config-major (config, fold) task scores into a CvResult."""
-    fold_accs = np.array([acc for acc, _ in scores]).reshape(len(configs), plan.k)
+    fold_accs = np.array([acc for acc, _ in scores]).reshape(len(configs), k)
     converged = np.array([conv for _, conv in scores], dtype=np.int64)
-    converged = converged.reshape(len(configs), plan.k).sum(axis=1)
-    means = fold_accs.mean(axis=1)
-    # ties go to the earliest config, the smallest (C, delta, v, epsilon)
-    return CvResult(rate, configs, fold_accs, means, converged, int(np.argmax(means)), plan)
+    return CvResult(rate, configs, fold_accs, converged.reshape(len(configs), k).sum(axis=1))
+
+
+def check_rates(rates) -> None:
+    """Raise ValueError unless the flip rates lie in [0, 1] and none repeats."""
+    for rate in rates:
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"flip rate must be in [0, 1], got {rate}")
+    if len(set(rates)) < len(rates):
+        raise ValueError(f"flip rates must not repeat, got {', '.join(map(str, rates))}")
 
 
 def grid_search(
@@ -243,18 +258,16 @@ def grid_search(
     """
     if test_ds is not None and test_ds.m == 0:
         raise ValueError("grid search needs a nonempty test set")
-    for rate in rates:
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"flip rate must be in [0, 1], got {rate}")
+    check_rates(rates)
     all_rates = [0.0] + [float(r) for r in rates if r != 0.0]
     configs = grid.configs()
-    plan = kfold_plan(ds.m, k, seed)
+    kfold_plan(ds.m, k, seed)  # an impossible k fails here, before any solve
     tasks = [
         (rate, seed, cfg, fold) for rate in all_rates for cfg in configs for fold in range(k)
     ]
-    with _tasks(ds, test_ds, k, seed, parallelism, len(tasks)) as run:
+    with _tasks((ds, test_ds, k, seed), parallelism, len(tasks)) as run:
         scores = _split(run(_score_folds, tasks), len(all_rates))
-        results = [_cv_result(r, configs, plan, part) for r, part in zip(all_rates, scores)]
+        results = [_cv_result(r, configs, k, part) for r, part in zip(all_rates, scores)]
         if test_ds is not None:
             fits = run(_fit_task, [(r.rate, r.best) for r in results])
             for result, fit in zip(results, fits):

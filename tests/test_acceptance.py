@@ -92,7 +92,7 @@ def test_criterion_2_stationarity_certificate(clusters200, clusters_config):
     ok = (
         diag.converged
         and diag.iterations <= 1000
-        and diag.residual_history[-1].max() < 1e-3
+        and diag.residuals.max() < 1e-3
         and report.max() <= tau
         and elapsed < 5.0
     )
@@ -129,20 +129,19 @@ def _splice_runs():
         rates=[0.05, 0.15],
         test_ds=test_ds,
     )
-    clean_model, clean_diag, _ = rows[0].test
-    return rows, clean_model, clean_diag, train_ds, test_ds
+    return rows, train_ds, test_ds
 
 
 def test_criterion_3_splice_accuracy():
-    rows, _, _, _, _ = _splice_runs()
-    acc = rows[0].test[2]
+    rows, _, _ = _splice_runs()
+    acc = rows[0].test[1]
     _report("3", acc >= 0.825, f"splice test accuracy {acc:.4f} >= 0.825")
 
 
 def test_criterion_4_splice_flip_robustness():
-    rows, _, _, _, _ = _splice_runs()
-    clean = rows[0].test[2]
-    drifts = {row.rate: abs(row.test[2] - clean) for row in rows[1:]}
+    rows, _, _ = _splice_runs()
+    clean = rows[0].test[1]
+    drifts = {row.rate: abs(row.test[1] - clean) for row in rows[1:]}
     ok = all(d <= 0.03 for d in drifts.values())
     detail = ", ".join(f"r={r:g}: drift {d:.4f}" for r, d in sorted(drifts.items()))
     _report("4", ok, f"clean {clean:.4f}; {detail} (allowed 0.03)")
@@ -160,7 +159,7 @@ def test_leukemia_stretch_run():
     train_ds, test_ds = align_features(train_ds, test_ds)
     assert (train_ds.m, test_ds.m) == (38, 34)
     [result] = grid_search(train_ds, default_grid(), k=10, seed=0, parallelism=NCPU)
-    _, _, acc = fit_full(train_ds, test_ds, result.best)
+    _, acc = fit_full(train_ds, test_ds, result.best)
     # one test sample is 1/34 of accuracy
     band = 1.0 / 34.0 + 1e-12
     assert abs(acc - 0.9118) <= band, f"leukemia accuracy {acc:.4f}"
@@ -203,8 +202,9 @@ def test_criterion_5_support_vector_reconstruction(
 def test_criterion_5_splice_reconstruction():
     if dataset_path("splice") is None or dataset_path("splice.t") is None:
         pytest.skip("splice data not present (see scripts/fetch_datasets.py)")
-    rows, clean_model, clean_diag, train_ds, test_ds = _splice_runs()
-    if not clean_diag.converged:
+    rows, train_ds, test_ds = _splice_runs()
+    clean_model = rows[0].test[0]
+    if not clean_model.converged:
         pytest.skip("clean splice run stopped at the sweep cap; nothing to certify")
     from slidesvm.data import apply_scaling, fit_scaling
 

@@ -59,10 +59,10 @@ def random_problem(rng, m, n):
 def iterates(ds, cfg, sweeps):
     """The initial state, then the final state of ``train`` capped at K = 1,
     2, ..., ``sweeps`` sweeps, up to the first converged run; and that last
-    run's diagnostics, with its objective history."""
+    run's diagnostics, with its history."""
     states = [AdmmState.initial(ds.m, ds.n)]
     for k in range(1, sweeps + 1):
-        _, diag = train(ds, dataclasses.replace(cfg, K=k), objective_history=True)
+        _, diag = train(ds, dataclasses.replace(cfg, K=k), history=True)
         states.append(diag.final_state)
         if diag.converged:
             break
@@ -367,15 +367,15 @@ class TestTrain:
         # a NaN feature makes the feasibility residual NaN from the first
         # sweep on; the stop test must not read it as small
         ds = dense_dataset([[0.5], [math.nan], [0.7], [-0.2]], [1.0, -1.0, 1.0, -1.0])
-        mdl, diag = train(ds, make_cfg(K=5))
+        mdl, diag = train(ds, make_cfg(K=5), history=True)
         assert not diag.converged and not mdl.converged
         assert diag.iterations == 5
-        assert all(math.isnan(res.max()) for res in diag.residual_history)
+        assert all(math.isnan(res.max()) for _, res, _ in diag.history)
 
     def test_separable_clusters_converge(self, clusters200, clusters_config, trained_clusters):
         mdl, diag = trained_clusters
         assert diag.converged and diag.iterations <= 1000
-        assert diag.residual_history[-1].max() < clusters_config.tol
+        assert diag.residuals.max() < clusters_config.tol
         fresh = gaussian_clusters(2000, seed=43)
         assert accuracy(mdl, fresh) >= 0.99
 
@@ -409,15 +409,16 @@ class TestTrain:
         assert mdl.b > 0.0 and accuracy(mdl, ds) == 2 / 3
 
     def test_deterministic_reruns_bit_identical(self, clusters200, clusters_config):
-        m1, d1 = train(clusters200, clusters_config, objective_history=True)
-        m2, d2 = train(clusters200, clusters_config, objective_history=True)
+        m1, d1 = train(clusters200, clusters_config, history=True)
+        m2, d2 = train(clusters200, clusters_config, history=True)
         assert np.array_equal(m1.w, m2.w) and m1.b == m2.b
         residuals1, residuals2 = (
-            np.array([dataclasses.astuple(r) for r in d.residual_history]) for d in (d1, d2)
+            np.array([dataclasses.astuple(r) for _, r, _ in d.history]) for d in (d1, d2)
         )
         assert residuals1.tobytes() == residuals2.tobytes()
-        assert d1.working_set_sizes == d2.working_set_sizes
-        assert np.array(d1.objective_history).tobytes() == np.array(d2.objective_history).tobytes()
+        assert [s for s, _, _ in d1.history] == [s for s, _, _ in d2.history]
+        objectives1, objectives2 = (np.array([o for _, _, o in d.history]) for d in (d1, d2))
+        assert objectives1.tobytes() == objectives2.tobytes()
 
     def test_empty_dataset_rejected(self):
         ds = Dataset(np.empty((0, 2)), np.empty(0))
@@ -425,11 +426,10 @@ class TestTrain:
             train(ds, make_cfg())
 
     def test_diagnostics_csv_shape(self, clusters200, clusters_config):
-        # the diagnostics table has one row per sweep, read from these lists
-        _, diag = train(clusters200, clusters_config, objective_history=True)
-        assert len(diag.residual_history) == diag.iterations
-        assert len(diag.working_set_sizes) == diag.iterations
-        assert len(diag.objective_history) == diag.iterations
+        # the diagnostics table has one row per sweep, read from the history
+        _, diag = train(clusters200, clusters_config, history=True)
+        assert len(diag.history) == diag.iterations
+        assert all(len(sweep) == 3 for sweep in diag.history)
 
     def test_diagnostics_objective_column(self, clusters200, clusters_config, trained_clusters):
         # the objective is that of the returned iterate
@@ -457,16 +457,18 @@ class TestTrain:
         ds = gaussian_clusters(m, seed=42) if n == 2 else random_problem(rng, m, n)
         cfg = make_cfg(C=C, slide=slide, K=K)
         m1, d1 = train(ds, cfg)
-        m2, d2 = train(ds, cfg, objective_history=True)
-        assert d1.objective_history is None and len(d2.objective_history) == d2.iterations
+        m2, d2 = train(ds, cfg, history=True)
+        assert d1.history is None and len(d2.history) == d2.iterations
         bits = np.float64(d2.objective).tobytes()
-        assert np.float64(d2.objective_history[-1]).tobytes() == bits
+        assert np.float64(d2.history[-1][2]).tobytes() == bits
         assert np.float64(d1.objective).tobytes() == bits
         # the history changes nothing else
         assert (d1.iterations, d1.converged) == (d2.iterations, d2.converged)
-        assert d1.working_set_sizes == d2.working_set_sizes
-        assert d1.residual_history == d2.residual_history
+        assert d1.residuals == d2.residuals == d2.history[-1][1]
+        assert d1.final_state.working_set.size == d2.history[-1][0]
         assert m1.w.tobytes() == m2.w.tobytes() and m1.b == m2.b
+        assert d1.final_state.u.tobytes() == d2.final_state.u.tobytes()
+        assert d1.final_state.lam.tobytes() == d2.final_state.lam.tobytes()
 
     def test_lambda_zero_off_working_set_every_sweep(self):
         ds = random_problem(np.random.default_rng(7), 12, 3)
@@ -713,8 +715,8 @@ class TestFusedSweepIdentities:
     @staticmethod
     def check_prox_defect(ds, cfg, sweeps):
         states, diag = iterates(ds, cfg, sweeps)
-        assert len(diag.residual_history) == len(states) - 1
-        for state, res in zip(states[1:], diag.residual_history):
+        assert len(diag.history) == len(states) - 1
+        for state, (_, res, _) in zip(states[1:], diag.history):
             u = state.u
             prox = prox_slide_vector(u - state.lam / cfg.delta, cfg.gamma_c, cfg.slide)
             full = math.sqrt(float((u - prox) @ (u - prox)))
@@ -820,11 +822,10 @@ def check_train_sweeps(ds, cfg, sweeps):
     states, diag = iterates(ds, cfg, sweeps)
     assert diag.iterations == len(states) - 1
     assert diag.iterations == sweeps or diag.converged
-    assert len(diag.residual_history) == len(diag.objective_history) == diag.iterations
+    assert len(diag.history) == diag.iterations
     kinds = {"ramp" if cfg.thresholds.ramp_regime else "pin"}
-    records = zip(diag.residual_history, diag.objective_history, diag.working_set_sizes)
-    for before, after, (res, obj, size) in zip(states, states[1:], records):
-        assert after.k == before.k + 1 and size == after.working_set.size
+    for before, after, (size, res, obj) in zip(states, states[1:], diag.history):
+        assert size == after.working_set.size
         check_sweep(ds, cfg, before, after)
         check_records(ds, cfg, after, res, obj)
         if size == 0:
@@ -880,11 +881,11 @@ class TestTrivialConfigs:
         cfg = dataclasses.replace(cfg, K=3)
         trivial = cfg.thresholds.tie_point <= 1.0
         event(f"trivial={trivial}")
-        mdl, diag = train(ds, cfg)
+        mdl, diag = train(ds, cfg, history=True)
         stopped = (
             diag.iterations == 1
             and diag.converged
-            and diag.working_set_sizes == [0]
+            and [size for size, _, _ in diag.history] == [0]
             and not mdl.w.any()
             and mdl.b == 0.0
         )

@@ -37,6 +37,20 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+@pytest.fixture()
+def solves(monkeypatch):
+    """Every solve a command runs in this process, train's and the grid's."""
+    calls = []
+
+    def counting(ds, cfg, **kwargs):
+        calls.append(ds.m)
+        return admm.train(ds, cfg, **kwargs)
+
+    monkeypatch.setattr(cli, "train", counting)
+    monkeypatch.setattr(tuning, "train", counting)
+    return calls
+
+
 class TestTrainCommand:
     def test_writes_model_and_diagnostics(self, data_files, tmp_path, capsys):
         train, _ = data_files
@@ -55,13 +69,12 @@ class TestTrainCommand:
         assert header == ["k", "working_set_size", "e1", "e2", "e3", "e4", "objective"]
         # every float cell reads back as the in-process history, bit for bit
         cfg = admm.TrainConfig(C=1.0, delta=1.0, slide=SlideParams(0.1, 1.0))
-        _, diag = admm.train(parse_libsvm(train.read_bytes()), cfg, objective_history=True)
+        _, diag = admm.train(parse_libsvm(train.read_bytes()), cfg, history=True)
         assert [row[:2] for row in rows] == [
-            [str(k), str(size)] for k, size in enumerate(diag.working_set_sizes, start=1)
+            [str(k), str(size)] for k, (size, _, _) in enumerate(diag.history, start=1)
         ]
         assert [[float(cell) for cell in row[2:]] for row in rows] == [
-            [*dataclasses.astuple(res), obj]
-            for res, obj in zip(diag.residual_history, diag.objective_history)
+            [*dataclasses.astuple(res), obj] for _, res, obj in diag.history
         ]
 
     def test_eps_defaults_to_tenth_of_v(self, data_files, tmp_path):
@@ -401,19 +414,6 @@ class TestGridCommand:
 
 
 class TestEmptyDataFile:
-    @pytest.fixture()
-    def solves(self, monkeypatch):
-        """Every solve a command runs in this process, train's and the grid's."""
-        calls = []
-
-        def counting(ds, cfg, **kwargs):
-            calls.append(ds.m)
-            return admm.train(ds, cfg, **kwargs)
-
-        monkeypatch.setattr(cli, "train", counting)
-        monkeypatch.setattr(tuning, "train", counting)
-        return calls
-
     @pytest.mark.parametrize("command, flag", [
         ("train", "--data"), ("eval", "--data"), ("grid", "--data"), ("grid", "--test"),
         ("flip", "--data"), ("flip", "--test"),
@@ -443,6 +443,38 @@ class TestEmptyDataFile:
         captured = capsys.readouterr()
         assert captured.err == f"error: {empty}: empty dataset, no samples\n"
         assert captured.out == "" and not files["--out"].exists()
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--out"), ("train", "--diagnostics"), ("grid", "--out"), ("flip", "--out"),
+    ])
+    def test_an_unwritable_output_fails_before_any_solve(
+        self, data_files, tmp_path, solves, capsys, command, flag, where
+    ):
+        # grid --out used to run the whole search and print its result first
+        train, test = data_files
+        bad = tmp_path / "missing" / "out.csv" if where == "missing directory" else tmp_path
+        # train's other output exists already and must keep its bytes
+        kept = tmp_path / "kept.txt"
+        kept.write_text("kept\n")
+        other = {"--out": "--diagnostics", "--diagnostics": "--out"}[flag]
+        argv = {
+            "train": ["train", "--data", train, "--max-iter", "50", flag, bad, other, kept],
+            "grid": ["grid", "--data", train, "--test", test, "--out", bad],
+            "flip": ["flip", "--data", train, "--test", test, "--out", bad],
+        }[command]
+        if command in ("grid", "flip"):
+            argv += ["--folds", "3", "--c-values", "0.5,1", "--delta-values", "1",
+                     "--v-values", "1", "--max-iter", "50"]
+        assert run(argv) == 1
+        assert solves == []
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {bad}: ")
+        assert captured.out == "" and kept.read_text() == "kept\n"
+        assert not (tmp_path / "missing").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.txt", "test.svm", "train.svm"]
 
 
 class TestFlipCommand:
@@ -558,6 +590,7 @@ class TestParser:
          ("grid", "--c-values", "nan"), ("grid", "--c-values", "-1"),
          ("grid", "--delta-values", "inf"), ("grid", "--tol", "nan"),
          ("flip", "--c-values", "nan"), ("flip", "--rates", "2"),
+         ("flip", "--rates", "0.05,0.05"), ("flip", "--rates", ""),
          ("grid", "--c-values", ""), ("grid", "--eps-values", ","), ("flip", "--v-values", "")],
     )
     def test_bad_solver_settings_are_usage_errors(self, command, flag, value, tmp_path, capsys):

@@ -69,6 +69,20 @@ def test_every_traced_name_is_a_function_of_its_module(report):
     assert absent == []
 
 
+def test_the_harness_reads_sweeps_and_convergence_from_trains_second_result():
+    # the harness reads these two fields of each solve through getattr, with
+    # defaults; without either field it would report every solve unconverged
+    ds = gaussian_clusters(40, seed=0)
+    outcomes = []
+    for K, tol in ((1000, 1e-3), (7, 1e-12)):
+        cfg = admm.TrainConfig(C=1.0, delta=1.0, slide=SlideParams(0.1, 1.0), K=K, tol=tol)
+        mdl, diag = admm.train(ds, cfg)
+        assert type(diag.iterations) is int and type(diag.converged) is bool
+        assert (diag.iterations, diag.converged) == (mdl.iterations, mdl.converged)
+        outcomes.append(diag.converged)
+    assert outcomes == [True, False]
+
+
 def test_train_calls_each_phase_by_its_module_name_once_per_sweep(report, monkeypatch):
     # the tracer times the phases by rebinding these module attributes, so it
     # sees a phase only while train calls it through that name. The objective
@@ -93,7 +107,7 @@ def test_train_calls_each_phase_by_its_module_name_once_per_sweep(report, monkey
     assert diag.iterations == 7 and not diag.converged
     assert calls == {dotted: 7 for dotted in report.PHASES.values()} | {objective: 1}
     calls.clear()
-    admm.train(ds, cfg, objective_history=True)
+    admm.train(ds, cfg, history=True)
     assert calls == {dotted: 7 for dotted in report.PHASES.values()}
 
 

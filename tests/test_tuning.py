@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ from oracles import cross_validate, repeat_cv
 
 import slidesvm
 from slidesvm import tuning
-from slidesvm.data import Dataset, flip_labels, gaussian_clusters, kfold_plan
+from slidesvm.data import Dataset, flip_labels, gaussian_clusters
 from slidesvm.loss import SlideParams
 from slidesvm.tuning import Grid, default_grid, fit_full, grid_search
 
@@ -134,12 +136,6 @@ class TestGridSearch:
         assert result.best == grid.configs()[0]
         assert result.fold_accuracies.shape == (1, 4)
 
-    def test_shared_fold_plan_digest(self):
-        ds = gaussian_clusters(40, seed=14, center=4.0)
-        [result] = grid_search(ds, SMALL_GRID, k=4, seed=5)
-        expected = kfold_plan(ds.m, 4, seed=5)
-        assert np.array_equal(result.fold_plan.assignments, expected.assignments)
-
     def test_parallel_matches_serial_bytewise(self):
         ds = gaussian_clusters(48, seed=15, center=1.5)
         [serial] = grid_search(ds, SMALL_GRID, k=4, seed=6, parallelism=1)
@@ -228,7 +224,7 @@ def flip_rows(results):
     """The flip protocol's table: (rate, config, cv accuracy, test accuracy,
     converged) per rate."""
     return [
-        (r.rate, r.best, r.best_accuracy, r.test[2], r.test[1].converged) for r in results
+        (r.rate, r.best, r.best_accuracy, r.test[1], r.test[0].converged) for r in results
     ]
 
 
@@ -239,10 +235,10 @@ class TestFlipExperiment:
         results = grid_search(train_ds, SMALL_GRID, k=4, seed=4, rates=[0.0], test_ds=test_ds)
         assert [r.rate for r in results] == [0.0]
         [plain] = grid_search(train_ds, SMALL_GRID, k=4, seed=4)
-        _, _, expected_acc = fit_full(train_ds, test_ds, plain.best)
+        _, expected_acc = fit_full(train_ds, test_ds, plain.best)
         assert results[0].best == plain.best
         assert results[0].fold_accuracies.tobytes() == plain.fold_accuracies.tobytes()
-        assert results[0].test[2] == expected_acc
+        assert results[0].test[1] == expected_acc
 
     def test_table_has_baseline_plus_rates(self):
         train_ds = gaussian_clusters(40, seed=22, center=3.0)
@@ -272,6 +268,8 @@ class TestFlipExperiment:
         test_ds = gaussian_clusters(10, seed=27)
         with pytest.raises(ValueError, match="flip rate"):
             grid_search(train_ds, SMALL_GRID, k=3, seed=0, rates=[1.5], test_ds=test_ds)
+        with pytest.raises(ValueError, match="must not repeat"):
+            grid_search(train_ds, SMALL_GRID, k=3, seed=0, rates=[0.1, 0.1], test_ds=test_ds)
 
     def test_rows_equal_at_one_two_and_three_workers(self):
         train_ds = gaussian_clusters(36, seed=30, center=1.2)
@@ -298,9 +296,9 @@ class TestFlipExperiment:
         for row in results[1:]:
             flipped = flip_labels(train_ds, row.rate, 5)
             [result] = grid_search(flipped, SMALL_GRID, k=4, seed=5)
-            _, diag, acc = fit_full(flipped, test_ds, result.best)
+            mdl, acc = fit_full(flipped, test_ds, result.best)
             assert flip_rows([row]) == [
-                (row.rate, result.best, result.best_accuracy, acc, diag.converged)
+                (row.rate, result.best, result.best_accuracy, acc, mdl.converged)
             ]
             assert row.fold_accuracies.tobytes() == result.fold_accuracies.tobytes()
         # the flips reach the search: each rate scores differently
@@ -355,6 +353,32 @@ print("pools", len(pools), "rows", len(rows), "lapack", "scipy.linalg._flapack" 
 """
 
 
+class TestThreads:
+    def test_serial_searches_in_two_threads_are_independent(self, monkeypatch):
+        grid = Grid(c_values=(0.5, 1.0), delta_values=(1.0,), v_values=(0.5, 1.0), K=50)
+        sets = [gaussian_clusters(80, seed=1, center=1.0),
+                gaussian_clusters(120, seed=2, center=0.5)]
+        alone = [grid_search(ds, grid, k=4, seed=3)[0] for ds in sets]
+        barrier = threading.Barrier(2, timeout=60)
+        started = set()
+        solve = tuning.train
+
+        def meeting(ds, cfg):
+            # each thread's first solve waits until both searches have begun
+            if threading.get_ident() not in started:
+                started.add(threading.get_ident())
+                barrier.wait()
+            return solve(ds, cfg)
+
+        monkeypatch.setattr(tuning, "train", meeting)
+        with ThreadPoolExecutor(max_workers=2) as ex:
+            together = list(ex.map(lambda ds: grid_search(ds, grid, k=4, seed=3)[0], sets))
+        assert len(started) == 2
+        for a, b in zip(alone, together):
+            assert a.fold_accuracies.tobytes() == b.fold_accuracies.tobytes()
+            assert a.converged_folds.tobytes() == b.converged_folds.tobytes()
+
+
 class TestPool:
     def test_pool_is_no_larger_than_the_task_list(self, monkeypatch):
         import concurrent.futures as cf
@@ -380,8 +404,8 @@ class TestPool:
         test_ds = gaussian_clusters(20, seed=36, center=1.5)
         [tested] = grid_search(train_ds, SMALL_GRID, k=4, seed=3, parallelism=parallelism,
                              test_ds=test_ds)
-        _, diag, acc = fit_full(train_ds, test_ds, tested.best)
-        assert tested.test[2] == acc and tested.test[1].converged == diag.converged
+        mdl, acc = fit_full(train_ds, test_ds, tested.best)
+        assert tested.test[1] == acc and tested.test[0].converged == mdl.converged
         assert tested.repeated is None
         [repeated] = grid_search(train_ds, SMALL_GRID, k=4, seed=3, parallelism=parallelism,
                                repeats=3)
