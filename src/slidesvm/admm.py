@@ -7,7 +7,8 @@ The training problem is
 with A the matrix of label-signed samples. Each sweep selects a working set
 from thresholds of the closed-form prox, applies the u/w/b block updates, and
 takes a damped multiplier step restricted to the working set. Convergence is
-declared from four residuals derived from the stationarity conditions.
+declared from four residuals derived from the stationarity conditions; the
+feasibility residual e3 is tested first, since no stop is possible above it.
 ``train`` is the one driver of the sweep; each step function it calls takes
 the products it reads as arguments.
 """
@@ -317,14 +318,14 @@ def update_lambda(
 def _defect_norms(
     state: AdmmState,
     y: np.ndarray,
-    gap: np.ndarray,
     a_t: np.ndarray,
     lam_d: np.ndarray,
     cfg: TrainConfig,
-) -> tuple[float, float, float, float]:
-    """Raw norms of the four stationarity defects over the working set T:
-    ||w + A_T' lambda_T||, |y_T' lambda_T|, ||gap|| with
-    ``gap = 1 - u - Aw - b*y``, and ||u - prox_{gamma_c loss}(u - lambda/delta)||.
+) -> tuple[float, float, float]:
+    """Raw norms of the three stationarity defects that read the working set
+    T: ||w + A_T' lambda_T||, |y_T' lambda_T| and
+    ||u - prox_{gamma_c loss}(u - lambda/delta)||. The fourth, feasibility,
+    is the norm of ``gap = 1 - u - Aw - b*y``.
 
     The prox defect is formed on T and scattered into zeros. Off T a sweep
     leaves lambda = 0 and u = z, which the prox maps to itself, so every row
@@ -340,9 +341,15 @@ def _defect_norms(
     return (
         _norm(state.w + a_t.T @ lam_t),
         abs(float(y[idx] @ lam_t)),
-        _norm(gap),
         _norm(prox_gap),
     )
+
+
+def _feasibility(gap: np.ndarray) -> float:
+    """Normalized feasibility residual e3 = ||gap|| / sqrt(m), with
+    ``gap = 1 - u - Aw - b*y``. ``residuals`` stores it and ``train``'s stop
+    test reads it first, so both see the same float."""
+    return _norm(gap) / math.sqrt(gap.size)
 
 
 def residuals(
@@ -355,11 +362,11 @@ def residuals(
 ) -> Residuals:
     """Normalized residuals of the stationarity system at a state left by a
     sweep, with ``gap = 1 - u - Aw - b*y``."""
-    e1, e2, e3, e4 = _defect_norms(state, y, gap, a_t, lam_d, cfg)
+    e1, e2, e4 = _defect_norms(state, y, a_t, lam_d, cfg)
     return Residuals(
         e1 / (1.0 + _norm(state.w)),
         e2 / (1.0 + state.working_set.size),
-        e3 / math.sqrt(y.size),
+        _feasibility(gap),
         e4 / (1.0 + _norm(state.u)),
     )
 
@@ -392,8 +399,10 @@ def train(ds: Dataset, cfg: TrainConfig, *, history: bool = False):
     Non-convergence is reported through the model's ``converged`` flag, not an
     error; the final iterate is returned either way. The run is deterministic:
     equal inputs give bit-identical results. ``history`` records every
-    sweep's working-set size, residuals and objective; otherwise the
-    objective is computed once, at the returned iterate.
+    sweep's working-set size, residuals and objective. Otherwise a sweep
+    computes the full residuals only when its e3 is below tol, and the
+    objective, and residuals a last sweep skipped, are computed once at the
+    returned iterate; the results are the same bit for bit.
 
     Returns (Model, TrainDiagnostics).
     """
@@ -425,14 +434,23 @@ def train(ds: Dataset, cfg: TrainConfig, *, history: bool = False):
         lam_d = np.zeros(m)
         lam_d[idx] = state.lam[idx] / cfg.delta
         margins = 1.0 - Aw - by
+        gap = t - by
 
-        res = residuals(state, y, t - by, a_t, lam_d, cfg)
+        # a stop needs every residual below tol, e3 among them: a sweep whose
+        # e3 is not below tol skips the other three (a NaN e3 computes them)
+        if sweeps is None and _feasibility(gap) >= cfg.tol:
+            res = None
+            continue
+        res = residuals(state, y, gap, a_t, lam_d, cfg)
         if sweeps is not None:
             sweeps.append((ws.size, res, objective_value(state.w, margins, cfg)))
         if res.max() < cfg.tol:
             converged = True
             break
 
+    if res is None:
+        # the returned iterate's residuals, when its sweep skipped them
+        res = residuals(state, y, gap, a_t, lam_d, cfg)
     diagnostics = TrainDiagnostics(
         iterations=k, converged=converged, final_state=state, residuals=res,
         objective=sweeps[-1][2] if sweeps else objective_value(state.w, margins, cfg),
@@ -471,5 +489,5 @@ def check_proximal_stationarity(
     A = ds.signed_matrix()
     every_row = WorkingSet(np.arange(ds.m), _EMPTY)
     point = AdmmState(w, b, u, lam, working_set=every_row)
-    gap = 1.0 - u - A @ w - b * ds.y
-    return Residuals(*_defect_norms(point, ds.y, gap, A, lam / cfg.delta, cfg))
+    e1, e2, e4 = _defect_norms(point, ds.y, A, lam / cfg.delta, cfg)
+    return Residuals(e1, e2, _norm(1.0 - u - A @ w - b * ds.y), e4)

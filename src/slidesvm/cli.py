@@ -91,6 +91,17 @@ def _check_outputs(*paths) -> None:
             raise CliError(f"cannot write {path}: {exc}") from exc
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file: the same resolved path, or, when
+    both exist, the same inode (a hard link)."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return False
+
+
 def _write_text(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -117,6 +128,11 @@ def _config_cells(cfg: TrainConfig) -> list:
 
 def cmd_train(args) -> int:
     cfg = _train_config(args)
+    # the second write would replace the first: the model would be lost
+    if args.diagnostics and _same_file(args.out, args.diagnostics):
+        raise CliError(
+            f"--out and --diagnostics name the same file: {args.diagnostics}", status=2
+        )
     _check_outputs(args.out, args.diagnostics)
     ds = _read_dataset(args.data)
     mdl, diag = train(ds, cfg, history=bool(args.diagnostics))

@@ -34,7 +34,7 @@ from slidesvm.loss import (
     prox_thresholds,
     slide_loss_sum,
 )
-from slidesvm.model import accuracy
+from slidesvm.model import accuracy, dumps_model
 
 P_WIDE = SlideParams(0.1, 1.0)
 
@@ -671,6 +671,58 @@ class TestSweepProperties:
         b = update_b(1.0 - u - A @ w, ds.y, lam / cfg.delta)
         grad = float(lam @ ds.y) + cfg.delta * float(ds.y @ (u + A @ w + b * ds.y - 1.0))
         assert abs(grad) <= 1e-10 * ds.m
+
+
+@st.composite
+def stop_test_run(draw):
+    """A solve that converges, hits the cap or has an empty working set:
+    separable 2-D clusters (m > n), or a random problem with up to 12 rows and
+    16 features, where m < n sends every w-solve through the Woodbury system."""
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    if draw(st.booleans()):
+        m = draw(st.integers(min_value=3, max_value=120))
+        center = draw(st.floats(min_value=0.5, max_value=3.0))
+        ds = gaussian_clusters(m, seed=seed, center=center)
+    else:
+        m = draw(st.integers(min_value=1, max_value=12))
+        ds = random_problem(np.random.default_rng(seed), m, draw(st.integers(1, 16)))
+    v = draw(st.floats(min_value=0.1, max_value=1.0))
+    frac = draw(st.floats(min_value=0.0, max_value=0.9))
+    cfg = TrainConfig(
+        C=draw(st.floats(min_value=0.01, max_value=4.0)),
+        delta=draw(st.floats(min_value=0.1, max_value=4.0)),
+        slide=SlideParams(v * frac, v),
+        K=draw(st.integers(min_value=1, max_value=300)),
+        tol=draw(st.sampled_from([1e-3, 1e-2, 1e-1])),
+    )
+    return ds, cfg
+
+
+class TestStopTest:
+    @given(stop_test_run())
+    @settings(max_examples=200, deadline=None)
+    def test_skipping_the_full_residuals_changes_no_bit(self, run):
+        # without the history a sweep whose e3 is not below tol skips the
+        # other residuals; the history computes all four every sweep
+        ds, cfg = run
+        m1, d1 = train(ds, cfg)
+        m2, d2 = train(ds, cfg, history=True)
+        sizes = [size for size, _, _ in d2.history]
+        event("trivial" if max(sizes) == 0 else "converged" if d2.converged else "capped")
+        event("m < n" if ds.m < ds.n else "m >= n")
+        assert (d1.iterations, d1.converged) == (d2.iterations, d2.converged)
+        s1, s2 = d1.final_state, d2.final_state
+        for a, b in [(s1.w, s2.w), (s1.u, s2.u), (s1.lam, s2.lam),
+                     (s1.working_set.pinned, s2.working_set.pinned),
+                     (s1.working_set.shifted, s2.working_set.shifted)]:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert bits(s1.b) == bits(s2.b)
+        assert bits(dataclasses.astuple(d1.residuals)) == bits(dataclasses.astuple(d2.residuals))
+        assert bits(dataclasses.astuple(d2.history[-1][1])) == bits(
+            dataclasses.astuple(d2.residuals)
+        )
+        assert bits(d1.objective) == bits(d2.objective)
+        assert dumps_model(m1) == dumps_model(m2)
 
 
 def mask_selection(z, lam, cfg):

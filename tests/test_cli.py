@@ -603,6 +603,24 @@ class TestParser:
         assert err.startswith("error: ") and "cannot read" not in err
         assert not (tmp_path / "m.txt").exists()
 
+    @pytest.mark.parametrize("alias", ["same", "dot", "symlink", "hardlink"])
+    def test_train_outputs_naming_one_file_are_a_usage_error(self, alias, tmp_path, capsys):
+        # the diagnostics would overwrite the model; rejected before any data
+        # is read (the data file does not exist), and no file is touched
+        out = tmp_path / "m.txt"
+        other = {"same": out, "dot": tmp_path / "." / "m.txt",
+                 "symlink": tmp_path / "link.txt", "hardlink": tmp_path / "hard.txt"}[alias]
+        if alias in ("symlink", "hardlink"):
+            out.write_text("kept\n")
+            (other.symlink_to if alias == "symlink" else other.hardlink_to)(out)
+        before = sorted(tmp_path.iterdir())
+        assert run(["train", "--data", tmp_path / "a.svm", "--out", out,
+                    "--diagnostics", other, "--max-iter", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "same file" in err and "cannot read" not in err
+        assert sorted(tmp_path.iterdir()) == before
+        assert not out.exists() or out.read_text() == "kept\n"
+
     def test_grid_flags_build_only_the_requested_configs(self, monkeypatch):
         # the stock values come from constants, not from building the stock
         # grid's 2250 configs

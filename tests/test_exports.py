@@ -83,10 +83,9 @@ def test_the_harness_reads_sweeps_and_convergence_from_trains_second_result():
     assert outcomes == [True, False]
 
 
-def test_train_calls_each_phase_by_its_module_name_once_per_sweep(report, monkeypatch):
-    # the tracer times the phases by rebinding these module attributes, so it
-    # sees a phase only while train calls it through that name. The objective
-    # is computed once per solve, or every sweep when its history is asked for.
+@pytest.fixture()
+def phase_calls(report, monkeypatch):
+    """Calls of each sweep phase, counted through its module-level name."""
     calls = {}
 
     def counting(dotted, fn):
@@ -100,15 +99,41 @@ def test_train_calls_each_phase_by_its_module_name_once_per_sweep(report, monkey
         layer, name = dotted.split(".")
         assert layer == "admm"
         monkeypatch.setattr(admm, name, counting(dotted, getattr(admm, name)))
-    objective = report.PHASES["objective"]
+    return calls
+
+
+def test_train_calls_each_phase_by_its_module_name_once_per_sweep(report, phase_calls):
+    # the tracer times the phases by rebinding these module attributes, so it
+    # sees a phase only while train calls it through that name. With the
+    # history every phase runs once per sweep. Without it the objective runs
+    # once per solve, and the residuals on sweeps whose e3 is below tol and
+    # once more at a returned iterate whose sweep skipped them.
+    residuals, objective = report.PHASES["residuals"], report.PHASES["objective"]
     cfg = admm.TrainConfig(C=1.0, delta=1.0, slide=SlideParams(0.1, 1.0), K=7, tol=1e-12)
     ds = gaussian_clusters(40, seed=0)
     _, diag = admm.train(ds, cfg)
     assert diag.iterations == 7 and not diag.converged
-    assert calls == {dotted: 7 for dotted in report.PHASES.values()} | {objective: 1}
-    calls.clear()
+    every_sweep = {dotted: 7 for dotted in report.PHASES.values()}
+    assert phase_calls == every_sweep | {residuals: 1, objective: 1}
+    phase_calls.clear()
     admm.train(ds, cfg, history=True)
-    assert calls == {dotted: 7 for dotted in report.PHASES.values()}
+    assert phase_calls == every_sweep
+
+
+@pytest.mark.parametrize("K", [1000, 200])  # converges at sweep 218; capped
+def test_train_computes_the_full_residuals_only_where_e3_could_stop(report, phase_calls, K):
+    cfg = admm.TrainConfig(C=1.0, delta=1.0, slide=SlideParams(0.1, 1.0), K=K)
+    ds = gaussian_clusters(200, seed=42)
+    _, full = admm.train(ds, cfg, history=True)
+    e3 = [res.e3 for _, res, _ in full.history]
+    residuals = report.PHASES["residuals"]
+    phase_calls.clear()
+    _, diag = admm.train(ds, cfg)
+    assert (diag.iterations, diag.converged) == (full.iterations, full.converged)
+    could_stop = sum(e < cfg.tol for e in e3)
+    expected = could_stop + (e3[-1] >= cfg.tol)
+    assert phase_calls[residuals] == expected < diag.iterations
+    assert phase_calls[report.PHASES["select"]] == diag.iterations
 
 
 # run in a fresh interpreter: scores a model written by this test, then trains
