@@ -430,9 +430,7 @@ def train(ds: Dataset, cfg: TrainConfig, *, history: bool = False):
         by = b_next * y
         state.lam = update_lambda(state.lam, idx, u_next, Aw, by, cfg)
         state.u, state.w, state.b = u_next, w_next, b_next
-        # lambda is zero off T, and so is lambda/delta
-        lam_d = np.zeros(m)
-        lam_d[idx] = state.lam[idx] / cfg.delta
+        lam_d = state.lam / cfg.delta
         margins = 1.0 - Aw - by
         gap = t - by
 

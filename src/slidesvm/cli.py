@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 import time
@@ -28,7 +29,7 @@ from .model import (
     predict_dataset,
     save_model,
 )
-from .tuning import STOCK_POWERS, STOCK_V_VALUES, Grid, check_rates, grid_search
+from .tuning import STOCK_POWERS, STOCK_V_VALUES, check_rates, grid_configs, grid_search
 
 
 class CliError(Exception):
@@ -178,29 +179,20 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _given(values, stock):
-    """An overriding value list as a tuple, or ``stock`` when the flag was not
-    given; an empty list stays empty, so the grid rejects it."""
-    return stock if values is None else tuple(values)
-
-
-def _grid_from_args(args) -> Grid:
+def _grid_from_args(args) -> list[TrainConfig]:
+    # a value flag not given is the stock list; one given empty stays empty,
+    # so grid_configs rejects it
     try:
-        return Grid(
-            c_values=_given(args.c_values, STOCK_POWERS),
-            delta_values=_given(args.delta_values, STOCK_POWERS),
-            v_values=_given(args.v_values, STOCK_V_VALUES),
-            eps_values=_given(args.eps_values, None),
-            eta=args.eta,
-            K=args.max_iter,
-            tol=args.tol,
+        return grid_configs(
+            args.c_values, args.delta_values, args.v_values, args.eps_values,
+            eta=args.eta, K=args.max_iter, tol=args.tol,
         )
     except ValueError as exc:
         raise CliError(str(exc), status=2) from exc
 
 
 def cmd_grid(args) -> int:
-    grid = _grid_from_args(args)
+    configs = _grid_from_args(args)
     _check_outputs(args.out)
     ds = _read_dataset(args.data)
     test_ds = None
@@ -208,7 +200,7 @@ def cmd_grid(args) -> int:
         test_ds = _read_dataset(args.test)
         ds, test_ds = align_features(ds, test_ds)
     [result] = grid_search(
-        ds, grid, k=args.folds, seed=args.seed, parallelism=args.parallel,
+        ds, configs, k=args.folds, seed=args.seed, parallelism=args.parallel,
         test_ds=test_ds, repeats=args.repeats,
     )
 
@@ -255,13 +247,13 @@ def cmd_flip(args) -> int:
         check_rates(args.rates)
     except ValueError as exc:
         raise CliError(str(exc), status=2) from exc
-    grid = _grid_from_args(args)
+    configs = _grid_from_args(args)
     _check_outputs(args.out)
     ds = _read_dataset(args.data)
     test_ds = _read_dataset(args.test)
     ds, test_ds = align_features(ds, test_ds)
     results = grid_search(
-        ds, grid, k=args.folds, seed=args.seed, parallelism=args.parallel,
+        ds, configs, k=args.folds, seed=args.seed, parallelism=args.parallel,
         rates=args.rates, test_ds=test_ds,
     )
     rows = []
@@ -348,13 +340,15 @@ def _float_list(text: str):
         raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
 
 
-def _bounded(kind, low, strict=False):
-    """An argparse type: ``kind`` of the text, ``>= low`` (``> low`` if strict)."""
+def _bounded(kind, low, strict=False, finite=False):
+    """An argparse type: ``kind`` of the text, ``>= low`` (``> low`` if
+    strict), and finite if asked."""
 
     def check(text):
         value = kind(text)
-        if not (value > low if strict else value >= low):
-            raise argparse.ArgumentTypeError(f"need {'>' if strict else '>='} {low}, got {text}")
+        if not (value > low if strict else value >= low) or (finite and not math.isfinite(value)):
+            bound = f"{'finite ' if finite else ''}{'>' if strict else '>='} {low}"
+            raise argparse.ArgumentTypeError(f"need {bound}, got {text}")
         return value
 
     check.__name__ = kind.__name__  # argparse names it in "invalid int value"
@@ -362,16 +356,16 @@ def _bounded(kind, low, strict=False):
 
 
 def _add_solver_flags(sub, with_cv=False):
-    sub.add_argument("--eta", type=float, default=1.618, help="dual step size (default 1.618)")
-    sub.add_argument("--max-iter", type=int, default=1000, help="sweep cap (default 1000)")
-    sub.add_argument("--tol", type=float, default=1e-3, help="residual tolerance (default 1e-3)")
+    sub.add_argument("--eta", type=float, default=TrainConfig.eta, help="dual step size (default 1.618)")
+    sub.add_argument("--max-iter", type=int, default=TrainConfig.K, help="sweep cap (default 1000)")
+    sub.add_argument("--tol", type=float, default=TrainConfig.tol, help="residual tolerance (default 1e-3)")
     if with_cv:
         sub.add_argument("--folds", type=_bounded(int, 2), default=10, help="cross-validation folds (default 10)")
-        sub.add_argument("--seed", type=int, default=0, help="fold/flip seed (default 0)")
+        sub.add_argument("--seed", type=_bounded(int, 0), default=0, help="fold/flip seed (default 0)")
         sub.add_argument("--parallel", type=_bounded(int, 1), default=1, help="worker processes (default 1)")
-        sub.add_argument("--c-values", type=_float_list, default=None, help="override C grid, comma separated")
-        sub.add_argument("--delta-values", type=_float_list, default=None, help="override delta grid")
-        sub.add_argument("--v-values", type=_float_list, default=None, help="override v grid")
+        sub.add_argument("--c-values", type=_float_list, default=STOCK_POWERS, help="override C grid, comma separated")
+        sub.add_argument("--delta-values", type=_float_list, default=STOCK_POWERS, help="override delta grid")
+        sub.add_argument("--v-values", type=_float_list, default=STOCK_V_VALUES, help="override v grid")
         sub.add_argument("--eps-values", type=_float_list, default=None, help="override epsilon grid (default: v/10)")
         sub.add_argument("--out", default=None, help="write the result table as CSV")
 
@@ -426,8 +420,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("proxcheck", help="closed-form prox vs grid oracle")
     sub.add_argument("--samples", type=_bounded(int, 1), default=10000)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--step", type=_bounded(float, 0.0, strict=True), default=1e-6, help="oracle grid step")
+    sub.add_argument("--seed", type=_bounded(int, 0), default=0)
+    sub.add_argument(
+        "--step", type=_bounded(float, 0.0, strict=True, finite=True), default=1e-6,
+        help="oracle grid step",
+    )
     sub.add_argument("--limit", type=_bounded(float, 0.0), default=1e-6, help="max allowed deviation")
     sub.add_argument("--out", default=None, help="per-sample CSV to write")
     sub.set_defaults(func=cmd_proxcheck)

@@ -125,8 +125,10 @@ def oracle_grid_span(s: float, gamma_c: float, p: SlideParams, step: float):
     ``[s - 2*gamma_c/(v-eps) - 1, s + 1]``."""
     lo = s - 2.0 * gamma_c / p.ramp_width - 1.0
     hi = s + 1.0
-    count = int(math.floor((hi - lo) / step)) + 1
-    return lo, hi, count
+    steps = (hi - lo) / step
+    if not math.isfinite(steps):
+        raise ValueError(f"step {step} gives the oracle grid over [{lo}, {hi}] no finite count")
+    return lo, hi, int(math.floor(steps)) + 1
 
 
 def prox_oracle(s: float, gamma_c: float, p: SlideParams, step: float = 1e-6) -> float:
@@ -141,8 +143,8 @@ def prox_oracle(s: float, gamma_c: float, p: SlideParams, step: float = 1e-6) ->
     test suite checks this against a literal sweep). Ties resolve toward the
     candidate closest to ``s``.
     """
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not (step > 0.0 and math.isfinite(step)):
+        raise ValueError(f"step must be finite and positive, got {step}")
     lo, hi, count = oracle_grid_span(s, gamma_c, p, step)
     breakpoints = [p.epsilon, p.v, s, s - gamma_c / p.ramp_width]
 

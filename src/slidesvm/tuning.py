@@ -27,10 +27,10 @@ from .loss import SlideParams
 from .model import accuracy
 
 __all__ = [
-    "Grid",
     "CvResult",
     "STOCK_POWERS",
     "STOCK_V_VALUES",
+    "grid_configs",
     "default_grid",
     "check_rates",
     "grid_search",
@@ -44,61 +44,53 @@ STOCK_POWERS = tuple(float(SQRT2**i) for i in range(-7, 8))
 STOCK_V_VALUES = tuple(round(0.1 * i, 1) for i in range(1, 11))
 
 
-@dataclass(frozen=True)
-class Grid:
-    """Cartesian grid over (C, delta, v) with fixed solver settings.
+def grid_configs(
+    c_values,
+    delta_values,
+    v_values,
+    eps_values=None,
+    *,
+    eta: float = TrainConfig.eta,
+    K: int = TrainConfig.K,
+    tol: float = TrainConfig.tol,
+) -> list[TrainConfig]:
+    """Every (C, delta, v, epsilon) of the given values with the solver
+    settings eta, K and tol, ordered ascending by (C, delta, v, epsilon).
 
     epsilon follows v/10 unless explicit values are given, in which case the
-    epsilon list is crossed with the v list.
+    epsilon list is crossed with the v list. The ordering backs the
+    tie-break rule: among equal-accuracy configs the earliest one wins.
+    Raises ValueError for an empty list, and TrainConfig and SlideParams
+    reject a bad value.
     """
-
-    c_values: tuple
-    delta_values: tuple
-    v_values: tuple
-    eps_values: tuple | None = None
-    eta: float = 1.618
-    K: int = 1000
-    tol: float = 1e-3
-
-    def __post_init__(self):
-        for name in ("c_values", "delta_values", "v_values"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must be nonempty")
-        if self.eps_values is not None and not self.eps_values:
-            raise ValueError("eps_values must be nonempty")
-        self.configs()  # TrainConfig and SlideParams check every value
-
-    def configs(self) -> list[TrainConfig]:
-        """All configurations, ordered ascending by (C, delta, v, epsilon).
-
-        The ordering backs the tie-break rule: among equal-accuracy configs
-        the earliest one wins.
-        """
-        out = []
-        for c in sorted(self.c_values):
-            for d in sorted(self.delta_values):
-                for v in sorted(self.v_values):
-                    eps_list = (
-                        (v / 10.0,) if self.eps_values is None else self.eps_values
-                    )
-                    for eps in sorted(eps_list):
-                        out.append(
-                            TrainConfig(
-                                C=float(c),
-                                delta=float(d),
-                                slide=SlideParams(float(eps), float(v)),
-                                eta=self.eta,
-                                K=self.K,
-                                tol=self.tol,
-                            )
-                        )
-        return out
+    for name, values in (
+        ("c_values", c_values), ("delta_values", delta_values), ("v_values", v_values)
+    ):
+        if not values:
+            raise ValueError(f"{name} must be nonempty")
+    if eps_values is not None and not eps_values:
+        raise ValueError("eps_values must be nonempty")
+    return [
+        TrainConfig(
+            C=float(c),
+            delta=float(d),
+            slide=SlideParams(float(eps), float(v)),
+            eta=eta,
+            K=K,
+            tol=tol,
+        )
+        for c in sorted(c_values)
+        for d in sorted(delta_values)
+        for v in sorted(v_values)
+        for eps in sorted((v / 10.0,) if eps_values is None else eps_values)
+    ]
 
 
-def default_grid() -> Grid:
-    """The stock grid: C and delta over the 15 powers sqrt(2)^-7..sqrt(2)^7,
-    v over 0.1..1.0, epsilon = v/10, eta=1.618, K=1000, tol=1e-3."""
-    return Grid(c_values=STOCK_POWERS, delta_values=STOCK_POWERS, v_values=STOCK_V_VALUES)
+def default_grid() -> list[TrainConfig]:
+    """The stock grid's 2250 configs: C and delta over the 15 powers
+    sqrt(2)^-7..sqrt(2)^7, v over 0.1..1.0, epsilon = v/10, and TrainConfig's
+    solver settings eta=1.618, K=1000, tol=1e-3."""
+    return grid_configs(STOCK_POWERS, STOCK_POWERS, STOCK_V_VALUES)
 
 
 def fit_full(train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig):
@@ -195,7 +187,8 @@ class CvResult:
 
     @property
     def best_index(self) -> int:
-        # ties go to the earliest config, the smallest (C, delta, v, epsilon)
+        # ties go to the earliest config; grid_configs puts the smallest
+        # (C, delta, v, epsilon) first
         return int(np.argmax(self.mean_accuracies))
 
     @property
@@ -231,7 +224,7 @@ def check_rates(rates) -> None:
 
 def grid_search(
     ds: Dataset,
-    grid: Grid,
+    configs: list[TrainConfig],
     k: int,
     seed: int,
     parallelism: int = 1,
@@ -240,15 +233,17 @@ def grid_search(
     test_ds: Dataset | None = None,
     repeats: int = 0,
 ) -> list[CvResult]:
-    """Cross-validate every grid configuration on one shared fold plan, on
-    the clean labels and on the labels flipped at each of ``rates``.
+    """Cross-validate every configuration in ``configs`` on one shared fold
+    plan, on the clean labels and on the labels flipped at each of ``rates``.
 
-    Returns one result per rate of ``[0.0]`` and the nonzero ``rates`` in
-    order; the labels of rate r are ``flip_labels(ds, r, seed)``. Each
-    (rate, config, fold) triple is one task, and workers take them one at a
-    time in rate-major, then config-major order, so a costly config spreads
-    over every worker. Results are assembled in task order, so the outcome is
-    identical for any parallelism degree.
+    ``configs`` is in tie-break order, as ``grid_configs`` gives it: among
+    configs of equal mean accuracy the earliest wins. Returns one result per
+    rate of ``[0.0]`` and the nonzero ``rates`` in order; the labels of rate
+    r are ``flip_labels(ds, r, seed)``. Each (rate, config, fold) triple is
+    one task, and workers take them one at a time in rate-major, then
+    config-major order, so a costly config spreads over every worker. Results
+    are assembled in task order, so the outcome is identical for any
+    parallelism degree.
 
     With ``test_ds``, each rate's winner is then refit by ``fit_full`` on
     that rate's labels (``test``); otherwise, with ``repeats``, it is
@@ -256,11 +251,12 @@ def grid_search(
     ``seed`` reuses the search's own scores; the other fold seeds run on the
     same processes as the search.
     """
+    if not configs:
+        raise ValueError("grid search needs at least one config")
     if test_ds is not None and test_ds.m == 0:
         raise ValueError("grid search needs a nonempty test set")
     check_rates(rates)
     all_rates = [0.0] + [float(r) for r in rates if r != 0.0]
-    configs = grid.configs()
     kfold_plan(ds.m, k, seed)  # an impossible k fails here, before any solve
     tasks = [
         (rate, seed, cfg, fold) for rate in all_rates for cfg in configs for fold in range(k)

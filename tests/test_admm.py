@@ -745,9 +745,9 @@ def bits(x):
 
 
 class TestFusedSweepIdentities:
-    """The sweep forms each product once and restricts lambda/delta and the
-    prox defect to the working set T; these are the bitwise identities that
-    keep its results equal to the full-length formulas."""
+    """The sweep forms each product once and restricts the prox defect to
+    the working set T; these are the bitwise identities that keep its results
+    equal to the full-length formulas."""
 
     @given(tiny_problem(), st.integers(min_value=1, max_value=6))
     @settings(max_examples=150, deadline=None)
@@ -758,10 +758,11 @@ class TestFusedSweepIdentities:
         for state in states:
             Aw = A @ state.w
             idx = state.working_set.indices
-            lam_d = np.zeros(ds.m)
-            lam_d[idx] = state.lam[idx] / cfg.delta
-            assert bits(lam_d) == bits(state.lam / cfg.delta)
-            z = compute_z(1.0 - Aw - state.b * y, lam_d)
+            # lambda is +0.0 off T, so lambda/delta is too
+            off = np.ones(ds.m, dtype=bool)
+            off[idx] = False
+            assert bits(state.lam[off]) == bits(np.zeros(int(off.sum())))
+            z = compute_z(1.0 - Aw - state.b * y, state.lam / cfg.delta)
             assert bits(z) == bits(1.0 - Aw - state.b * y - state.lam / cfg.delta)
 
     @staticmethod

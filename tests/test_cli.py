@@ -16,7 +16,7 @@ from slidesvm.model import (
     load_model,
     save_model,
 )
-from slidesvm.tuning import Grid, grid_search
+from slidesvm.tuning import grid_configs, grid_search
 
 
 @pytest.fixture()
@@ -404,8 +404,8 @@ class TestGridCommand:
         assert run(["grid", "--data", train, "--folds", "3", "--seed", "4", "--repeats", "1",
                     "--c-values", "0.5,1.0", "--delta-values", "1.0", "--v-values", "0.3,1.0",
                     "--max-iter", "200", "--out", out]) == 0
-        grid = Grid(c_values=(0.5, 1.0), delta_values=(1.0,), v_values=(0.3, 1.0), K=200)
-        [result] = grid_search(parse_libsvm(train.read_bytes()), grid, k=3, seed=4)
+        configs = grid_configs((0.5, 1.0), (1.0,), (0.3, 1.0), K=200)
+        [result] = grid_search(parse_libsvm(train.read_bytes()), configs, k=3, seed=4)
         rows = read_csv(out)[1:-1]
         assert [float(row[4]) for row in rows] == result.mean_accuracies.tolist()
         assert [
@@ -564,15 +564,27 @@ class TestProxcheckCommand:
         assert run(["proxcheck", "--samples", "1"]) == 0
         assert "failures=0" in capsys.readouterr().out
 
+    def test_a_step_with_no_finite_grid_fails_naming_the_step(self, capsys):
+        # (hi - lo) / step overflows: a data error, not a traceback
+        assert run(["proxcheck", "--samples", "1", "--step", "1e-310"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "step 1e-310" in err
+
+    def test_an_infinite_limit_accepts_every_deviation(self, capsys):
+        assert run(["proxcheck", "--samples", "50", "--seed", "6", "--limit", "inf"]) == 0
+        assert "failures=0" in capsys.readouterr().out
+
 
 class TestParser:
     @pytest.mark.parametrize(
         "command, flag, value",
         [("grid", "--folds", "1"), ("grid", "--repeats", "0"), ("grid", "--parallel", "-3"),
-         ("flip", "--folds", "1"), ("flip", "--parallel", "0"),
+         ("grid", "--seed", "-1"),
+         ("flip", "--folds", "1"), ("flip", "--parallel", "0"), ("flip", "--seed", "-1"),
          ("proxcheck", "--step", "0"), ("proxcheck", "--step", "nan"),
+         ("proxcheck", "--step", "inf"),
          ("proxcheck", "--limit", "nan"), ("proxcheck", "--limit", "-1"),
-         ("proxcheck", "--samples", "0")],
+         ("proxcheck", "--samples", "0"), ("proxcheck", "--seed", "-1")],
     )
     def test_out_of_range_flags_are_usage_errors(self, command, flag, value, tmp_path, capsys):
         # rejected before any data is read: the data files do not exist
@@ -623,8 +635,8 @@ class TestParser:
 
     def test_grid_flags_build_only_the_requested_configs(self, monkeypatch):
         # the stock values come from constants, not from building the stock
-        # grid's 2250 configs
-        stock_v = tuning.default_grid().v_values
+        # grid's 2250 configs, and each config is built once
+        stock_v = tuning.STOCK_V_VALUES
         built = []
         post_init = admm.TrainConfig.__post_init__
 
@@ -641,9 +653,9 @@ class TestParser:
         built.clear()
         args = parser.parse_args(["flip", "--data", "a.svm", "--test", "b.svm",
                                   "--c-values", "1", "--delta-values", "1"])
-        grid = cli._grid_from_args(args)
+        configs = cli._grid_from_args(args)
         assert built == [(1.0, 1.0, v) for v in stock_v]
-        assert grid.v_values == stock_v
+        assert [cfg.slide.v for cfg in configs] == list(stock_v)
 
     def test_more_folds_than_rows_is_a_data_error(self, tmp_path, capsys):
         data = tmp_path / "three.svm"

@@ -28,6 +28,27 @@ def test_every_exported_name_resolves(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_function_and_class_is_defined_in_its_module(name):
+    # each name is imported from the module that defines it: no module
+    # re-exports another's
+    module = importlib.import_module(name)
+    foreign = []
+    for attr in getattr(module, "__all__", []):
+        obj = getattr(module, attr)
+        if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ != name:
+            foreign.append(f"{attr} from {obj.__module__}")
+    assert foreign == []
+
+
+def test_the_package_top_level_holds_only_its_version():
+    public = [
+        attr for attr, obj in vars(slidesvm).items()
+        if not attr.startswith("_") and not isinstance(obj, types.ModuleType)
+    ]
+    assert public == [] and isinstance(slidesvm.__version__, str)
+
+
 # what only the tests call stays out of the package: the paper's conditions
 # and the serial cross-validation live in tests/oracles.py, and one sample is
 # predicted as a one-row dataset

@@ -288,6 +288,17 @@ class TestProxOracle:
         with pytest.raises(ValueError):
             prox_oracle(0.3, 0.5, P_WIDE, step=0.0)
 
+    @pytest.mark.parametrize("step", [math.inf, math.nan, -math.inf])
+    def test_rejects_a_step_that_is_not_finite(self, step):
+        with pytest.raises(ValueError, match=f"step must be finite and positive, got {step}"):
+            prox_oracle(0.3, 0.5, P_WIDE, step=step)
+
+    @pytest.mark.parametrize("step", [1e-310, 5e-324])
+    def test_rejects_a_step_whose_grid_count_is_not_finite(self, step):
+        # (hi - lo) / step overflows to inf
+        with pytest.raises(ValueError, match=f"step {step} "):
+            prox_oracle(0.3, 0.5, P_WIDE, step=step)
+
     def test_equals_exhaustive_scan_coarse(self):
         rng = np.random.default_rng(11)
         for i in range(150):

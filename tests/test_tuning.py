@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -14,71 +15,95 @@ import slidesvm
 from slidesvm import tuning
 from slidesvm.data import Dataset, flip_labels, gaussian_clusters
 from slidesvm.loss import SlideParams
-from slidesvm.tuning import Grid, default_grid, fit_full, grid_search
-
-SMALL_GRID = Grid(
-    c_values=(0.5, 1.0),
-    delta_values=(1.0,),
-    v_values=(0.5, 1.0),
-    K=300,
+from slidesvm.tuning import (
+    STOCK_POWERS,
+    STOCK_V_VALUES,
+    default_grid,
+    fit_full,
+    grid_configs,
+    grid_search,
 )
+
+SMALL_GRID = grid_configs((0.5, 1.0), (1.0,), (0.5, 1.0), K=300)
 # three configs: at three rates and three folds, 27 tasks, which two workers
 # cannot share evenly
-ODD_GRID = Grid(c_values=(0.5, 1.0, 2.0), delta_values=(1.0,), v_values=(0.5,), K=100)
+ODD_GRID = grid_configs((0.5, 1.0, 2.0), (1.0,), (0.5,), K=100)
 
 
 class TestGrid:
     def test_default_grid_shape(self):
-        grid = default_grid()
-        assert len(grid.c_values) == 15 and len(grid.delta_values) == 15
-        assert len(grid.v_values) == 10
-        assert len(grid.configs()) == 2250
+        # 15 x 15 x 10, one epsilon per v
+        configs = default_grid()
+        assert len(STOCK_POWERS) == 15 and len(STOCK_V_VALUES) == 10
+        assert len(configs) == 2250
+        assert [(c.C, c.delta, c.slide.v) for c in configs] == list(
+            itertools.product(STOCK_POWERS, STOCK_POWERS, STOCK_V_VALUES)
+        )
 
     def test_default_grid_contains_unit(self):
-        grid = default_grid()
-        assert 1.0 in grid.c_values and 1.0 in grid.delta_values
-        assert min(grid.c_values) == pytest.approx(2.0 ** (-3.5))
-        assert max(grid.c_values) == pytest.approx(2.0**3.5)
+        c_values = {cfg.C for cfg in default_grid()}
+        assert c_values == {cfg.delta for cfg in default_grid()}
+        assert 1.0 in c_values
+        assert min(c_values) == pytest.approx(2.0 ** (-3.5))
+        assert max(c_values) == pytest.approx(2.0**3.5)
 
     def test_epsilon_rule(self):
-        for cfg in default_grid().configs():
+        for cfg in default_grid():
             assert cfg.slide.epsilon == cfg.slide.v / 10.0
-        cfg = next(c for c in default_grid().configs() if c.slide.v == 0.5)
+        cfg = next(c for c in default_grid() if c.slide.v == 0.5)
         assert cfg.slide.epsilon == 0.05
 
     def test_default_solver_settings(self):
-        grid = default_grid()
-        assert (grid.eta, grid.K, grid.tol) == (1.618, 1000, 1e-3)
+        for cfg in default_grid():
+            assert (cfg.eta, cfg.K, cfg.tol) == (1.618, 1000, 1e-3)
 
     def test_configs_ordered_ascending(self):
-        keys = [
-            (c.C, c.delta, c.slide.v) for c in SMALL_GRID.configs()
-        ]
+        # given out of order, built in ascending (C, delta, v, epsilon) order
+        configs = grid_configs((2.0, 0.5), (4.0, 1.0), (1.0, 0.3), (0.2, 0.0), K=300)
+        keys = [(c.C, c.delta, c.slide.v, c.slide.epsilon) for c in configs]
+        assert keys == sorted(keys) and len(keys) == 16
+        keys = [(c.C, c.delta, c.slide.v) for c in SMALL_GRID]
         assert keys == sorted(keys)
 
     def test_explicit_epsilon_values(self):
-        grid = Grid(c_values=(1.0,), delta_values=(1.0,), v_values=(0.5,), eps_values=(0.0, 0.1))
-        eps = [c.slide.epsilon for c in grid.configs()]
+        configs = grid_configs((1.0,), (1.0,), (0.5,), (0.1, 0.0))
+        eps = [c.slide.epsilon for c in configs]
         assert eps == [0.0, 0.1]
 
     def test_validation(self):
+        for name, lists in [
+            ("c_values", ((), (1.0,), (0.5,))),
+            ("delta_values", ((1.0,), (), (0.5,))),
+            ("v_values", ((1.0,), (1.0,), ())),
+            ("eps_values", ((1.0,), (1.0,), (0.5,), ())),
+        ]:
+            with pytest.raises(ValueError, match=f"^{name} must be nonempty$"):
+                grid_configs(*lists)
         with pytest.raises(ValueError):
-            Grid(c_values=(), delta_values=(1.0,), v_values=(0.5,))
-        with pytest.raises(ValueError, match="eps_values must be nonempty"):
-            Grid(c_values=(1.0,), delta_values=(1.0,), v_values=(0.5,), eps_values=())
+            grid_configs((1.0,), (-1.0,), (0.5,))
         with pytest.raises(ValueError):
-            Grid(c_values=(1.0,), delta_values=(-1.0,), v_values=(0.5,))
-        with pytest.raises(ValueError):
-            Grid(c_values=(1.0,), delta_values=(1.0,), v_values=(1.5,))
+            grid_configs((1.0,), (1.0,), (1.5,))
         with pytest.raises(ValueError, match="C must be finite"):
-            Grid(c_values=(float("nan"),), delta_values=(1.0,), v_values=(0.5,))
+            grid_configs((float("nan"),), (1.0,), (0.5,))
         with pytest.raises(ValueError, match="epsilon"):
-            Grid(c_values=(1.0,), delta_values=(1.0,), v_values=(0.5,), eps_values=(0.5,))
+            grid_configs((1.0,), (1.0,), (0.5,), (0.5,))
+        with pytest.raises(ValueError, match="eta"):
+            grid_configs((1.0,), (1.0,), (0.5,), eta=2.0)
+        with pytest.raises(ValueError, match="K must be at least 1"):
+            grid_configs((1.0,), (1.0,), (0.5,), K=0)
+
+    def test_solver_settings_reach_every_config(self):
+        configs = grid_configs((1.0, 2.0), (1.0,), (0.5, 1.0), eta=1.0, K=7, tol=1e-5)
+        assert [(c.eta, c.K, c.tol) for c in configs] == [(1.0, 7, 1e-5)] * 4
+
+    def test_search_rejects_an_empty_config_list(self):
+        with pytest.raises(ValueError, match="at least one config"):
+            grid_search(gaussian_clusters(10, seed=0), [], k=2, seed=0)
 
 
 def one_config(K):
     """The grid of the single config C = 1, delta = 1, v = 1, epsilon = 0.1."""
-    return Grid(c_values=(1.0,), delta_values=(1.0,), v_values=(1.0,), K=K)
+    return grid_configs((1.0,), (1.0,), (1.0,), K=K)
 
 
 class TestCrossValidate:
@@ -131,9 +156,9 @@ class TestCrossValidate:
 class TestGridSearch:
     def test_single_config_grid(self):
         ds = gaussian_clusters(40, seed=13, center=4.0)
-        grid = Grid(c_values=(1.0,), delta_values=(1.0,), v_values=(1.0,), K=200)
+        grid = grid_configs((1.0,), (1.0,), (1.0,), K=200)
         [result] = grid_search(ds, grid, k=4, seed=2)
-        assert result.best == grid.configs()[0]
+        assert result.best == grid[0]
         assert result.fold_accuracies.shape == (1, 4)
 
     def test_parallel_matches_serial_bytewise(self):
@@ -150,11 +175,11 @@ class TestGridSearch:
         "grid, converged",
         [
             # fewer configs than workers
-            (Grid(c_values=(1.0,), delta_values=(1.0,), v_values=(0.5,), K=40), None),
+            (grid_configs((1.0,), (1.0,), (0.5,), K=40), None),
             # C/delta = 0.125 at v = 0.2 puts the tie point at 0.52, so the
             # first config is trivial; every fold of the others hits K
             (
-                Grid(c_values=(0.125, 4.0), delta_values=(1.0,), v_values=(0.2, 1.0), K=40),
+                grid_configs((0.125, 4.0), (1.0,), (0.2, 1.0), K=40),
                 [5, 0, 0, 0],
             ),
         ],
@@ -164,7 +189,7 @@ class TestGridSearch:
         ds = gaussian_clusters(48, seed=15, center=1.0)
         runs = [grid_search(ds, grid, k=5, seed=6, parallelism=p)[0] for p in (1, 2, 3)]
         if converged is not None:
-            assert [cfg.thresholds.tie_point <= 1.0 for cfg in grid.configs()] == [
+            assert [cfg.thresholds.tie_point <= 1.0 for cfg in grid] == [
                 True, False, False, False
             ]
             assert runs[0].converged_folds.tolist() == converged
@@ -177,7 +202,7 @@ class TestGridSearch:
 
     def test_equal_accuracy_breaks_toward_smaller_c(self):
         ds = gaussian_clusters(40, seed=16, center=5.0)
-        grid = Grid(c_values=(4.0, 0.25), delta_values=(1.0,), v_values=(1.0,), K=300)
+        grid = grid_configs((4.0, 0.25), (1.0,), (1.0,), K=300)
         [result] = grid_search(ds, grid, k=4, seed=7)
         assert np.all(result.mean_accuracies == 1.0)
         assert result.best.C == 0.25
@@ -185,10 +210,7 @@ class TestGridSearch:
     def test_ramp_and_no_dead_zone_configs_run_in_same_pipeline(self):
         # the ramp baseline is (eps=0, v=1); the no-dead-zone variant (0, v<1)
         ds = gaussian_clusters(40, seed=18, center=3.0)
-        grid = Grid(
-            c_values=(1.0,), delta_values=(1.0,), v_values=(0.5, 1.0),
-            eps_values=(0.0,), K=300,
-        )
+        grid = grid_configs((1.0,), (1.0,), (0.5, 1.0), (0.0,), K=300)
         [result] = grid_search(ds, grid, k=4, seed=9)
         slides = [c.slide for c in result.configs]
         assert SlideParams(0.0, 1.0) in slides and SlideParams(0.0, 0.5) in slides
@@ -216,7 +238,7 @@ class TestRepeatCv:
         monkeypatch.setattr(tuning, "train", counting)
         ds = gaussian_clusters(40, seed=19, center=2.0)
         [result] = grid_search(ds, SMALL_GRID, k=4, seed=11, repeats=3)
-        assert len(calls) == len(SMALL_GRID.configs()) * 4 + (3 - 1) * 4
+        assert len(calls) == len(SMALL_GRID) * 4 + (3 - 1) * 4
         assert calls[-8:] == [result.best] * 8
 
 
@@ -243,14 +265,14 @@ class TestFlipExperiment:
     def test_table_has_baseline_plus_rates(self):
         train_ds = gaussian_clusters(40, seed=22, center=3.0)
         test_ds = gaussian_clusters(20, seed=23, center=3.0)
-        grid = Grid(c_values=(1.0,), delta_values=(1.0,), v_values=(1.0,), K=200)
+        grid = grid_configs((1.0,), (1.0,), (1.0,), K=200)
         results = grid_search(train_ds, grid, k=4, seed=5, rates=[0.05, 0.15], test_ds=test_ds)
         assert [r.rate for r in results] == [0.0, 0.05, 0.15]
 
     def test_deterministic(self):
         train_ds = gaussian_clusters(30, seed=24, center=3.0)
         test_ds = gaussian_clusters(20, seed=25, center=3.0)
-        grid = Grid(c_values=(1.0,), delta_values=(1.0,), v_values=(1.0,), K=200)
+        grid = grid_configs((1.0,), (1.0,), (1.0,), K=200)
         a = grid_search(train_ds, grid, k=3, seed=6, rates=[0.1], test_ds=test_ds)
         b = grid_search(train_ds, grid, k=3, seed=6, rates=[0.1], test_ds=test_ds)
         assert flip_rows(a) == flip_rows(b)
@@ -333,7 +355,7 @@ import concurrent.futures as cf
 import sys
 
 from slidesvm.data import gaussian_clusters
-from slidesvm.tuning import Grid, grid_search
+from slidesvm.tuning import grid_configs, grid_search
 
 pools = []
 
@@ -345,7 +367,7 @@ class Counting(cf.ProcessPoolExecutor):
 
 
 cf.ProcessPoolExecutor = Counting
-grid = Grid(c_values=(0.5, 1.0), delta_values=(1.0,), v_values=(1.0,), K=100)
+grid = grid_configs((0.5, 1.0), (1.0,), (1.0,), K=100)
 rows = grid_search(gaussian_clusters(30, seed=1, center=2.0), grid, k=3, seed=3,
                    parallelism=2, rates=[0.05, 0.15],
                    test_ds=gaussian_clusters(10, seed=2, center=2.0))
@@ -355,7 +377,7 @@ print("pools", len(pools), "rows", len(rows), "lapack", "scipy.linalg._flapack" 
 
 class TestThreads:
     def test_serial_searches_in_two_threads_are_independent(self, monkeypatch):
-        grid = Grid(c_values=(0.5, 1.0), delta_values=(1.0,), v_values=(0.5, 1.0), K=50)
+        grid = grid_configs((0.5, 1.0), (1.0,), (0.5, 1.0), K=50)
         sets = [gaussian_clusters(80, seed=1, center=1.0),
                 gaussian_clusters(120, seed=2, center=0.5)]
         alone = [grid_search(ds, grid, k=4, seed=3)[0] for ds in sets]
@@ -392,7 +414,7 @@ class TestPool:
 
         monkeypatch.setattr(cf, "ProcessPoolExecutor", Recording)
         ds = gaussian_clusters(24, seed=34, center=3.0)
-        grid = Grid(c_values=(1.0,), delta_values=(1.0,), v_values=(1.0,), K=100)
+        grid = grid_configs((1.0,), (1.0,), (1.0,), K=100)
         [serial] = grid_search(ds, grid, k=4, seed=1)
         [pooled] = grid_search(ds, grid, k=4, seed=1, parallelism=50)
         assert asked == [4]
