@@ -335,9 +335,7 @@ def _defect_norms(
     lam_t = state.lam[idx]
     u_t = state.u[idx]
     prox_gap = np.zeros(y.size)
-    prox_gap[idx] = u_t - prox_slide_vector(
-        u_t - lam_d[idx], cfg.gamma_c, cfg.slide, th=cfg.thresholds
-    )
+    prox_gap[idx] = u_t - prox_slide_vector(u_t - lam_d[idx], cfg.gamma_c, cfg.slide)
     return (
         _norm(state.w + a_t.T @ lam_t),
         abs(float(y[idx] @ lam_t)),

@@ -26,7 +26,6 @@ from .model import (
     accuracy,
     confusion_counts,
     load_model,
-    predict_dataset,
     save_model,
 )
 from .tuning import STOCK_POWERS, STOCK_V_VALUES, check_rates, grid_configs, grid_search
@@ -56,32 +55,23 @@ def _read_dataset(path: str):
     return ds
 
 
-def _slide_params(args) -> SlideParams:
-    eps = args.eps if args.eps is not None else args.v / 10.0
-    try:
-        return SlideParams(eps, args.v)
-    except ValueError as exc:
-        raise CliError(str(exc), status=2) from exc
+INPUT_FLAGS = ("--data", "--test")
+OUTPUT_FLAGS = ("--out", "--diagnostics")
 
 
-def _train_config(args) -> TrainConfig:
-    try:
-        return TrainConfig(
-            C=args.C,
-            delta=args.delta,
-            slide=_slide_params(args),
-            eta=args.eta,
-            K=args.max_iter,
-            tol=args.tol,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc), status=2) from exc
-
-
-def _check_outputs(*paths) -> None:
-    """Fail as writing each given path would, before any solve, and leave
-    every path as it was: an existing file keeps its bytes."""
-    for path in filter(None, paths):
+def _check_outputs(args) -> None:
+    """Fail where writing the command's outputs would, before any data is
+    read: an output that names an input or an earlier output is a usage
+    error, since its write would replace that file, and each output path
+    fails as writing it would. Every path is left as it was: an existing
+    file keeps its bytes."""
+    given = [(flag, getattr(args, flag[2:], None)) for flag in INPUT_FLAGS + OUTPUT_FLAGS]
+    given = [(flag, path) for flag, path in given if path]
+    for i, (flag, path) in enumerate(given):
+        for other, other_path in given[:i]:
+            if flag in OUTPUT_FLAGS and _same_file(other_path, path):
+                raise CliError(f"{other} and {flag} name the same file: {path}", status=2)
+    for path in [path for flag, path in given if flag in OUTPUT_FLAGS]:
         try:
             try:
                 os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
@@ -127,14 +117,24 @@ def _config_cells(cfg: TrainConfig) -> list:
     return [cfg.C, cfg.delta, cfg.slide.v, cfg.slide.epsilon]
 
 
+def _grid_from_args(args, *values) -> list[TrainConfig]:
+    """grid_configs of the (C, delta, v, epsilon) value lists, by default
+    those of the grid flags, with the solver flags; a bad value is a usage
+    error."""
+    # a value flag not given is the stock list; one given empty stays empty,
+    # so grid_configs rejects it
+    values = values or (args.c_values, args.delta_values, args.v_values, args.eps_values)
+    try:
+        return grid_configs(*values, eta=args.eta, K=args.max_iter, tol=args.tol)
+    except ValueError as exc:
+        raise CliError(str(exc), status=2) from exc
+
+
 def cmd_train(args) -> int:
-    cfg = _train_config(args)
-    # the second write would replace the first: the model would be lost
-    if args.diagnostics and _same_file(args.out, args.diagnostics):
-        raise CliError(
-            f"--out and --diagnostics name the same file: {args.diagnostics}", status=2
-        )
-    _check_outputs(args.out, args.diagnostics)
+    # the one config is the grid of train's single values
+    eps_values = None if args.eps is None else [args.eps]
+    [cfg] = _grid_from_args(args, [args.C], [args.delta], [args.v], eps_values)
+    _check_outputs(args)
     ds = _read_dataset(args.data)
     mdl, diag = train(ds, cfg, history=bool(args.diagnostics))
     try:
@@ -171,29 +171,16 @@ def cmd_eval(args) -> int:
             f"dimension mismatch: data has {ds.n} features, model has {mdl.n}"
         )
     ds = widen(ds, mdl.n)
-    pred = predict_dataset(mdl, ds)
-    acc = accuracy(mdl, ds, pred=pred)
-    tp, fp, tn, fn = confusion_counts(mdl, ds, pred=pred)
+    acc = accuracy(mdl, ds)
+    tp, fp, tn, fn = confusion_counts(mdl, ds)
     print(f"accuracy {acc:.4f}")
     print(f"tp {tp} fp {fp} tn {tn} fn {fn}")
     return 0
 
 
-def _grid_from_args(args) -> list[TrainConfig]:
-    # a value flag not given is the stock list; one given empty stays empty,
-    # so grid_configs rejects it
-    try:
-        return grid_configs(
-            args.c_values, args.delta_values, args.v_values, args.eps_values,
-            eta=args.eta, K=args.max_iter, tol=args.tol,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc), status=2) from exc
-
-
 def cmd_grid(args) -> int:
     configs = _grid_from_args(args)
-    _check_outputs(args.out)
+    _check_outputs(args)
     ds = _read_dataset(args.data)
     test_ds = None
     if args.test:
@@ -248,7 +235,7 @@ def cmd_flip(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc), status=2) from exc
     configs = _grid_from_args(args)
-    _check_outputs(args.out)
+    _check_outputs(args)
     ds = _read_dataset(args.data)
     test_ds = _read_dataset(args.test)
     ds, test_ds = align_features(ds, test_ds)
@@ -291,6 +278,7 @@ def _draw_prox_case(rng: np.random.Generator):
 
 
 def cmd_proxcheck(args) -> int:
+    _check_outputs(args)
     rng = np.random.default_rng(args.seed)
     started = time.perf_counter()
 
@@ -300,7 +288,7 @@ def cmd_proxcheck(args) -> int:
     for _ in range(args.samples):
         s, gamma_c, p = _draw_prox_case(rng)
         th = prox_thresholds(gamma_c, p)
-        closed = float(prox_slide_vector(s, gamma_c, p, th=th))
+        closed = float(prox_slide_vector(s, gamma_c, p))
         oracle = prox_oracle(s, gamma_c, p, step=args.step)
         deviation = abs(closed - oracle)
         near_tie = abs(s - th.tie_point) <= 1e-6

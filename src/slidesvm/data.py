@@ -439,7 +439,6 @@ def flip_labels(ds: Dataset, rate: float, seed: int) -> Dataset:
 class FoldPlan:
     """Assignment of each sample to one of k folds; sizes differ by at most 1."""
 
-    k: int
     assignments: np.ndarray
 
     def fold_indices(self, fold: int):
@@ -457,7 +456,7 @@ def kfold_plan(m: int, k: int, seed: int) -> FoldPlan:
     perm = rng.permutation(m)
     assignments = np.empty(m, dtype=np.int64)
     assignments[perm] = np.arange(m) % k
-    return FoldPlan(k, assignments)
+    return FoldPlan(assignments)
 
 
 def subset(ds: Dataset, idx: np.ndarray) -> Dataset:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,13 +47,12 @@ class SlideParams:
         return self.v - self.epsilon
 
 
-def slide_loss(t, p: SlideParams):
-    """Evaluate the loss at ``t`` (scalar or array). Output lies in [0, 1]."""
+def slide_loss(t, p: SlideParams) -> np.ndarray:
+    """Evaluate the loss at ``t``, an array with the shape of ``t`` (0-d for
+    a scalar) and entries in [0, 1]."""
     scaled = (np.asarray(t, dtype=np.float64) - p.epsilon) / p.ramp_width
-    out = np.clip(scaled, 0.0, 1.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    # numpy gives a scalar, not a 0-d array, for 0-d arithmetic
+    return np.asarray(np.clip(scaled, 0.0, 1.0))
 
 
 def slide_loss_sum(u, p: SlideParams, scale: float) -> float:
@@ -93,14 +92,10 @@ def prox_thresholds(gamma_c: float, p: SlideParams) -> ProxThresholds:
     return ProxThresholds(False, tie, tie, shift)
 
 
-def prox_slide_vector(
-    s, gamma_c: float, p: SlideParams, th: Optional[ProxThresholds] = None
-) -> np.ndarray:
+def prox_slide_vector(s, gamma_c: float, p: SlideParams) -> np.ndarray:
     """Elementwise closed-form prox; ties take the identity value ``s``, and a
-    scalar ``s`` gives a 0-d array. ``th`` may pass in
-    ``prox_thresholds(gamma_c, p)`` when the caller holds it."""
-    if th is None:
-        th = prox_thresholds(gamma_c, p)
+    scalar ``s`` gives a 0-d array."""
+    th = prox_thresholds(gamma_c, p)
     s = np.asarray(s, dtype=np.float64)
     if th.ramp_regime:
         inner = np.where(
@@ -111,13 +106,11 @@ def prox_slide_vector(
     return np.where(s <= p.epsilon, s, inner)
 
 
-def prox_objective(t, s: float, gamma_c: float, p: SlideParams):
-    """The prox objective ``gamma_c*loss(t) + (t-s)^2/2`` (scalar or array)."""
+def prox_objective(t, s: float, gamma_c: float, p: SlideParams) -> np.ndarray:
+    """The prox objective ``gamma_c*loss(t) + (t-s)^2/2``, an array with the
+    shape of ``t`` (0-d for a scalar)."""
     t = np.asarray(t, dtype=np.float64)
-    out = gamma_c * slide_loss(t, p) + 0.5 * (t - s) ** 2
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return np.asarray(gamma_c * slide_loss(t, p) + 0.5 * (t - s) ** 2)
 
 
 def oracle_grid_span(s: float, gamma_c: float, p: SlideParams, step: float):

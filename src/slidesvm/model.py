@@ -20,7 +20,6 @@ __all__ = [
     "SupportSet",
     "ModelFormatError",
     "extract_support_vectors",
-    "decision_values",
     "predict_dataset",
     "accuracy",
     "dumps_model",
@@ -88,32 +87,21 @@ class Model:
         return self.w.shape[0]
 
 
-def decision_values(model: Model, ds: Dataset) -> np.ndarray:
-    return ds.X @ model.w + model.b
-
-
 def predict_dataset(model: Model, ds: Dataset) -> np.ndarray:
     """Label every row: +1 where <w, x> + b > 0, else -1 (ties go negative)."""
-    scores = decision_values(model, ds)
-    return np.where(scores > 0.0, 1.0, -1.0)
+    return np.where(ds.X @ model.w + model.b > 0.0, 1.0, -1.0)
 
 
-def accuracy(model: Model, ds: Dataset, *, pred: np.ndarray | None = None) -> float:
-    """Fraction of samples whose predicted sign matches the label.
-
-    ``pred`` may pass in ``predict_dataset(model, ds)`` already computed.
-    """
+def accuracy(model: Model, ds: Dataset) -> float:
+    """Fraction of samples whose predicted sign matches the label."""
     if ds.m == 0:
         raise ValueError("empty dataset")
-    if pred is None:
-        pred = predict_dataset(model, ds)
-    return float(np.mean(pred == ds.y))
+    return float(np.mean(predict_dataset(model, ds) == ds.y))
 
 
-def confusion_counts(model: Model, ds: Dataset, *, pred: np.ndarray | None = None):
-    """(tp, fp, tn, fn) counts over a dataset; ``pred`` as for ``accuracy``."""
-    if pred is None:
-        pred = predict_dataset(model, ds)
+def confusion_counts(model: Model, ds: Dataset):
+    """(tp, fp, tn, fn) counts over a dataset."""
+    pred = predict_dataset(model, ds)
     pos, neg = ds.y > 0, ds.y < 0
     tp = int(np.sum(pred[pos] > 0))
     fn = int(np.sum(pred[pos] < 0))

@@ -13,7 +13,7 @@ import numpy as np
 
 from slidesvm.admm import train
 from slidesvm.data import apply_scaling, fit_scaling, kfold_plan, subset
-from slidesvm.model import accuracy, decision_values
+from slidesvm.model import accuracy
 
 
 def slide_subdifferential(t: float, p):
@@ -42,7 +42,7 @@ def margin_violations(model, ds, support, tol: float) -> list:
     t1 rows must satisfy y_i f(x_i) = 1 - epsilon within tol; t2 rows must lie
     in [1 + (C/delta)/(2(v-eps)) - v, 1], widened by tol on both ends.
     """
-    margins = ds.y * decision_values(model, ds)
+    margins = ds.y * (ds.X @ model.w + model.b)
     target = 1.0 - model.slide.epsilon
     violations = [
         (int(i), float(margins[i]), target, target)

@@ -449,6 +449,7 @@ class TestOutputPaths:
     @pytest.mark.parametrize("where", ["missing directory", "directory"])
     @pytest.mark.parametrize("command, flag", [
         ("train", "--out"), ("train", "--diagnostics"), ("grid", "--out"), ("flip", "--out"),
+        ("proxcheck", "--out"),
     ])
     def test_an_unwritable_output_fails_before_any_solve(
         self, data_files, tmp_path, solves, capsys, command, flag, where
@@ -464,6 +465,8 @@ class TestOutputPaths:
             "train": ["train", "--data", train, "--max-iter", "50", flag, bad, other, kept],
             "grid": ["grid", "--data", train, "--test", test, "--out", bad],
             "flip": ["flip", "--data", train, "--test", test, "--out", bad],
+            # proxcheck used to draw every sample and print its summary first
+            "proxcheck": ["proxcheck", "--samples", "50", "--out", bad],
         }[command]
         if command in ("grid", "flip"):
             argv += ["--folds", "3", "--c-values", "0.5,1", "--delta-values", "1",
@@ -632,6 +635,40 @@ class TestParser:
         assert err.startswith("error: ") and "same file" in err and "cannot read" not in err
         assert sorted(tmp_path.iterdir()) == before
         assert not out.exists() or out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command, output, source", [
+        ("train", "--out", "--data"), ("train", "--diagnostics", "--data"),
+        ("grid", "--out", "--data"), ("grid", "--out", "--test"),
+        ("flip", "--out", "--data"), ("flip", "--out", "--test"),
+    ])
+    def test_an_output_naming_an_input_is_a_usage_error(
+        self, data_files, tmp_path, solves, capsys, command, output, source
+    ):
+        # the write would replace the input; rejected before any data is
+        # read, and the input keeps its bytes
+        train, test = data_files
+        named = {"--data": train, "--test": test}[source]
+        before = {path: path.read_bytes() for path in data_files}
+        argv = [command, "--data", train, output, named, "--max-iter", "5"]
+        if command == "train" and output == "--diagnostics":
+            argv += ["--out", tmp_path / "m.txt"]
+        if command != "train":
+            argv += ["--test", test, "--folds", "3", "--c-values", "1",
+                     "--delta-values", "1", "--v-values", "1"]
+        assert run(argv) == 2
+        assert solves == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {source} and {output} name the same file: {named}\n"
+        assert {path: path.read_bytes() for path in data_files} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["test.svm", "train.svm"]
+
+    def test_inputs_may_name_one_file(self, data_files, tmp_path):
+        # only an output that names another file is refused
+        train, _ = data_files
+        assert run(["grid", "--data", train, "--test", train, "--out", tmp_path / "g.csv",
+                    "--folds", "3", "--c-values", "1", "--delta-values", "1",
+                    "--v-values", "1", "--max-iter", "5"]) == 0
 
     def test_grid_flags_build_only_the_requested_configs(self, monkeypatch):
         # the stock values come from constants, not from building the stock

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import inspect
 import os
@@ -11,10 +12,12 @@ from pathlib import Path
 import pytest
 
 import slidesvm
+import slidesvm.cli
+import slidesvm.model
 from slidesvm import admm
-from slidesvm.data import gaussian_clusters, parse_libsvm, write_libsvm
-from slidesvm.loss import SlideParams
-from slidesvm.model import dumps_model
+from slidesvm.data import FoldPlan, gaussian_clusters, parse_libsvm, write_libsvm
+from slidesvm.loss import SlideParams, prox_slide_vector
+from slidesvm.model import accuracy, confusion_counts, dumps_model
 
 MODULES = ["slidesvm"] + [
     f"slidesvm.{info.name}" for info in pkgutil.iter_modules(slidesvm.__path__)
@@ -68,6 +71,17 @@ def test_no_test_oracle_ships_in_the_package(name):
 def test_the_solver_keeps_no_test_only_member_or_argument():
     assert not hasattr(admm.WorkingSet, "complement_mask")
     assert list(inspect.signature(admm.solve_w_system).parameters) == ["a_t", "r_t", "delta"]
+    # a value the callee derives is not passed in: the prox computes its
+    # thresholds, and accuracy and the counts predict for themselves
+    assert list(inspect.signature(prox_slide_vector).parameters) == ["s", "gamma_c", "p"]
+    for fn in (accuracy, confusion_counts):
+        assert list(inspect.signature(fn).parameters) == ["model", "ds"]
+    assert not hasattr(slidesvm.model, "decision_values")
+    assert [f.name for f in dataclasses.fields(FoldPlan)] == ["assignments"]
+    # train builds its config through the grid's path, the one place that
+    # decides epsilon = v/10
+    assert not hasattr(slidesvm.cli, "_slide_params")
+    assert not hasattr(slidesvm.cli, "_train_config")
 
 
 @pytest.fixture()

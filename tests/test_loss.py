@@ -68,6 +68,15 @@ class TestSlideLoss:
     def test_plateau(self):
         assert slide_loss(1.7, P_WIDE) == 1.0
 
+    def test_a_scalar_gives_a_0d_array(self):
+        # each function returns one type: an array shaped like its input
+        for out in (
+            slide_loss(0.5, P_WIDE),
+            prox_objective(0.5, 0.3, 0.5, P_WIDE),
+            prox_slide_vector(0.5, 0.5, P_WIDE),
+        ):
+            assert type(out) is np.ndarray and out.shape == () and out.dtype == np.float64
+
     def test_sum_examples(self):
         eps = P_WIDE.epsilon
         assert slide_loss_sum([eps, eps, eps], P_WIDE, scale=3.7) == 0.0

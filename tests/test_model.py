@@ -15,7 +15,6 @@ from slidesvm.model import (
     SupportSet,
     accuracy,
     confusion_counts,
-    decision_values,
     dumps_model,
     extract_support_vectors,
     loads_model,
@@ -132,7 +131,7 @@ class TestAccuracy:
         rng = np.random.default_rng(1)
         ds = dense_dataset(rng.normal(size=(57, 3)), rng.choice([-1.0, 1.0], 57))
         mdl = make_model(rng.normal(size=3), b=rng.normal())
-        signs = np.where(decision_values(mdl, ds) > 0.0, 1.0, -1.0)
+        signs = np.where(ds.X @ mdl.w + mdl.b > 0.0, 1.0, -1.0)
         formula = 1.0 - np.sum(np.abs(signs - ds.y)) / (2.0 * ds.m)
         assert accuracy(mdl, ds) == formula
 
@@ -185,7 +184,7 @@ class TestReconstruction:
         w_hat = reconstruct_hyperplane(clusters200, mdl.support)
         rebuilt = dataclasses.replace(mdl, w=w_hat)
         for ds in (clusters200, gaussian_clusters(500, seed=77)):
-            scores = decision_values(mdl, ds)
+            scores = ds.X @ mdl.w + mdl.b
             norms = np.sqrt((ds.X * ds.X).sum(axis=1))
             decided = np.abs(scores) > 10.0 * clusters_config.tol * norms
             assert np.array_equal(
@@ -264,16 +263,6 @@ class TestPersistence:
         lines[at] = bad
         with pytest.raises(ModelFormatError, match="non-finite"):
             loads_model("\n".join(lines) + "\n")
-
-    def test_accuracy_and_counts_reuse_given_predictions(self):
-        ds = dense_dataset([[1.0], [-1.0], [2.0], [-3.0]], [1, 1, -1, -1])
-        mdl = make_model([1.0], b=0.0)
-        pred = predict_dataset(mdl, ds)
-        assert accuracy(mdl, ds, pred=pred) == accuracy(mdl, ds) == 0.5
-        assert confusion_counts(mdl, ds, pred=pred) == confusion_counts(mdl, ds)
-        flipped = -pred
-        assert accuracy(mdl, ds, pred=flipped) == 0.5
-        assert confusion_counts(mdl, ds, pred=flipped) == (1, 1, 1, 1)
 
     def test_lines_are_matched_by_tag(self):
         sup = SupportSet(idx(3, 8), idx(3), idx(8), np.array([-0.25, -1.5]))
