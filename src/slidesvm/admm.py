@@ -77,6 +77,12 @@ class TrainConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+        # every prox sees gamma_c, which may overflow or underflow where C and
+        # delta do not
+        if not (math.isfinite(self.gamma_c) and self.gamma_c > 0.0):
+            raise ValueError(
+                f"C/delta must be finite and positive, got C={self.C}, delta={self.delta}"
+            )
         if not 0.0 < self.eta < ETA_MAX:
             raise ValueError(f"eta must lie in (0, {ETA_MAX}), got {self.eta}")
         if self.K < 1:

@@ -178,21 +178,28 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_grid(args) -> int:
+def _search(args, test_path, **options) -> list:
+    """grid_search of the grid flags' configs on --data, and on the test file
+    unless ``test_path`` is None, both widened to one feature count. The grid
+    flags fail first, then the outputs, then each file as it is read, all
+    before any solve."""
     configs = _grid_from_args(args)
     _check_outputs(args)
     ds = _read_dataset(args.data)
     test_ds = None
-    if args.test:
-        test_ds = _read_dataset(args.test)
-        ds, test_ds = align_features(ds, test_ds)
-    [result] = grid_search(
+    if test_path is not None:
+        ds, test_ds = align_features(ds, _read_dataset(test_path))
+    return grid_search(
         ds, configs, k=args.folds, seed=args.seed, parallelism=args.parallel,
-        test_ds=test_ds, repeats=args.repeats,
+        test_ds=test_ds, **options,
     )
 
+
+def cmd_grid(args) -> int:
+    # grid's test file is optional, and an empty --test names none
+    [result] = _search(args, args.test or None, repeats=args.repeats)
     best = result.best
-    if test_ds is not None:
+    if result.test is not None:
         mdl, test_acc = result.test
         trailer = [test_acc, "test", int(mdl.converged)]
         print(f"test accuracy {test_acc:.4f}")
@@ -234,17 +241,8 @@ def cmd_flip(args) -> int:
         check_rates(args.rates)
     except ValueError as exc:
         raise CliError(str(exc), status=2) from exc
-    configs = _grid_from_args(args)
-    _check_outputs(args)
-    ds = _read_dataset(args.data)
-    test_ds = _read_dataset(args.test)
-    ds, test_ds = align_features(ds, test_ds)
-    results = grid_search(
-        ds, configs, k=args.folds, seed=args.seed, parallelism=args.parallel,
-        rates=args.rates, test_ds=test_ds,
-    )
     rows = []
-    for result in results:
+    for result in _search(args, args.test, rates=args.rates):
         best = result.best
         mdl, test_acc = result.test
         print(

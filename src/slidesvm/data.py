@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "Dataset",
     "ScalingMap",
-    "FoldPlan",
     "ParseError",
     "parse_libsvm",
     "write_libsvm",
@@ -435,32 +434,20 @@ def flip_labels(ds: Dataset, rate: float, seed: int) -> Dataset:
     return Dataset(ds.X, y)
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    """Assignment of each sample to one of k folds; sizes differ by at most 1."""
-
-    assignments: np.ndarray
-
-    def fold_indices(self, fold: int):
-        """(test_idx, train_idx) for one fold."""
-        test = np.flatnonzero(self.assignments == fold)
-        train = np.flatnonzero(self.assignments != fold)
-        return test, train
-
-
-def kfold_plan(m: int, k: int, seed: int) -> FoldPlan:
-    """Seeded random permutation dealt round-robin into k folds."""
+def kfold_plan(m: int, k: int, seed: int) -> np.ndarray:
+    """The int64 fold of each of m samples: a seeded random permutation
+    dealt round-robin into k folds, so fold sizes differ by at most 1."""
     if not 2 <= k <= m:
         raise ValueError(f"need 2 <= k <= m, got k={k}, m={m}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(m)
-    assignments = np.empty(m, dtype=np.int64)
-    assignments[perm] = np.arange(m) % k
-    return FoldPlan(assignments)
+    folds = np.empty(m, dtype=np.int64)
+    folds[perm] = np.arange(m) % k
+    return folds
 
 
 def subset(ds: Dataset, idx: np.ndarray) -> Dataset:
-    """Dataset restricted to the given row indices."""
+    """Dataset restricted to the given rows, by index array or boolean mask."""
     return Dataset(ds.X[idx], ds.y[idx])
 
 

@@ -131,8 +131,8 @@ def _score_folds(source, task):
     """
     rate, fold_seed, cfg, fold = task
     ds = _labels(source, rate)
-    test_idx, train_idx = kfold_plan(ds.m, source[2], fold_seed).fold_indices(fold)
-    mdl, acc = fit_full(subset(ds, train_idx), subset(ds, test_idx), cfg)
+    held_out = kfold_plan(ds.m, source[2], fold_seed) == fold
+    mdl, acc = fit_full(subset(ds, ~held_out), subset(ds, held_out), cfg)
     return acc, mdl.converged
 
 
@@ -200,19 +200,6 @@ class CvResult:
         return float(self.mean_accuracies[self.best_index])
 
 
-def _split(scores: list, parts: int) -> list[list]:
-    """``scores`` cut into ``parts`` equal consecutive runs."""
-    n = len(scores) // parts
-    return [scores[i * n:(i + 1) * n] for i in range(parts)]
-
-
-def _cv_result(rate, configs, k, scores) -> CvResult:
-    """Assemble config-major (config, fold) task scores into a CvResult."""
-    fold_accs = np.array([acc for acc, _ in scores]).reshape(len(configs), k)
-    converged = np.array([conv for _, conv in scores], dtype=np.int64)
-    return CvResult(rate, configs, fold_accs, converged.reshape(len(configs), k).sum(axis=1))
-
-
 def check_rates(rates) -> None:
     """Raise ValueError unless the flip rates lie in [0, 1] and none repeats."""
     for rate in rates:
@@ -262,8 +249,11 @@ def grid_search(
         (rate, seed, cfg, fold) for rate in all_rates for cfg in configs for fold in range(k)
     ]
     with _tasks((ds, test_ds, k, seed), parallelism, len(tasks)) as run:
-        scores = _split(run(_score_folds, tasks), len(all_rates))
-        results = [_cv_result(r, configs, k, part) for r, part in zip(all_rates, scores)]
+        scores = run(_score_folds, tasks)
+        shape = (len(all_rates), len(configs), k)
+        accs = np.reshape([acc for acc, _ in scores], shape)
+        converged = np.reshape([conv for _, conv in scores], shape).sum(axis=2)
+        results = [CvResult(r, configs, a, c) for r, a, c in zip(all_rates, accs, converged)]
         if test_ds is not None:
             fits = run(_fit_task, [(r.rate, r.best) for r in results])
             for result, fit in zip(results, fits):
@@ -273,10 +263,8 @@ def grid_search(
                 (r.rate, seed + rep, r.best, fold)
                 for r in results for rep in range(1, repeats) for fold in range(k)
             ])
-            for result, part in zip(results, _split(scores, len(results))):
-                accs = np.vstack([
-                    result.fold_accuracies[result.best_index],
-                    np.array([a for a, _ in part]).reshape(repeats - 1, k),
-                ])
-                result.repeated = np.array([float(row.mean()) for row in accs])
+            accs = np.reshape([acc for acc, _ in scores], (len(results), repeats - 1, k))
+            for result, part in zip(results, accs):
+                best = result.fold_accuracies[result.best_index]
+                result.repeated = np.vstack([best, part]).mean(axis=1)
     return results

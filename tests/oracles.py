@@ -68,14 +68,13 @@ def complement_mask(ws, m: int) -> np.ndarray:
 def cross_validate(ds, cfg, k: int, seed: int) -> np.ndarray:
     """Held-out accuracy of each fold of ``kfold_plan(ds.m, k, seed)``, one
     solve after another, with the scaling refit on each training portion."""
-    plan = kfold_plan(ds.m, k, seed)
+    folds = kfold_plan(ds.m, k, seed)
     accs = []
     for fold in range(k):
-        test_idx, train_idx = plan.fold_indices(fold)
-        tr = subset(ds, train_idx)
+        tr = subset(ds, np.flatnonzero(folds != fold))
         smap = fit_scaling(tr)
         mdl, _ = train(apply_scaling(tr, smap), cfg)
-        accs.append(accuracy(mdl, apply_scaling(subset(ds, test_idx), smap)))
+        accs.append(accuracy(mdl, apply_scaling(subset(ds, np.flatnonzero(folds == fold)), smap)))
     return np.array(accs)
 
 

@@ -105,6 +105,11 @@ class TestConfig:
             for bad in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ValueError, match=f"^{name} must be finite"):
                     make_cfg(**{name: bad})
+        # C and delta are fine alone, but gamma_c = C/delta overflows or
+        # underflows to 0
+        for C, delta in ((0.5, 1e-320), (1e-308, 1e308)):
+            with pytest.raises(ValueError, match=r"^C/delta must be finite and positive"):
+                make_cfg(C=C, delta=delta)
 
     def test_default_eta_is_legal(self):
         assert make_cfg().eta == 1.618 < (1.0 + math.sqrt(5.0)) / 2.0

@@ -1,5 +1,9 @@
 import csv
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -529,6 +533,17 @@ class TestFlipCommand:
         assert status == 2
         assert "rate" in capsys.readouterr().err
 
+    def test_an_empty_test_path_is_a_file_for_flip_and_none_for_grid(self, data_files, capsys):
+        # flip's test file is required, so "" is a path that cannot be read;
+        # grid's is optional, and "" names none
+        train, _ = data_files
+        flags = ["--data", train, "--test", "", "--folds", "3", "--c-values", "1",
+                 "--delta-values", "1", "--v-values", "1", "--max-iter", "5"]
+        assert run(["flip"] + flags) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read : ")
+        assert run(["grid", "--repeats", "2"] + flags) == 0
+        assert capsys.readouterr().out.startswith("repeated cv accuracy ")
+
     def test_missing_test_flag_is_usage_error(self, data_files):
         train, _ = data_files
         with pytest.raises(SystemExit) as exc:
@@ -606,7 +621,9 @@ class TestParser:
          ("grid", "--delta-values", "inf"), ("grid", "--tol", "nan"),
          ("flip", "--c-values", "nan"), ("flip", "--rates", "2"),
          ("flip", "--rates", "0.05,0.05"), ("flip", "--rates", ""),
-         ("grid", "--c-values", ""), ("grid", "--eps-values", ","), ("flip", "--v-values", "")],
+         ("grid", "--c-values", ""), ("grid", "--eps-values", ","), ("flip", "--v-values", ""),
+         ("train", "--delta", "1e-320"), ("grid", "--delta-values", "1e-320"),
+         ("flip", "--delta-values", "1e-320")],
     )
     def test_bad_solver_settings_are_usage_errors(self, command, flag, value, tmp_path, capsys):
         # rejected before any data is read: the data files do not exist
@@ -711,3 +728,20 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, status, stream, text",
+    [(["proxcheck", "--samples", "20"], 0, "stdout", "proxcheck: 20 samples, "),
+     (["train", "--data", "missing.svm", "--out", "m.txt"], 1, "stderr", "error: cannot read"),
+     (["grid", "--data", "missing.svm", "--folds", "1"], 2, "stderr", "--folds")],
+)
+def test_the_module_runs_as_a_process(argv, status, stream, text, tmp_path):
+    # the __main__ guard and entrypoint turn main's status into the exit code
+    src = Path(cli.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-m", "slidesvm.cli", *argv], cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == status, done.stderr
+    assert text in getattr(done, stream)

@@ -533,23 +533,23 @@ class TestFlipLabels:
 
 class TestKfoldPlan:
     def test_each_fold_size_one(self):
-        plan = kfold_plan(10, 10, seed=0)
-        assert sorted(np.bincount(plan.assignments)) == [1] * 10
+        folds = kfold_plan(10, 10, seed=0)
+        assert sorted(np.bincount(folds)) == [1] * 10
 
     def test_uneven_split(self):
-        plan = kfold_plan(11, 10, seed=0)
-        assert sorted(np.bincount(plan.assignments)) == [1] * 9 + [2]
+        folds = kfold_plan(11, 10, seed=0)
+        assert sorted(np.bincount(folds)) == [1] * 9 + [2]
 
     def test_determinism(self):
         a = kfold_plan(37, 5, seed=8)
         b = kfold_plan(37, 5, seed=8)
-        assert np.array_equal(a.assignments, b.assignments)
+        assert np.array_equal(a, b)
 
     def test_partition_and_balance(self):
-        plan = kfold_plan(103, 10, seed=3)
-        sizes = np.bincount(plan.assignments, minlength=10)
+        folds = kfold_plan(103, 10, seed=3)
+        sizes = np.bincount(folds, minlength=10)
         assert sizes.sum() == 103 and sizes.max() - sizes.min() <= 1
-        test, train = plan.fold_indices(4)
+        test, train = np.flatnonzero(folds == 4), np.flatnonzero(folds != 4)
         assert sorted(np.concatenate([test, train])) == list(range(103))
 
     def test_rejects_bad_k(self):

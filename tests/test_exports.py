@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import inspect
 import os
@@ -9,13 +8,16 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import slidesvm
 import slidesvm.cli
+import slidesvm.data
 import slidesvm.model
+import slidesvm.tuning
 from slidesvm import admm
-from slidesvm.data import FoldPlan, gaussian_clusters, parse_libsvm, write_libsvm
+from slidesvm.data import gaussian_clusters, kfold_plan, parse_libsvm, write_libsvm
 from slidesvm.loss import SlideParams, prox_slide_vector
 from slidesvm.model import accuracy, confusion_counts, dumps_model
 
@@ -77,7 +79,13 @@ def test_the_solver_keeps_no_test_only_member_or_argument():
     for fn in (accuracy, confusion_counts):
         assert list(inspect.signature(fn).parameters) == ["model", "ds"]
     assert not hasattr(slidesvm.model, "decision_values")
-    assert [f.name for f in dataclasses.fields(FoldPlan)] == ["assignments"]
+    # the fold plan is the array of each sample's fold, and the search
+    # reshapes its task scores with no helper to cut or assemble them
+    assert not hasattr(slidesvm.data, "FoldPlan")
+    folds = kfold_plan(7, 3, 0)
+    assert isinstance(folds, np.ndarray) and folds.dtype == np.int64 and folds.shape == (7,)
+    assert set(folds.tolist()) == {0, 1, 2}
+    assert not hasattr(slidesvm.tuning, "_split") and not hasattr(slidesvm.tuning, "_cv_result")
     # train builds its config through the grid's path, the one place that
     # decides epsilon = v/10
     assert not hasattr(slidesvm.cli, "_slide_params")
