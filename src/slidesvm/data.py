@@ -16,7 +16,6 @@ __all__ = [
     "ScalingMap",
     "ParseError",
     "parse_libsvm",
-    "write_libsvm",
     "fit_scaling",
     "apply_scaling",
     "flip_labels",
@@ -24,7 +23,6 @@ __all__ = [
     "subset",
     "align_features",
     "widen",
-    "gaussian_clusters",
 ]
 
 
@@ -375,17 +373,6 @@ def parse_libsvm(text: str | bytes) -> Dataset:
     return _dataset(lines, _read_bytes(text))
 
 
-def write_libsvm(ds: Dataset) -> str:
-    """Render a Dataset back to LIBSVM text: the nonzero entries of each row,
-    with 1-based indices and repr floats."""
-    out = []
-    for x, label in zip(ds.X, ds.y):
-        parts = ["+1" if label > 0 else "-1"]
-        parts += [f"{j + 1}:{float(x[j])!r}" for j in np.flatnonzero(x)]
-        out.append(" ".join(parts))
-    return "\n".join(out) + ("\n" if out else "")
-
-
 @dataclass(frozen=True)
 class ScalingMap:
     """Per-feature (min, max) fitted on a training split. Features with
@@ -466,18 +453,3 @@ def align_features(a: Dataset, b: Dataset):
     """Widen both datasets to a shared feature dimension (zero columns)."""
     n = max(a.n, b.n)
     return widen(a, n), widen(b, n)
-
-
-def gaussian_clusters(
-    m: int = 200, seed: int = 0, center: float = 2.0
-) -> Dataset:
-    """Two unit-variance 2-D Gaussian clusters at (+c, +c) with label +1 and
-    (-c, -c) with label -1, half the samples each. Handy as a separable demo
-    and test fixture that needs no data files."""
-    rng = np.random.default_rng(seed)
-    half = m // 2
-    pos = rng.normal(loc=center, scale=1.0, size=(half, 2))
-    neg = rng.normal(loc=-center, scale=1.0, size=(m - half, 2))
-    X = np.vstack([pos, neg])
-    y = np.concatenate([np.ones(half), -np.ones(m - half)])
-    return Dataset(X, y)

@@ -31,7 +31,6 @@ __all__ = [
     "STOCK_POWERS",
     "STOCK_V_VALUES",
     "grid_configs",
-    "default_grid",
     "check_rates",
     "grid_search",
     "fit_full",
@@ -84,13 +83,6 @@ def grid_configs(
         for v in sorted(v_values)
         for eps in sorted((v / 10.0,) if eps_values is None else eps_values)
     ]
-
-
-def default_grid() -> list[TrainConfig]:
-    """The stock grid's 2250 configs: C and delta over the 15 powers
-    sqrt(2)^-7..sqrt(2)^7, v over 0.1..1.0, epsilon = v/10, and TrainConfig's
-    solver settings eta=1.618, K=1000, tol=1e-3."""
-    return grid_configs(STOCK_POWERS, STOCK_POWERS, STOCK_V_VALUES)
 
 
 def fit_full(train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig):

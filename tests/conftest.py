@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from helpers import gaussian_clusters
+
 from slidesvm.admm import TrainConfig, train
-from slidesvm.data import gaussian_clusters
 from slidesvm.loss import SlideParams
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

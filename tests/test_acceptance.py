@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dataset_path, require_dataset
+from helpers import default_grid, gaussian_clusters
 from oracles import complement_mask, reconstruct_hyperplane
 
 from slidesvm import admm
@@ -35,9 +36,9 @@ from slidesvm.admm import (
     update_u,
 )
 from slidesvm.cli import main as cli_main
-from slidesvm.data import Dataset, align_features, gaussian_clusters, parse_libsvm
+from slidesvm.data import Dataset, align_features, parse_libsvm
 from slidesvm.loss import SlideParams, prox_slide_vector, slide_loss
-from slidesvm.tuning import default_grid, fit_full, grid_search
+from slidesvm.tuning import fit_full, grid_search
 
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
+from helpers import gaussian_clusters
 from oracles import complement_mask, margin_violations
 
 from slidesvm import admm
@@ -26,7 +27,7 @@ from slidesvm.admm import (
     update_u,
     update_w,
 )
-from slidesvm.data import Dataset, gaussian_clusters
+from slidesvm.data import Dataset
 from slidesvm.loss import (
     SlideParams,
     prox_oracle,

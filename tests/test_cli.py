@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slidesvm import admm, cli, data, tuning
+from helpers import gaussian_clusters, write_libsvm
+
+from slidesvm import admm, cli, data, model, tuning
 from slidesvm.cli import main
-from slidesvm.data import gaussian_clusters, parse_libsvm, widen, write_libsvm
+from slidesvm.data import parse_libsvm, widen
 from slidesvm.loss import SlideParams, prox_thresholds
 from slidesvm.model import (
     Model,
@@ -18,6 +20,7 @@ from slidesvm.model import (
     accuracy,
     confusion_counts,
     load_model,
+    predict_dataset,
     save_model,
 )
 from slidesvm.tuning import grid_configs, grid_search
@@ -289,6 +292,22 @@ class TestEvalCommand:
         assert capsys.readouterr().out == (
             f"accuracy {accuracy(mdl, ds):.4f}\ntp {tp} fp {fp} tn {tn} fn {fn}\n"
         )
+
+    def test_the_data_is_predicted_once(self, data_files, tmp_path, monkeypatch):
+        # the accuracy line is (tp + tn) / m from the counts, not a second
+        # prediction of every row; the tests above pin its bytes to accuracy()
+        train, test = data_files
+        model_path = tmp_path / "m.txt"
+        run(["train", "--data", train, "--eps", "0.1", "--out", model_path])
+        predicted = []
+
+        def counting_predict(mdl, ds):
+            predicted.append(ds.m)
+            return predict_dataset(mdl, ds)
+
+        monkeypatch.setattr(model, "predict_dataset", counting_predict)
+        assert run(["eval", "--model", model_path, "--data", test]) == 0
+        assert predicted == [40]
 
     @pytest.mark.parametrize("end", ["\r\n", "\r"])
     def test_crlf_and_cr_files_read_as_lines(self, data_files, tmp_path, capsys, end):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import gaussian_clusters, write_libsvm
+
 from slidesvm import data
 from slidesvm.data import (
     Dataset,
@@ -16,12 +18,10 @@ from slidesvm.data import (
     apply_scaling,
     fit_scaling,
     flip_labels,
-    gaussian_clusters,
     kfold_plan,
     parse_libsvm,
     subset,
     widen,
-    write_libsvm,
 )
 
 

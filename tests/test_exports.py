@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import os
@@ -11,13 +12,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import gaussian_clusters, write_libsvm
+
 import slidesvm
 import slidesvm.cli
 import slidesvm.data
 import slidesvm.model
 import slidesvm.tuning
 from slidesvm import admm
-from slidesvm.data import gaussian_clusters, kfold_plan, parse_libsvm, write_libsvm
+from slidesvm.data import kfold_plan, parse_libsvm
 from slidesvm.loss import SlideParams, prox_slide_vector
 from slidesvm.model import accuracy, confusion_counts, dumps_model
 
@@ -55,12 +58,13 @@ def test_the_package_top_level_holds_only_its_version():
 
 
 # what only the tests call stays out of the package: the paper's conditions
-# and the serial cross-validation live in tests/oracles.py, and one sample is
-# predicted as a one-row dataset
+# and the serial cross-validation live in tests/oracles.py, the test data and
+# the stock config list in tests/helpers.py, and one sample is predicted as a
+# one-row dataset
 ORACLES = [
     "SubdiffKind", "SubdiffSet", "slide_subdifferential", "MarginReport",
     "margin_identity_check", "reconstruct_hyperplane", "cross_validate", "repeat_cv",
-    "predict",
+    "predict", "gaussian_clusters", "write_libsvm", "default_grid",
 ]
 
 
@@ -68,6 +72,38 @@ ORACLES = [
 def test_no_test_oracle_ships_in_the_package(name):
     module = importlib.import_module(name)
     assert [n for n in ORACLES if hasattr(module, n)] == []
+
+
+# the one public definition no package code calls: the all-row
+# proximal-stationarity certificate, kept for judging a solver variant or an
+# exact finish on a working set by more than the solver's own stop test
+UNREFERENCED = {("admm", "check_proximal_stationarity")}
+
+
+def test_every_public_definition_is_used_by_the_package():
+    # parse every module of the package; a public module-level function or
+    # class must be named by package code outside its own definition
+    src = Path(slidesvm.__file__).resolve().parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    defined = {
+        (module, node.name): node
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    named = {}  # name -> nodes that name it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                named.setdefault(node.attr, []).append(node)
+    unused = set()
+    for (module, name), definition in defined.items():
+        inside = set(ast.walk(definition))
+        if all(node in inside for node in named.get(name, [])):
+            unused.add((module, name))
+    assert unused == UNREFERENCED
 
 
 def test_the_solver_keeps_no_test_only_member_or_argument():

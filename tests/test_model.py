@@ -3,11 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from helpers import gaussian_clusters
 from oracles import margin_violations, reconstruct_hyperplane
 
 from slidesvm import data
 from slidesvm.admm import TrainConfig
-from slidesvm.data import Dataset, gaussian_clusters, parse_libsvm
+from slidesvm.data import Dataset, parse_libsvm
 from slidesvm.loss import SlideParams
 from slidesvm.model import (
     Model,

@@ -9,16 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import default_grid, gaussian_clusters
 from oracles import cross_validate, repeat_cv
 
 import slidesvm
 from slidesvm import tuning
-from slidesvm.data import Dataset, flip_labels, gaussian_clusters
+from slidesvm.data import Dataset, flip_labels
 from slidesvm.loss import SlideParams
 from slidesvm.tuning import (
     STOCK_POWERS,
     STOCK_V_VALUES,
-    default_grid,
     fit_full,
     grid_configs,
     grid_search,
@@ -340,10 +340,12 @@ class TestFlipExperiment:
 
     def test_parallel_run_solves_nothing_in_the_calling_process(self):
         # one pool serves every rate's search and every final fit, so the
-        # parent never loads LAPACK
+        # parent never loads LAPACK. The probe imports the tests' data helpers.
+        src, tests = Path(slidesvm.__file__).parent.parent, Path(__file__).parent
+        path = os.pathsep.join([str(src), str(tests)])
         done = subprocess.run(
             [sys.executable, "-c", _ONE_POOL_PROBE],
-            env={**os.environ, "PYTHONPATH": str(Path(slidesvm.__file__).parent.parent)},
+            env={**os.environ, "PYTHONPATH": path},
             capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
@@ -354,7 +356,8 @@ _ONE_POOL_PROBE = """
 import concurrent.futures as cf
 import sys
 
-from slidesvm.data import gaussian_clusters
+from helpers import gaussian_clusters
+
 from slidesvm.tuning import grid_configs, grid_search
 
 pools = []
