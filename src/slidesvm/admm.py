@@ -34,24 +34,6 @@ from .loss import (
 )
 from . import model as model_mod
 
-__all__ = [
-    "TrainConfig",
-    "WorkingSet",
-    "AdmmState",
-    "Residuals",
-    "TrainDiagnostics",
-    "compute_z",
-    "select_working_set",
-    "update_u",
-    "update_w",
-    "solve_w_system",
-    "update_b",
-    "update_lambda",
-    "residuals",
-    "train",
-    "check_proximal_stationarity",
-]
-
 ETA_MAX = (1.0 + math.sqrt(5.0)) / 2.0
 
 

@@ -87,14 +87,6 @@ def _same_file(a: str, b: str) -> bool:
         return False
 
 
-def _write_text(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}") from exc
-
-
 def _write_csv(path: str, header, rows) -> None:
     """Write a table with float cells as ``repr(float(x))``, which reads back
     bit for bit, and int and str cells as they are."""
@@ -104,7 +96,11 @@ def _write_csv(path: str, header, rows) -> None:
     writer.writerows(
         [repr(float(c)) if isinstance(c, float) else c for c in row] for row in rows
     )
-    _write_text(path, buf.getvalue())
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(buf.getvalue())
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
 
 
 def _config_cells(cfg: TrainConfig) -> list:

@@ -11,20 +11,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = [
-    "Dataset",
-    "ScalingMap",
-    "ParseError",
-    "parse_libsvm",
-    "fit_scaling",
-    "apply_scaling",
-    "flip_labels",
-    "kfold_plan",
-    "subset",
-    "align_features",
-    "widen",
-]
-
 
 class ParseError(ValueError):
     """Malformed LIBSVM input; the message carries the 1-based line number."""

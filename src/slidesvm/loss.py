@@ -13,16 +13,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = [
-    "SlideParams",
-    "ProxThresholds",
-    "slide_loss",
-    "slide_loss_sum",
-    "prox_thresholds",
-    "prox_slide_vector",
-    "prox_oracle",
-]
-
 
 @dataclass(frozen=True)
 class SlideParams:

@@ -15,19 +15,6 @@ from .loss import SlideParams
 if TYPE_CHECKING:
     from .admm import TrainConfig
 
-__all__ = [
-    "Model",
-    "SupportSet",
-    "ModelFormatError",
-    "extract_support_vectors",
-    "predict_dataset",
-    "accuracy",
-    "dumps_model",
-    "loads_model",
-    "save_model",
-    "load_model",
-]
-
 FORMAT_HEADER = "slidesvm-model v1"
 
 
@@ -45,10 +32,6 @@ class SupportSet:
     t1: np.ndarray
     t2: np.ndarray
     lambda_values: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.t_star.size
 
 
 def extract_support_vectors(lam: np.ndarray, cfg: "TrainConfig") -> SupportSet:

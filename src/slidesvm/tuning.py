@@ -26,16 +26,6 @@ from .data import Dataset, apply_scaling, fit_scaling, flip_labels, kfold_plan, 
 from .loss import SlideParams
 from .model import accuracy
 
-__all__ = [
-    "CvResult",
-    "STOCK_POWERS",
-    "STOCK_V_VALUES",
-    "grid_configs",
-    "check_rates",
-    "grid_search",
-    "fit_full",
-]
-
 SQRT2 = np.sqrt(2.0)
 # the stock grid's values: C and delta over the powers sqrt(2)^-7..sqrt(2)^7,
 # v over 0.1..1.0

@@ -405,7 +405,7 @@ class TestTrain:
         cfg = TrainConfig(C=1.0, delta=8.0, slide=SlideParams(0.015, 0.15))
         mdl, diag = train(ds, cfg)
         assert diag.converged and diag.iterations == 1
-        assert np.array_equal(mdl.w, np.zeros(2)) and mdl.support.size == 0
+        assert np.array_equal(mdl.w, np.zeros(2)) and mdl.support.t_star.size == 0
 
     def test_featureless_dataset_fits_the_bias_alone(self):
         # with n = 0 the w-system is empty: w stays zero and b carries the fit
@@ -527,7 +527,7 @@ class TestTrain:
         # confidence margin 1 - epsilon
         cfg = TrainConfig(C=1.0, delta=2.0, slide=SlideParams(0.03, 0.3))
         mdl, diag = train(clusters200, cfg)
-        assert diag.converged and mdl.support.size > 0 and mdl.support.t2.size == 0
+        assert diag.converged and mdl.support.t_star.size > 0 and mdl.support.t2.size == 0
         assert margin_violations(mdl, clusters200, mdl.support, tol=10.0 * cfg.tol) == []
 
     def test_tightly_converged_point_is_locally_minimal(self, clusters200):

@@ -210,11 +210,11 @@ class TestEvalCommand:
     @pytest.mark.parametrize(
         "bad_line, message",
         [(None, "header"), ("w 0:abc", "malformed weight entry '0:abc'"),
-         ("w x:1", "malformed weight entry 'x:1'"),
+         ("w x:1", "malformed weight entry 'x:1'"), ("w 3", "malformed weight entry '3'"),
          ("support_t1 1:zz", "malformed support entry '1:zz'"),
          ("w -1:7.0", "negative index in weight entry '-1:7.0'"),
          ("support_t1 -3:-0.5", "negative index in support entry '-3:-0.5'")],
-        ids=["header", "w-value", "w-index", "support-value", "w-negative-index",
+        ids=["header", "w-value", "w-index", "w-no-colon", "support-value", "w-negative-index",
              "support-negative-index"],
     )
     def test_corrupt_model_fails(self, data_files, tmp_path, capsys, bad_line, message):
@@ -753,7 +753,11 @@ class TestParser:
     "argv, status, stream, text",
     [(["proxcheck", "--samples", "20"], 0, "stdout", "proxcheck: 20 samples, "),
      (["train", "--data", "missing.svm", "--out", "m.txt"], 1, "stderr", "error: cannot read"),
-     (["grid", "--data", "missing.svm", "--folds", "1"], 2, "stderr", "--folds")],
+     (["grid", "--data", "missing.svm", "--folds", "1"], 2, "stderr", "--folds"),
+     (["eval", "--model", "missing.txt", "--data", "missing.svm"], 1, "stderr",
+      "error: cannot read missing.txt: "),
+     (["grid", "--data", "missing.svm", "--c-values", "1,x"], 2, "stderr",
+      "argument --c-values: bad float list '1,x'")],
 )
 def test_the_module_runs_as_a_process(argv, status, stream, text, tmp_path):
     # the __main__ guard and entrypoint turn main's status into the exit code

@@ -29,26 +29,6 @@ MODULES = ["slidesvm"] + [
 ]
 
 
-@pytest.mark.parametrize("name", MODULES)
-def test_every_exported_name_resolves(name):
-    module = importlib.import_module(name)
-    exported = getattr(module, "__all__", [])
-    assert [n for n in exported if not hasattr(module, n)] == []
-
-
-@pytest.mark.parametrize("name", MODULES)
-def test_every_exported_function_and_class_is_defined_in_its_module(name):
-    # each name is imported from the module that defines it: no module
-    # re-exports another's
-    module = importlib.import_module(name)
-    foreign = []
-    for attr in getattr(module, "__all__", []):
-        obj = getattr(module, attr)
-        if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ != name:
-            foreign.append(f"{attr} from {obj.__module__}")
-    assert foreign == []
-
-
 def test_the_package_top_level_holds_only_its_version():
     public = [
         attr for attr, obj in vars(slidesvm).items()

@@ -52,7 +52,7 @@ class TestExtractSupportVectors:
     def test_zero_multipliers_give_empty_support(self):
         cfg = TrainConfig(C=1.0, delta=1.0, slide=P_WIDE)
         sup = extract_support_vectors(np.zeros(5), cfg)
-        assert sup.size == 0 and sup.t1.size == 0 and sup.t2.size == 0
+        assert sup.t_star.size == 0 and sup.t1.size == 0 and sup.t2.size == 0
 
     def test_ramp_regime_split(self):
         cfg = TrainConfig(C=1.0, delta=1.0, slide=P_WIDE)  # gamma_c = 1 < 1.62
@@ -173,7 +173,7 @@ class TestMarginIdentity:
 
     def test_converged_run_passes_at_ten_tol(self, clusters200, clusters_config, trained_clusters):
         mdl, _ = trained_clusters
-        assert mdl.support.size > 0
+        assert mdl.support.t_star.size > 0
         assert margin_violations(
             mdl, clusters200, mdl.support, tol=10.0 * clusters_config.tol
         ) == []
@@ -194,7 +194,7 @@ class TestReconstruction:
 
     def test_support_is_a_strict_subset(self, clusters200, trained_clusters):
         mdl, _ = trained_clusters
-        assert 0 < mdl.support.size < clusters200.m
+        assert 0 < mdl.support.t_star.size < clusters200.m
 
 
 class TestPersistence:
