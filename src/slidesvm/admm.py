@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Optional
 
@@ -104,30 +104,12 @@ class WorkingSet:
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
-@dataclass
-class AdmmState:
-    """Iterate (w, b, u, lambda) plus the current working set. lambda is
-    zero outside the most recent working set by construction."""
-
-    w: np.ndarray
-    b: float
-    u: np.ndarray
-    lam: np.ndarray
-    working_set: WorkingSet = field(
-        default_factory=lambda: WorkingSet(_EMPTY, _EMPTY)
-    )
-
-    @classmethod
-    def initial(cls, m: int, n: int) -> "AdmmState":
-        # u = 1, w = 0, b = 0 makes the linear constraint exactly feasible
-        return cls(w=np.zeros(n), b=0.0, u=np.ones(m), lam=np.zeros(m))
-
-
 @dataclass(frozen=True)
 class Residuals:
     """The four stationarity defects: e1 gradient, e2 multiplier balance,
-    e3 constraint feasibility, e4 prox fixed point. ``residuals`` returns
-    them normalized, ``check_proximal_stationarity`` raw."""
+    e3 constraint feasibility, e4 prox fixed point. ``_defects`` computes
+    their raw norms, which ``check_proximal_stationarity`` returns and
+    ``residuals`` normalizes."""
 
     e1: float
     e2: float
@@ -303,57 +285,47 @@ def update_lambda(
     return lam_next
 
 
-def _defect_norms(
-    state: AdmmState,
-    y: np.ndarray,
-    a_t: np.ndarray,
-    lam_d: np.ndarray,
-    cfg: TrainConfig,
-) -> tuple[float, float, float]:
-    """Raw norms of the three stationarity defects that read the working set
-    T: ||w + A_T' lambda_T||, |y_T' lambda_T| and
-    ||u - prox_{gamma_c loss}(u - lambda/delta)||. The fourth, feasibility,
-    is the norm of ``gap = 1 - u - Aw - b*y``.
+def _defects(
+    w: np.ndarray, u: np.ndarray, lam: np.ndarray, idx: np.ndarray, y: np.ndarray,
+    a_t: np.ndarray, gap: np.ndarray, lam_d: np.ndarray, cfg: TrainConfig,
+) -> Residuals:
+    """Raw norms of the four stationarity defects at (w, u, lambda) on the
+    working set T = ``idx``, with ``a_t = A[T]``: ||w + A_T' lambda_T||,
+    |y_T' lambda_T|, ||gap|| for ``gap = 1 - u - Aw - b*y``, and
+    ||u - prox_{gamma_c loss}(u - lambda/delta)||.
 
     The prox defect is formed on T and scattered into zeros. Off T a sweep
     leaves lambda = 0 and u = z, which the prox maps to itself, so every row
     there contributes exactly 0; the norm then sums the same vector as over
     all rows, bit for bit."""
-    idx = state.working_set.indices
-    lam_t = state.lam[idx]
-    u_t = state.u[idx]
+    lam_t = lam[idx]
+    u_t = u[idx]
     prox_gap = np.zeros(y.size)
     prox_gap[idx] = u_t - prox_slide_vector(u_t - lam_d[idx], cfg.gamma_c, cfg.slide)
-    return (
-        _norm(state.w + a_t.T @ lam_t),
-        abs(float(y[idx] @ lam_t)),
-        _norm(prox_gap),
+    return Residuals(
+        _norm(w + a_t.T @ lam_t), abs(float(y[idx] @ lam_t)), _norm(gap), _norm(prox_gap)
     )
 
 
 def _feasibility(gap: np.ndarray) -> float:
     """Normalized feasibility residual e3 = ||gap|| / sqrt(m), with
-    ``gap = 1 - u - Aw - b*y``. ``residuals`` stores it and ``train``'s stop
-    test reads it first, so both see the same float."""
+    ``gap = 1 - u - Aw - b*y``. ``train``'s stop test reads it first; the e3
+    of ``residuals`` is the same float."""
     return _norm(gap) / math.sqrt(gap.size)
 
 
 def residuals(
-    state: AdmmState,
-    y: np.ndarray,
-    gap: np.ndarray,
-    a_t: np.ndarray,
-    lam_d: np.ndarray,
-    cfg: TrainConfig,
+    w: np.ndarray, u: np.ndarray, lam: np.ndarray, idx: np.ndarray, y: np.ndarray,
+    a_t: np.ndarray, gap: np.ndarray, lam_d: np.ndarray, cfg: TrainConfig,
 ) -> Residuals:
-    """Normalized residuals of the stationarity system at a state left by a
-    sweep, with ``gap = 1 - u - Aw - b*y``."""
-    e1, e2, e4 = _defect_norms(state, y, a_t, lam_d, cfg)
+    """The defects of ``_defects`` at an iterate left by a sweep, normalized
+    by 1 + ||w||, 1 + |T|, sqrt(m) and 1 + ||u||."""
+    raw = _defects(w, u, lam, idx, y, a_t, gap, lam_d, cfg)
     return Residuals(
-        e1 / (1.0 + _norm(state.w)),
-        e2 / (1.0 + state.working_set.size),
-        _feasibility(gap),
-        e4 / (1.0 + _norm(state.u)),
+        raw.e1 / (1.0 + _norm(w)),
+        raw.e2 / (1.0 + idx.size),
+        raw.e3 / math.sqrt(gap.size),
+        raw.e4 / (1.0 + _norm(u)),
     )
 
 
@@ -365,14 +337,17 @@ def objective_value(w: np.ndarray, margins: np.ndarray, cfg: TrainConfig) -> flo
 
 @dataclass
 class TrainDiagnostics:
-    """The record of one solve: its sweeps, whether it converged, and the
-    returned iterate with its residuals and objective. ``history`` holds one
-    (working-set size, residuals, objective) tuple per sweep when ``train``
-    was asked for it, and is None otherwise."""
+    """The record of one solve: its sweeps, whether it converged, the
+    returned slack u, multipliers lambda and last working set, and the
+    residuals and objective there; w and b are the returned model's.
+    ``history`` holds one (working-set size, residuals, objective) tuple per
+    sweep when ``train`` was asked for it, and is None otherwise."""
 
     iterations: int
     converged: bool
-    final_state: AdmmState
+    u: np.ndarray
+    lam: np.ndarray
+    working_set: WorkingSet
     residuals: Residuals
     objective: float
     history: Optional[list[tuple[int, Residuals, float]]] = None
@@ -395,28 +370,28 @@ def train(ds: Dataset, cfg: TrainConfig, *, history: bool = False):
     if ds.m == 0:
         raise ValueError("empty dataset")
     A, y, m = ds.signed_matrix(), ds.y, ds.m
-    state = AdmmState.initial(m, ds.n)
+    # u = 1, w = 0, b = 0 makes the linear constraint exactly feasible
+    w, b, u, lam = np.zeros(ds.n), 0.0, np.ones(m), np.zeros(m)
     sweeps = [] if history else None
     converged = False
     # A @ w, A[T], b*y, lambda/delta, the margins 1 - Aw - b*y and
     # t = 1 - u - Aw are computed once per sweep, each right after its inputs
     # change, and passed to every step that reads them
-    margins = 1.0 - A @ state.w - state.b * y
+    margins = 1.0 - A @ w - b * y
     lam_d = np.zeros(m)
     for k in range(1, cfg.K + 1):
         z = compute_z(margins, lam_d)
-        ws = state.working_set = select_working_set(z, state.lam, cfg)
+        ws = select_working_set(z, lam, cfg)
         idx = ws.indices
         a_t = A[idx]
-        u_next = update_u(z, ws, cfg)
-        w_next = update_w(a_t, idx, u_next, state.b, y, lam_d, cfg)
-        Aw = A @ w_next
-        t = 1.0 - u_next - Aw
-        b_next = update_b(t, y, lam_d)
-        by = b_next * y
-        state.lam = update_lambda(state.lam, idx, u_next, Aw, by, cfg)
-        state.u, state.w, state.b = u_next, w_next, b_next
-        lam_d = state.lam / cfg.delta
+        u = update_u(z, ws, cfg)
+        w = update_w(a_t, idx, u, b, y, lam_d, cfg)
+        Aw = A @ w
+        t = 1.0 - u - Aw
+        b = update_b(t, y, lam_d)
+        by = b * y
+        lam = update_lambda(lam, idx, u, Aw, by, cfg)
+        lam_d = lam / cfg.delta
         margins = 1.0 - Aw - by
         gap = t - by
 
@@ -425,38 +400,32 @@ def train(ds: Dataset, cfg: TrainConfig, *, history: bool = False):
         if sweeps is None and _feasibility(gap) >= cfg.tol:
             res = None
             continue
-        res = residuals(state, y, gap, a_t, lam_d, cfg)
+        res = residuals(w, u, lam, idx, y, a_t, gap, lam_d, cfg)
         if sweeps is not None:
-            sweeps.append((ws.size, res, objective_value(state.w, margins, cfg)))
+            sweeps.append((ws.size, res, objective_value(w, margins, cfg)))
         if res.max() < cfg.tol:
             converged = True
             break
 
     if res is None:
         # the returned iterate's residuals, when its sweep skipped them
-        res = residuals(state, y, gap, a_t, lam_d, cfg)
+        res = residuals(w, u, lam, idx, y, a_t, gap, lam_d, cfg)
     diagnostics = TrainDiagnostics(
-        iterations=k, converged=converged, final_state=state, residuals=res,
-        objective=sweeps[-1][2] if sweeps else objective_value(state.w, margins, cfg),
+        iterations=k, converged=converged, u=u, lam=lam, working_set=ws, residuals=res,
+        objective=sweeps[-1][2] if sweeps else objective_value(w, margins, cfg),
         history=sweeps,
     )
     trained = model_mod.Model(
-        w=state.w, b=state.b, slide=cfg.slide, C=cfg.C, delta=cfg.delta,
-        support=model_mod.extract_support_vectors(state.lam, cfg),
+        w=w, b=b, slide=cfg.slide, C=cfg.C, delta=cfg.delta,
+        support=model_mod.extract_support_vectors(lam, cfg),
         converged=converged, iterations=k,
     )
     return trained, diagnostics
 
 
 def check_proximal_stationarity(
-    w: np.ndarray,
-    b: float,
-    u: np.ndarray,
-    lam: np.ndarray,
-    gamma: float,
-    ds: Dataset,
-    C: float,
-    p: SlideParams,
+    w: np.ndarray, b: float, u: np.ndarray, lam: np.ndarray, gamma: float,
+    ds: Dataset, C: float, p: SlideParams,
 ) -> Residuals:
     """Raw norms of the four stationarity defects at (w, b, u, lambda) for a
     given prox scale gamma: the solver's formulas at delta = 1/gamma, over
@@ -470,8 +439,6 @@ def check_proximal_stationarity(
             f"gamma must be finite and positive with a finite reciprocal, got {gamma}"
         )
     cfg = TrainConfig(C=C, delta=1.0 / gamma, slide=p)
-    A = ds.signed_matrix()
-    every_row = WorkingSet(np.arange(ds.m), _EMPTY)
-    point = AdmmState(w, b, u, lam, working_set=every_row)
-    e1, e2, e4 = _defect_norms(point, ds.y, A, lam / cfg.delta, cfg)
-    return Residuals(e1, e2, _norm(1.0 - u - A @ w - b * ds.y), e4)
+    A, y = ds.signed_matrix(), ds.y
+    gap = 1.0 - u - A @ w - b * y
+    return _defects(w, u, lam, np.arange(ds.m), y, A, gap, lam / cfg.delta, cfg)

@@ -93,9 +93,7 @@ def _read_lines(lines, first_lineno: int = 1) -> _Rows:
         labels.append(_map_label(tokens[0], lineno))
         prev = 0
         for token in tokens[1:]:
-            idx_str, _, val_str = token.partition(":")
-            if not _:
-                raise ParseError(f"line {lineno}: malformed token {token!r}")
+            idx_str, _, val_str = token.partition(":")  # no colon: float("") fails
             try:
                 ext_idx = int(idx_str)
                 value = float(val_str)
@@ -373,10 +371,17 @@ class ScalingMap:
 
 
 def fit_scaling(train: Dataset) -> ScalingMap:
-    """Per-feature min/max over the training split."""
+    """Per-feature min/max over the training split. A feature whose range
+    max - min overflows is a ValueError."""
     if train.m < 1:
         raise ValueError("cannot fit scaling on an empty dataset")
-    return ScalingMap(train.X.min(axis=0), train.X.max(axis=0))
+    mins, maxs = train.X.min(axis=0), train.X.max(axis=0)
+    with np.errstate(over="ignore"):
+        wide = np.flatnonzero(np.isinf(maxs - mins) & np.isfinite(mins) & np.isfinite(maxs))
+    if wide.size:
+        j = int(wide[0])
+        raise ValueError(f"feature {j + 1}: range {float(mins[j])!r} to {float(maxs[j])!r} overflows")
+    return ScalingMap(mins, maxs)
 
 
 def apply_scaling(ds: Dataset, smap: ScalingMap) -> Dataset:
@@ -389,7 +394,8 @@ def apply_scaling(ds: Dataset, smap: ScalingMap) -> Dataset:
         raise ValueError(f"dimension mismatch: dataset n={ds.n}, map n={smap.n}")
     span = smap.maxs - smap.mins
     with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = 2.0 * (ds.X - smap.mins) / span - 1.0
+        # dividing first keeps a range above half the largest float finite
+        scaled = (ds.X - smap.mins) / span * 2.0 - 1.0
     scaled[:, span == 0.0] = 0.0
     return Dataset(scaled, ds.y.copy())
 

@@ -111,9 +111,7 @@ def _entries(idx: np.ndarray, vals: np.ndarray) -> str:
 def _parse_entries(body: str, what: str):
     idx, vals = [], []
     for token in body.split():
-        k, _, v = token.partition(":")
-        if not _:
-            raise ModelFormatError(f"malformed {what} entry {token!r}")
+        k, _, v = token.partition(":")  # no colon: float("") fails
         try:
             idx.append(int(k))
             vals.append(float(v))

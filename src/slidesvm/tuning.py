@@ -224,6 +224,8 @@ def grid_search(
         raise ValueError("grid search needs at least one config")
     if test_ds is not None and test_ds.m == 0:
         raise ValueError("grid search needs a nonempty test set")
+    if test_ds is not None and test_ds.n != ds.n:
+        raise ValueError(f"dimension mismatch: dataset n={ds.n}, test set n={test_ds.n}")
     check_rates(rates)
     all_rates = [0.0] + [float(r) for r in rates if r != 0.0]
     kfold_plan(ds.m, k, seed)  # an impossible k fails here, before any solve

@@ -76,12 +76,11 @@ def test_criterion_1_prox_oracle_equivalence(tmp_path):
 def test_criterion_2_stationarity_certificate(clusters200, clusters_config):
     started = time.perf_counter()
     mdl, diag = train(clusters200, clusters_config)
-    state = diag.final_state
     report = check_proximal_stationarity(
-        state.w,
-        state.b,
-        state.u,
-        state.lam,
+        mdl.w,
+        mdl.b,
+        diag.u,
+        diag.lam,
         gamma=1.0 / clusters_config.delta,
         ds=clusters200,
         C=clusters_config.C,
@@ -299,9 +298,9 @@ def test_criterion_8b_multiplier_support_zeroing():
         ds, cfg = problem
         # train capped at K = k ends on the iterate of sweep k
         for k in range(1, 4):
-            state = train(ds, dataclasses.replace(cfg, K=k))[1].final_state
-            off = complement_mask(state.working_set, ds.m)
-            assert np.array_equal(state.lam[off], np.zeros(int(off.sum())))
+            diag = train(ds, dataclasses.replace(cfg, K=k))[1]
+            off = complement_mask(diag.working_set, ds.m)
+            assert np.array_equal(diag.lam[off], np.zeros(int(off.sum())))
 
     prop()
     _report("8b", True, f"multipliers exactly zero off the working set on {N_CASES} cases")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from oracles import complement_mask, margin_violations
 
 from slidesvm import admm
 from slidesvm.admm import (
-    AdmmState,
     Residuals,
     TrainConfig,
     WorkingSet,
@@ -57,14 +57,39 @@ def random_problem(rng, m, n):
     return dense_dataset(X, y)
 
 
+NO_ROWS = np.empty(0, dtype=np.int64)
+
+
+class Iterate(NamedTuple):
+    """A solver iterate (w, b, u, lambda) and the working set of the sweep
+    that left it."""
+
+    w: np.ndarray
+    b: float
+    u: np.ndarray
+    lam: np.ndarray
+    working_set: WorkingSet = WorkingSet(NO_ROWS, NO_ROWS)
+
+
+def initial(m, n):
+    """train's starting iterate: w = 0, b = 0, u = 1, lambda = 0."""
+    return Iterate(np.zeros(n), 0.0, np.ones(m), np.zeros(m))
+
+
+def returned(mdl, diag):
+    """The iterate a solve returned: w and b from its model, the rest from
+    its diagnostics."""
+    return Iterate(mdl.w, mdl.b, diag.u, diag.lam, diag.working_set)
+
+
 def iterates(ds, cfg, sweeps):
-    """The initial state, then the final state of ``train`` capped at K = 1,
-    2, ..., ``sweeps`` sweeps, up to the first converged run; and that last
-    run's diagnostics, with its history."""
-    states = [AdmmState.initial(ds.m, ds.n)]
+    """The initial iterate, then the iterate returned by ``train`` capped at
+    K = 1, 2, ..., ``sweeps`` sweeps, up to the first converged run; and that
+    last run's diagnostics, with its history."""
+    states = [initial(ds.m, ds.n)]
     for k in range(1, sweeps + 1):
-        _, diag = train(ds, dataclasses.replace(cfg, K=k), history=True)
-        states.append(diag.final_state)
+        mdl, diag = train(ds, dataclasses.replace(cfg, K=k), history=True)
+        states.append(returned(mdl, diag))
         if diag.converged:
             break
     return states, diag
@@ -85,9 +110,11 @@ def z_at(state, ds, cfg):
 def residuals_at(state, ds, cfg):
     """residuals at ``state``, with its products computed here."""
     A = ds.signed_matrix()
-    a_t = A[state.working_set.indices]
+    idx = state.working_set.indices
     gap = 1.0 - state.u - A @ state.w - state.b * ds.y
-    return residuals(state, ds.y, gap, a_t, state.lam / cfg.delta, cfg)
+    return residuals(
+        state.w, state.u, state.lam, idx, ds.y, A[idx], gap, state.lam / cfg.delta, cfg
+    )
 
 
 class TestConfig:
@@ -119,20 +146,19 @@ class TestConfig:
 class TestComputeZ:
     def test_initial_state_gives_ones(self):
         ds = gaussian_clusters(10, seed=0)
-        z = z_at(AdmmState.initial(ds.m, ds.n), ds, make_cfg())
+        z = z_at(initial(ds.m, ds.n), ds, make_cfg())
         assert np.array_equal(z, np.ones(10))
 
     def test_single_sample_arithmetic(self):
         ds = dense_dataset([[1.0, 0.0]], [1.0])
-        state = AdmmState(np.array([0.5, 0.0]), 0.25, np.ones(1), np.zeros(1))
+        state = Iterate(np.array([0.5, 0.0]), 0.25, np.ones(1), np.zeros(1))
         z = z_at(state, ds, make_cfg(delta=3.0))
         assert z == pytest.approx([0.25], abs=1e-15)
 
     def test_multiplier_shift(self):
         ds = gaussian_clusters(6, seed=1)
         delta = 2.5
-        state = AdmmState.initial(ds.m, ds.n)
-        state.lam = delta * np.ones(ds.m)
+        state = initial(ds.m, ds.n)._replace(lam=delta * np.ones(ds.m))
         z = z_at(state, ds, make_cfg(delta=delta))
         assert z == pytest.approx(np.zeros(ds.m), abs=1e-15)
 
@@ -249,9 +275,9 @@ class TestUpdateW:
     def test_update_w_uses_previous_b_and_multipliers(self):
         ds = random_problem(np.random.default_rng(5), 8, 3)
         cfg = make_cfg()
-        state = AdmmState.initial(ds.m, ds.n)
-        state.b = 0.4
-        state.lam = np.where(np.arange(8) % 2 == 0, -0.2, 0.0)
+        state = initial(ds.m, ds.n)._replace(
+            b=0.4, lam=np.where(np.arange(8) % 2 == 0, -0.2, 0.0)
+        )
         z = z_at(state, ds, cfg)
         ws = select_working_set(z, state.lam, cfg)
         u_next = update_u(z, ws, cfg)
@@ -327,8 +353,10 @@ class TestResiduals:
         # all-ones u is a prox fixed point
         ds = gaussian_clusters(9, seed=4)
         cfg = make_cfg(C=1.0, delta=50.0, slide=SlideParams(0.1, 0.3))
-        state = AdmmState.initial(ds.m, ds.n)
-        state.working_set = select_working_set(z_at(state, ds, cfg), state.lam, cfg)
+        state = initial(ds.m, ds.n)
+        state = state._replace(
+            working_set=select_working_set(z_at(state, ds, cfg), state.lam, cfg)
+        )
         assert state.working_set.size == 0
         res = residuals_at(state, ds, cfg)
         assert (res.e1, res.e2, res.e3, res.e4) == (0.0, 0.0, 0.0, 0.0)
@@ -336,11 +364,10 @@ class TestResiduals:
     def test_initial_state_prox_gap(self):
         ds = gaussian_clusters(16, seed=5)
         cfg = make_cfg(C=1.0, delta=1.0)
-        state = AdmmState.initial(ds.m, ds.n)
         # residuals take the prox defect over the working set, as a sweep
-        # leaves every row off it at a prox fixed point; the initial state
-        # is not such a state, so every row is put in the set
-        state.working_set = WorkingSet(np.arange(ds.m), np.empty(0, dtype=np.int64))
+        # leaves every row off it at a prox fixed point; the initial iterate
+        # is not such an iterate, so every row is put in the set
+        state = initial(ds.m, ds.n)._replace(working_set=WorkingSet(np.arange(ds.m), NO_ROWS))
         res = residuals_at(state, ds, cfg)
         assert (res.e1, res.e2, res.e3) == (0.0, 0.0, 0.0)
         # independent scalar oracle for the prox of the all-ones vector
@@ -351,8 +378,7 @@ class TestResiduals:
 
     def test_feasibility_norm_arithmetic(self):
         ds = dense_dataset([[0.0], [0.0]], [1.0, -1.0])
-        state = AdmmState.initial(2, 1)
-        state.u = np.array([0.7, 0.6])  # violation (0.3, 0.4)
+        state = initial(2, 1)._replace(u=np.array([0.7, 0.6]))  # violation (0.3, 0.4)
         res = residuals_at(state, ds, make_cfg())
         assert res.e3 == pytest.approx(0.5 / math.sqrt(2.0), abs=1e-15)
 
@@ -471,10 +497,10 @@ class TestTrain:
         # the history changes nothing else
         assert (d1.iterations, d1.converged) == (d2.iterations, d2.converged)
         assert d1.residuals == d2.residuals == d2.history[-1][1]
-        assert d1.final_state.working_set.size == d2.history[-1][0]
+        assert d1.working_set.size == d2.history[-1][0]
         assert m1.w.tobytes() == m2.w.tobytes() and m1.b == m2.b
-        assert d1.final_state.u.tobytes() == d2.final_state.u.tobytes()
-        assert d1.final_state.lam.tobytes() == d2.final_state.lam.tobytes()
+        assert d1.u.tobytes() == d2.u.tobytes()
+        assert d1.lam.tobytes() == d2.lam.tobytes()
 
     def test_lambda_zero_off_working_set_every_sweep(self):
         ds = random_problem(np.random.default_rng(7), 12, 3)
@@ -499,7 +525,7 @@ class TestTrain:
     def test_multiplier_range_at_convergence(self, trained_clusters, clusters_config):
         mdl, diag = trained_clusters
         cfg = clusters_config
-        lam = diag.final_state.lam
+        lam = diag.lam
         slack = 10.0 * cfg.tol
         assert cfg.gamma_c < 2.0 * cfg.slide.ramp_width**2
         lo = -cfg.C / cfg.slide.ramp_width - slack
@@ -510,7 +536,7 @@ class TestTrain:
         assert cfg.gamma_c >= 2.0 * cfg.slide.ramp_width**2
         mdl, diag = train(clusters200, cfg)
         assert diag.converged
-        lam = diag.final_state.lam
+        lam = diag.lam
         slack = 10.0 * cfg.tol
         lo = -math.sqrt(2.0 * cfg.C * cfg.delta) - slack
         assert np.all(lam >= lo) and np.all(lam <= slack)
@@ -563,12 +589,11 @@ class TestStationarityCheck:
 
     def test_converged_run_passes_at_ten_tol(self, clusters200, clusters_config, trained_clusters):
         mdl, diag = trained_clusters
-        state = diag.final_state
         rep = check_proximal_stationarity(
-            state.w,
-            state.b,
-            state.u,
-            state.lam,
+            mdl.w,
+            mdl.b,
+            diag.u,
+            diag.lam,
             gamma=1.0 / clusters_config.delta,
             ds=clusters200,
             C=clusters_config.C,
@@ -578,12 +603,11 @@ class TestStationarityCheck:
 
     def test_perturbed_w_fails(self, clusters200, clusters_config, trained_clusters):
         mdl, diag = trained_clusters
-        state = diag.final_state
         tau = 10.0 * clusters_config.tol
-        w_bad = state.w.copy()
+        w_bad = mdl.w.copy()
         w_bad[0] += 1.0
         rep = check_proximal_stationarity(
-            w_bad, state.b, state.u, state.lam, 1.0, clusters200, clusters_config.C, clusters_config.slide
+            w_bad, mdl.b, diag.u, diag.lam, 1.0, clusters200, clusters_config.C, clusters_config.slide
         )
         assert rep.e1 >= 1.0 - tau and not rep.max() <= tau
 
@@ -717,7 +741,7 @@ class TestStopTest:
         event("trivial" if max(sizes) == 0 else "converged" if d2.converged else "capped")
         event("m < n" if ds.m < ds.n else "m >= n")
         assert (d1.iterations, d1.converged) == (d2.iterations, d2.converged)
-        s1, s2 = d1.final_state, d2.final_state
+        s1, s2 = returned(m1, d1), returned(m2, d2)
         for a, b in [(s1.w, s2.w), (s1.u, s2.u), (s1.lam, s2.lam),
                      (s1.working_set.pinned, s2.working_set.pinned),
                      (s1.working_set.shifted, s2.working_set.shifted)]:
@@ -862,13 +886,16 @@ def check_records(ds, cfg, state, res, obj):
     A, y, w, u = ds.X * ds.y[:, None], ds.y, state.w, state.u
     T = state.working_set.indices
     prox = prox_slide_vector(u - state.lam / cfg.delta, cfg.gamma_c, cfg.slide)
+    gap = 1.0 - u - A @ w - state.b * y
     expected = (
         np.linalg.norm(w + A[T].T @ state.lam[T]) / (1.0 + np.linalg.norm(w)),
         abs(y[T] @ state.lam[T]) / (1.0 + T.size),
-        np.linalg.norm(1.0 - u - A @ w - state.b * y) / math.sqrt(ds.m),
+        np.linalg.norm(gap) / math.sqrt(ds.m),
         np.linalg.norm(u - prox) / (1.0 + np.linalg.norm(u)),
     )
     assert (res.e1, res.e2, res.e3, res.e4) == pytest.approx(expected, **CLOSE)
+    # the stop test reads e3 from _feasibility, the recorded e3 the same float
+    assert bits(res.e3) == bits(admm._feasibility(gap))
     margins = 1.0 - A @ w - state.b * y
     expected_obj = 0.5 * w @ w + slide_loss_sum(margins, cfg.slide, cfg.C)
     assert obj == pytest.approx(expected_obj, **CLOSE)

@@ -1,5 +1,6 @@
 import io
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -426,9 +427,11 @@ class TestVectorisedParse:
          ("-1 1:1\n+1 1:1 2:-inf 1:3\n", "line 2: non-finite value -inf at index 2"),
          ("-1 1:1\n+1 3:1e999 2:1\n", "line 2: non-finite value inf at index 3"),
          ("+1 1:1\n-1 1:1 2:nan\n3 1:1\n", "line 2: non-finite value nan at index 2"),
-         ("+1 1:1\n-1 0:nan\n", "line 2: index 0 is not 1-based")],
+         ("+1 1:1\n-1 0:nan\n", "line 2: index 0 is not 1-based"),
+         ("+1 1:1\n-1 7 2:nan\n", "line 2: malformed token '7'")],
         ids=["nan-before-malformed", "malformed-before-inf", "nan-before-order",
-             "overflow-before-order", "nan-before-label", "index-before-nan"],
+             "overflow-before-order", "nan-before-label", "index-before-nan",
+             "no-colon-before-nan"],
     )
     def test_first_defect_in_file_order_is_reported(self, text, message, monkeypatch):
         for chunk in (8, 1 << 18):
@@ -493,6 +496,21 @@ class TestScaling:
         ds = parse_libsvm("+1 1:2\n-1 1:4 2:6\n")
         smap = fit_scaling(ds)
         assert (smap.mins[1], smap.maxs[1]) == (0.0, 6.0)
+
+    def test_range_above_half_the_largest_float_scales_finitely(self):
+        # 2 * (x - min) would overflow to inf before the division
+        ds = dense_dataset([[-4.5e307, 1.0], [4.5e307, 2.0], [0.0, 3.0]], [1, -1, 1])
+        scaled = apply_scaling(ds, fit_scaling(ds))
+        assert scaled.X.tolist() == [[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]
+
+    def test_range_that_overflows_is_rejected_without_a_warning(self):
+        ds = dense_dataset([[1.0, -1e308], [2.0, 1.7e308]], [1, -1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ValueError, match=r"^feature 2: range -1e\+308 to 1\.7e\+308 overflows$"
+            ):
+                fit_scaling(ds)
 
     def test_dimension_mismatch(self):
         ds = dense_dataset([[1.0, 2.0]], [1])

@@ -139,6 +139,21 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match="nonempty test set"):
             grid_search(ds, one_config(50), k=2, seed=0, test_ds=empty)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_test_set_of_another_width_is_rejected_before_any_solve(self, monkeypatch, n):
+        solves, solve = [], tuning.train
+
+        def counting(*args, **kwargs):
+            solves.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(tuning, "train", counting)
+        ds = gaussian_clusters(10, seed=0)
+        other = Dataset(np.ones((4, n)), np.array([1.0, -1.0, 1.0, -1.0]))
+        with pytest.raises(ValueError, match=f"^dimension mismatch: dataset n=2, test set n={n}$"):
+            grid_search(ds, one_config(50), k=2, seed=0, test_ds=other)
+        assert solves == []
+
     def test_single_class_fold_still_scores(self):
         # both folds end up single-class; training must not error
         base = gaussian_clusters(4, seed=1, center=4.0)
