@@ -28,6 +28,8 @@ from .data import Dataset
 from .loss import (
     ProxThresholds,
     SlideParams,
+    prox_branches,
+    prox_move,
     prox_slide_vector,
     prox_thresholds,
     slide_loss_sum,
@@ -82,12 +84,9 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class WorkingSet:
-    """Indices taking part in one sweep.
-
-    ``pinned`` rows get u = epsilon; ``shifted`` rows get u = z - C/(delta*(v-eps)).
-    In the regime C/delta >= 2*(v-eps)^2 everything active is pinned and
-    ``shifted`` is empty, so consumers never need a regime branch.
-    """
+    """Indices taking part in one sweep: the rows the prox of gamma_c pins
+    and those it shifts. ``shifted`` is empty outside the ramp regime, so
+    consumers never need a regime branch."""
 
     pinned: np.ndarray
     shifted: np.ndarray
@@ -99,9 +98,6 @@ class WorkingSet:
     @property
     def size(self) -> int:
         return self.pinned.size + self.shifted.size
-
-
-_EMPTY = np.empty(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -143,37 +139,15 @@ def compute_z(margins: np.ndarray, lam_d: np.ndarray) -> np.ndarray:
     return margins - lam_d
 
 
-def select_working_set(
-    z: np.ndarray, lam: np.ndarray, cfg: TrainConfig
-) -> WorkingSet:
-    """Threshold z against the prox breakpoints of gamma_c = C/delta.
-
-    Rows with z <= epsilon never participate. A row sitting exactly on the
-    outermost breakpoint joins only while its multiplier is nonzero.
-    """
-    th = cfg.thresholds
-    inside = ((z > cfg.slide.epsilon) & (z < th.tie_point)).nonzero()[0]
-    ties = (z == th.tie_point).nonzero()[0]
-    if ties.size:
-        ties = ties[lam[ties] != 0.0]
-    if th.ramp_regime:
-        low = z[inside] < th.pin_upper
-        return WorkingSet(inside[low], _merge_sorted(inside[~low], ties))
-    return WorkingSet(_merge_sorted(inside, ties), _EMPTY)
-
-
-def _merge_sorted(rows: np.ndarray, ties: np.ndarray) -> np.ndarray:
-    """Union of two disjoint sorted index arrays, sorted; tie rows are rare."""
-    return np.sort(np.concatenate([rows, ties])) if ties.size else rows
+def select_working_set(z: np.ndarray, lam: np.ndarray, cfg: TrainConfig) -> WorkingSet:
+    """The rows of z that the prox of gamma_c moves; a tie row joins while its
+    multiplier is nonzero."""
+    return WorkingSet(*prox_branches(z, cfg.thresholds, cfg.slide.epsilon, lam))
 
 
 def update_u(z: np.ndarray, ws: WorkingSet, cfg: TrainConfig) -> np.ndarray:
-    """Prox step on the slack block: pinned rows drop to epsilon, shifted rows
-    move down by C/(delta*(v-eps)), everything else keeps u = z."""
-    u = z.copy()
-    u[ws.pinned] = cfg.slide.epsilon
-    u[ws.shifted] = z[ws.shifted] - cfg.thresholds.shift
-    return u
+    """Prox step on the slack block: u = z with the working set's branch values."""
+    return prox_move(z, ws.pinned, ws.shifted, cfg.thresholds, cfg.slide.epsilon)
 
 
 @cache

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .admm import TrainConfig, train
 from .data import ParseError, align_features, parse_libsvm, widen
-from .loss import SlideParams, prox_oracle, prox_slide_vector, prox_thresholds
+from .loss import SlideParams, prox_branches, prox_move, prox_oracle, prox_slide_vector, prox_thresholds
 from .model import ModelFormatError, confusion_counts, load_model, save_model
 from .tuning import STOCK_POWERS, STOCK_V_VALUES, check_rates, grid_configs, grid_search
 
@@ -281,8 +281,9 @@ def cmd_proxcheck(args) -> int:
         near_tie = abs(s - th.tie_point) <= 1e-6
         if near_tie:
             # the grid cannot resolve which minimizer wins this close to the
-            # tie; require the closed form to output one of the two
-            alt = s - th.shift if th.ramp_regime else p.epsilon
+            # tie: s, or the value at s of the branch the tie point joins
+            below = prox_branches(np.array([th.tie_point]), th, p.epsilon, np.ones(1))
+            alt = float(prox_move(np.array([s]), *below, th, p.epsilon)[0])
             ok = min(abs(closed - s), abs(closed - alt)) <= 1e-9
         else:
             ok = deviation <= args.limit

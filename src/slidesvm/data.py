@@ -393,9 +393,15 @@ def apply_scaling(ds: Dataset, smap: ScalingMap) -> Dataset:
     if ds.n != smap.n:
         raise ValueError(f"dimension mismatch: dataset n={ds.n}, map n={smap.n}")
     span = smap.maxs - smap.mins
+    with np.errstate(over="ignore"):
+        offset = ds.X - smap.mins
+    rows, cols = np.isinf(offset).nonzero()
     with np.errstate(divide="ignore", invalid="ignore"):
-        # dividing first keeps a range above half the largest float finite
-        scaled = (ds.X - smap.mins) / span * 2.0 - 1.0
+        # dividing first keeps a range above half the largest float finite;
+        # where x - min overflows, x and min are divided apart
+        scaled = offset / span * 2.0 - 1.0
+        sp = span[cols]
+        scaled[rows, cols] = (ds.X[rows, cols] / sp - smap.mins[cols] / sp) * 2.0 - 1.0
     scaled[:, span == 0.0] = 0.0
     return Dataset(scaled, ds.y.copy())
 

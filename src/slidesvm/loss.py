@@ -51,16 +51,9 @@ def slide_loss_sum(u, p: SlideParams, scale: float) -> float:
 
 
 class ProxThresholds(NamedTuple):
-    """Branch thresholds of the closed-form prox of ``gamma_c * loss``.
-
-    In the ramp regime (``gamma_c < 2*(v-eps)^2``) inputs in
-    ``(eps, pin_upper)`` pin to ``eps`` and inputs in ``[pin_upper, tie_point)``
-    shift down by ``shift``; otherwise only the pin branch exists and
-    ``pin_upper == tie_point``. An input equal to ``tie_point`` has two
-    minimizers: itself and ``tie_point - shift`` in the ramp regime, itself
-    and ``eps`` otherwise. The same thresholds drive the solver's working-set
-    selection, so they are computed in exactly one place.
-    """
+    """Breakpoints of the closed-form prox of ``gamma_c * loss``, which
+    ``prox_branches`` reads. The ramp regime is ``gamma_c < 2*(v-eps)^2``;
+    otherwise only the pin branch exists and ``pin_upper == tie_point``."""
 
     ramp_regime: bool
     pin_upper: float
@@ -82,18 +75,42 @@ def prox_thresholds(gamma_c: float, p: SlideParams) -> ProxThresholds:
     return ProxThresholds(False, tie, tie, shift)
 
 
+def prox_branches(s: np.ndarray, th: ProxThresholds, epsilon: float, join_tie=None):
+    """The prox's branch rule on a 1-D ``s``: the sorted indices of the
+    entries in ``(epsilon, pin_upper)``, which it pins, and in
+    ``[pin_upper, tie_point)``, which it shifts. An entry at ``tie_point`` has
+    a second minimizer in the branch just below the tie, which it joins where
+    ``join_tie`` (an array like ``s``) is nonzero."""
+    moved = (s > epsilon) & (s < th.tie_point)
+    at_tie = s == th.tie_point
+    # a moved tie entry lands in the branch just below the tie: shifted in
+    # the ramp regime, where pin_upper <= tie_point, and pinned otherwise.
+    # Ties are rare; count_nonzero tests for one faster than any()
+    if join_tie is not None and np.count_nonzero(at_tie):
+        moved |= at_tie & (join_tie != 0.0)
+    rows = moved.nonzero()[0]
+    if th.ramp_regime:
+        low = s[rows] < th.pin_upper
+        return rows[low], rows[~low]
+    return rows, rows[:0]
+
+
+def prox_move(s: np.ndarray, pinned, shifted, th: ProxThresholds, epsilon: float) -> np.ndarray:
+    """A copy of ``s`` with the branch values of a ``prox_branches`` split:
+    pinned entries take ``epsilon``, shifted ones move down by ``th.shift``."""
+    out = s.copy()
+    out[pinned] = epsilon
+    out[shifted] = s[shifted] - th.shift
+    return out
+
+
 def prox_slide_vector(s, gamma_c: float, p: SlideParams) -> np.ndarray:
     """Elementwise closed-form prox; ties take the identity value ``s``, and a
     scalar ``s`` gives a 0-d array."""
     th = prox_thresholds(gamma_c, p)
     s = np.asarray(s, dtype=np.float64)
-    if th.ramp_regime:
-        inner = np.where(
-            s < th.pin_upper, p.epsilon, np.where(s < th.tie_point, s - th.shift, s)
-        )
-    else:
-        inner = np.where(s < th.pin_upper, p.epsilon, s)
-    return np.where(s <= p.epsilon, s, inner)
+    flat = s.reshape(-1)
+    return prox_move(flat, *prox_branches(flat, th, p.epsilon), th, p.epsilon).reshape(s.shape)
 
 
 def prox_objective(t, s: float, gamma_c: float, p: SlideParams) -> np.ndarray:

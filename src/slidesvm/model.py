@@ -40,15 +40,10 @@ def extract_support_vectors(lam: np.ndarray, cfg: "TrainConfig") -> SupportSet:
     theta = 10.0 * cfg.tol
     lam = np.asarray(lam, dtype=np.float64)
     t_star = np.flatnonzero(lam < -theta)
-    if cfg.thresholds.ramp_regime:
-        pinned_value = -cfg.C / cfg.slide.ramp_width
-        at_pin = np.abs(lam[t_star] - pinned_value) <= theta
-        t2 = t_star[at_pin]
-        t1 = t_star[~at_pin]
-    else:
-        t1 = t_star
-        t2 = np.empty(0, dtype=np.int64)
-    return SupportSet(t_star, t1, t2, lam[t_star])
+    # only the ramp regime has shifted rows, whose multiplier is -C/(v-eps)
+    at_pin = np.abs(lam[t_star] + cfg.C / cfg.slide.ramp_width) <= theta
+    at_pin &= cfg.thresholds.ramp_regime
+    return SupportSet(t_star, t_star[~at_pin], t_star[at_pin], lam[t_star])
 
 
 @dataclass(frozen=True)
@@ -131,7 +126,9 @@ def _check_distinct(sorted_idx: np.ndarray, what: str):
 
 
 def dumps_model(model: Model) -> str:
-    """Line-oriented text rendering; floats use repr so the round trip is exact."""
+    """Line-oriented text rendering; floats use repr so the round trip is
+    exact. Text that ``loads_model`` rejects, such as a non-finite b, raises
+    its ModelFormatError."""
     converged = "true" if model.converged else "false"
     scalars = (model.n, repr(model.C), repr(model.delta), repr(model.slide.epsilon),
                repr(model.slide.v), converged, model.iterations, repr(model.b))
@@ -144,7 +141,9 @@ def dumps_model(model: Model) -> str:
     lines = [FORMAT_HEADER]
     lines += [f"{tag}={value}" for tag, value in zip(SCALAR_TAGS, scalars)]
     lines += [f"{tag} {_entries(*vec)}" for tag, vec in zip(VECTOR_TAGS, vectors)]
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    loads_model(text)
+    return text
 
 
 def loads_model(text: str) -> Model:
@@ -225,8 +224,9 @@ def loads_model(text: str) -> Model:
 
 
 def save_model(model: Model, path) -> None:
+    text = dumps_model(model)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_model(model))
+        fh.write(text)
 
 
 def load_model(path) -> Model:

@@ -1,9 +1,10 @@
 """The paper's conditions on a solution, as test oracles.
 
 Each function states one property the tests check a solve or a search
-against: the limiting subdifferential of the slide loss, the support rows'
-reconstruction of the hyperplane and their confidence margins, the rows
-outside a working set, and a plain serial k-fold cross-validation. They are
+against: the closed-form prox as one elementwise formula, the limiting
+subdifferential of the slide loss, the support rows' reconstruction of the
+hyperplane and their confidence margins, the rows outside a working set, and
+a plain serial k-fold cross-validation. They are
 built on slidesvm's public API only and are never called by the package.
 """
 
@@ -13,7 +14,23 @@ import numpy as np
 
 from slidesvm.admm import train
 from slidesvm.data import apply_scaling, fit_scaling, kfold_plan, subset
+from slidesvm.loss import prox_thresholds
 from slidesvm.model import accuracy
+
+
+def where_prox(s, gamma_c: float, p) -> np.ndarray:
+    """The closed-form prox as one ``np.where`` chain over every entry, ties
+    at the identity value: the bit-level reference for
+    ``prox_slide_vector``."""
+    th = prox_thresholds(gamma_c, p)
+    s = np.asarray(s, dtype=np.float64)
+    if th.ramp_regime:
+        inner = np.where(
+            s < th.pin_upper, p.epsilon, np.where(s < th.tie_point, s - th.shift, s)
+        )
+    else:
+        inner = np.where(s < th.pin_upper, p.epsilon, s)
+    return np.where(s <= p.epsilon, s, inner)
 
 
 def slide_subdifferential(t: float, p):

@@ -8,7 +8,7 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import gaussian_clusters
-from oracles import complement_mask, margin_violations
+from oracles import complement_mask, margin_violations, where_prox
 
 from slidesvm import admm
 from slidesvm.admm import (
@@ -823,31 +823,45 @@ class TestFusedSweepIdentities:
         tiny_problem(),
         st.integers(min_value=1, max_value=6),
         st.lists(
-            st.tuples(st.sampled_from(["keep", "eps", "pin", "tie"]), st.booleans()),
+            st.tuples(
+                st.sampled_from(["keep", "eps", "pin", "tie", "+0", "-0", "+inf", "-inf", "nan"]),
+                st.sampled_from([-math.inf, None, math.inf]),
+                st.booleans(),
+            ),
             min_size=1,
             max_size=10,
         ),
     )
     @settings(max_examples=300, deadline=None)
     def test_selection_matches_the_mask_formulas(self, problem, sweeps, overrides):
-        # rows are moved exactly onto epsilon, pin_upper and the tie point,
+        # rows are moved exactly onto epsilon, pin_upper and the tie point or
+        # their float neighbours, or onto a signed zero, an infinity or NaN,
         # with lambda zero or not; in these configs epsilon + shift > epsilon,
         # so pin_upper lies strictly above epsilon
         ds, cfg = problem
         th = cfg.thresholds
-        on = {"eps": cfg.slide.epsilon, "pin": th.pin_upper, "tie": th.tie_point}
+        on = {
+            "eps": cfg.slide.epsilon, "pin": th.pin_upper, "tie": th.tie_point,
+            "+0": 0.0, "-0": -0.0, "+inf": math.inf, "-inf": -math.inf, "nan": math.nan,
+        }
         states, _ = iterates(ds, cfg, sweeps)
         for state in states:
             z, lam = fresh_z(state, ds, cfg), state.lam.copy()
-            for row, (where, nonzero) in enumerate(overrides[: ds.m]):
+            for row, (where, toward, nonzero) in enumerate(overrides[: ds.m]):
                 if where != "keep":
-                    z[row] = on[where]
+                    z[row] = on[where] if toward is None else math.nextafter(on[where], toward)
                 lam[row] = -0.25 if nonzero else 0.0
             ws = select_working_set(z, lam, cfg)
             pinned, shifted = mask_selection(z, lam, cfg)
             assert ws.pinned.dtype == pinned.dtype and ws.shifted.dtype == shifted.dtype
             assert np.array_equal(ws.pinned, pinned)
             assert np.array_equal(ws.shifted, shifted)
+            # u is the prox of z, ties at the identity, except that a tie row
+            # with lambda != 0 takes the other minimizer
+            expected = where_prox(z, cfg.gamma_c, cfg.slide)
+            joined = (z == th.tie_point) & (lam != 0.0)
+            expected[joined] = th.tie_point - th.shift if th.ramp_regime else cfg.slide.epsilon
+            assert bits(update_u(z, ws, cfg)) == bits(expected)
         event("ramp regime" if th.ramp_regime else "pin regime")
 
 

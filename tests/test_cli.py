@@ -601,6 +601,16 @@ class TestProxcheckCommand:
         assert run(["proxcheck", "--samples", "1"]) == 0
         assert "failures=0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("offset", [-3e-7, 0.0, 3e-7])
+    @pytest.mark.parametrize("p", [SlideParams(0.1, 1.0), SlideParams(0.1, 0.3)])
+    def test_near_tie_draws_pass_in_both_regimes(self, monkeypatch, capsys, p, offset):
+        # at gamma_c = 0.5 the first is in the ramp regime, the second in
+        # the pin regime, where the branch below the tie pins to epsilon
+        th = prox_thresholds(0.5, p)
+        monkeypatch.setattr(cli, "_draw_prox_case", lambda rng: (th.tie_point + offset, 0.5, p))
+        assert run(["proxcheck", "--samples", "1"]) == 0
+        assert "failures=0" in capsys.readouterr().out
+
     def test_a_step_with_no_finite_grid_fails_naming_the_step(self, capsys):
         # (hi - lo) / step overflows: a data error, not a traceback
         assert run(["proxcheck", "--samples", "1", "--step", "1e-310"]) == 1
@@ -761,10 +771,26 @@ class TestParser:
 )
 def test_the_module_runs_as_a_process(argv, status, stream, text, tmp_path):
     # the __main__ guard and entrypoint turn main's status into the exit code
-    src = Path(cli.__file__).resolve().parent.parent
-    done = subprocess.run(
-        [sys.executable, "-m", "slidesvm.cli", *argv], cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
-    )
+    done = run_process(argv, tmp_path)
     assert done.returncode == status, done.stderr
     assert text in getattr(done, stream)
+
+
+def run_process(argv, cwd):
+    src = Path(cli.__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, "-m", "slidesvm.cli", *argv], cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_train_writes_no_model_that_eval_would_reject(tmp_path):
+    # values near the largest float overflow the Gram of the w-system, with
+    # a RuntimeWarning (so in a process of its own), and the solve ends with
+    # b = nan; the model is refused before its file is opened
+    (tmp_path / "wide.svm").write_text("+1 1:-1e308\n-1 1:1e308\n+1 1:0.5\n-1 1:0.25\n")
+    done = run_process(["train", "--data", "wide.svm", "--out", "model.txt"], tmp_path)
+    assert done.returncode == 1
+    assert "overflow" in done.stderr
+    assert done.stderr.endswith("error: non-finite bias b=nan\n")
+    assert done.stdout == "" and not (tmp_path / "model.txt").exists()

@@ -503,6 +503,19 @@ class TestScaling:
         scaled = apply_scaling(ds, fit_scaling(ds))
         assert scaled.X.tolist() == [[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]
 
+    def test_unseen_value_whose_offset_overflows_scales_finitely(self):
+        # 1e308 - (-1e308) overflows, but 2*(x - min)/(max - min) - 1 is 3;
+        # the other entries keep the bits of the plain formula
+        smap = ScalingMap(np.array([-1e308, 0.0]), np.array([0.5, 4.0]))
+        test = dense_dataset([[1e308, 1.0], [0.1, 2.0], [-1e308, 4.5]], [1, -1, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = apply_scaling(test, smap)
+        with np.errstate(over="ignore"):
+            plain = (test.X - smap.mins) / (smap.maxs - smap.mins) * 2.0 - 1.0
+        assert scaled.X[0, 0] == 3.0
+        assert scaled.X.ravel()[1:].tobytes() == plain.ravel()[1:].tobytes()
+
     def test_range_that_overflows_is_rejected_without_a_warning(self):
         ds = dense_dataset([[1.0, -1e308], [2.0, 1.7e308]], [1, -1])
         with warnings.catch_warnings():

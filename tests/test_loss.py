@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import slide_subdifferential
+from oracles import slide_subdifferential, where_prox
 
 from slidesvm.loss import (
     SlideParams,
@@ -239,6 +239,33 @@ class TestProxClosedForm:
         out = prox_slide_vector(s, 0.5, P_WIDE)
         expected = [prox_slide_vector(float(v), 0.5, P_WIDE) for v in s]
         assert np.array_equal(out, np.array(expected))
+        # bit for bit against the np.where formula, on both regimes, on the
+        # regime boundary and just below it, and with a zero epsilon
+        boundary = 2.0 * P_WIDE.ramp_width**2
+        cases = [
+            (0.5, P_WIDE, True),
+            (0.5, P_NARROW, False),
+            (boundary, P_WIDE, False),
+            (math.nextafter(boundary, 0.0), P_WIDE, True),
+            (0.2, SlideParams(0.0, 0.5), True),
+        ]
+        for gamma_c, p, ramp in cases:
+            th = prox_thresholds(gamma_c, p)
+            assert th.ramp_regime == ramp
+            s = np.array(
+                [
+                    math.nextafter(point, toward)
+                    for point in (p.epsilon, th.pin_upper, th.tie_point)
+                    for toward in (-math.inf, point, math.inf)
+                ]
+                + [0.0, -0.0, math.inf, -math.inf, math.nan, -0.9, 0.3, 0.8, 1.5]
+            )
+            grid = s[:12].reshape(3, 4)
+            for x in [s, grid, np.array([])] + [float(x) for x in s]:
+                out = prox_slide_vector(x, gamma_c, p)
+                reference = where_prox(x, gamma_c, p)
+                assert out.dtype == np.float64 and out.shape == np.shape(x)
+                assert out.tobytes() == reference.tobytes()
 
     def test_vector_identity_region_and_empty(self):
         eps = P_WIDE.epsilon

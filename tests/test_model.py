@@ -20,6 +20,7 @@ from slidesvm.model import (
     extract_support_vectors,
     loads_model,
     predict_dataset,
+    save_model,
 )
 
 P_WIDE = SlideParams(0.1, 1.0)
@@ -64,10 +65,12 @@ class TestExtractSupportVectors:
         assert np.array_equal(sup.lambda_values, lam[[1, 2]])
 
     def test_pin_regime_keeps_single_group(self):
+        # a multiplier at -C/(v-eps) = -5 still belongs to t1 here
         cfg = TrainConfig(C=1.0, delta=1.0, slide=SlideParams(0.1, 0.3))
-        sup = extract_support_vectors(np.array([-0.2, 0.0]), cfg)
-        assert list(sup.t_star) == [0]
-        assert list(sup.t1) == [0] and sup.t2.size == 0
+        sup = extract_support_vectors(np.array([-0.2, 0.0, -5.0]), cfg)
+        assert list(sup.t_star) == [0, 2]
+        assert list(sup.t1) == [0, 2] and sup.t2.size == 0
+        assert sup.t2.dtype == np.int64
 
     def test_near_zero_multipliers_stay_out(self):
         cfg = TrainConfig(C=1.0, delta=1.0, slide=P_WIDE, tol=1e-3)
@@ -264,6 +267,34 @@ class TestPersistence:
         lines[at] = bad
         with pytest.raises(ModelFormatError, match="non-finite"):
             loads_model("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize(
+        "edit, field, bad",
+        [
+            (dict(b=np.nan), "b", "b=nan"),
+            (dict(b=-np.inf), "b", "b=-inf"),
+            (dict(w=np.array([1.0, np.inf])), "w", "w 0:1.0 1:inf"),
+            (dict(support=SupportSet(idx(0), idx(0), idx(), np.array([np.nan]))),
+             "support_t1", "support_t1 0:nan"),
+        ],
+    )
+    def test_dumps_refuses_what_loads_rejects(self, edit, field, bad, tmp_path):
+        # a model with a non-finite value is refused with the message that
+        # loading its text would give, and saving it leaves no file
+        good = make_model([1.0, 2.0], b=0.5, support=SupportSet(idx(0), idx(0), idx(), np.array([-0.5])))
+        lines = dumps_model(good).splitlines()
+        at = next(i for i, ln in enumerate(lines) if ln.startswith(field))
+        lines[at] = bad
+        with pytest.raises(ModelFormatError) as loaded:
+            loads_model("\n".join(lines) + "\n")
+        refused = dataclasses.replace(good, **edit)
+        with pytest.raises(ModelFormatError) as dumped:
+            dumps_model(refused)
+        assert str(dumped.value) == str(loaded.value)
+        path = tmp_path / "model.txt"
+        with pytest.raises(ModelFormatError):
+            save_model(refused, path)
+        assert not path.exists()
 
     def test_lines_are_matched_by_tag(self):
         sup = SupportSet(idx(3, 8), idx(3), idx(8), np.array([-0.25, -1.5]))
