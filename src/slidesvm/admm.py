@@ -152,13 +152,13 @@ def update_u(z: np.ndarray, ws: WorkingSet, cfg: TrainConfig) -> np.ndarray:
 
 @cache
 def _lapack():
-    """LAPACK's dpotrf and dpotrs, loaded on the first solve.
+    """LAPACK's dposv, loaded on the first solve.
 
-    They come from scipy's extension module ``scipy.linalg._flapack``, loaded
+    It comes from scipy's extension module ``scipy.linalg._flapack``, loaded
     alone: the ``scipy.linalg`` package around it takes about 0.3 s and 27 MB
-    to import, the extension about 20 ms and 3.5 MB. They are the very
-    functions ``scipy.linalg.get_lapack_funcs`` returns for float64, in either
-    import order. Scoring never solves.
+    to import, the extension about 20 ms and 3.5 MB. It is the very function
+    ``scipy.linalg.get_lapack_funcs`` returns for float64, in either import
+    order. Scoring never solves.
     """
     from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
     from importlib.util import module_from_spec
@@ -176,50 +176,30 @@ def _lapack():
     spec.loader.exec_module(flapack)
     # a later ``import scipy.linalg`` takes this module instead of a copy
     flapack = sys.modules.setdefault(spec.name, flapack)
-    return flapack.dpotrf, flapack.dpotrs
-
-
-def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve gram @ x = rhs for a symmetric positive definite gram, which is
-    overwritten by its factor."""
-    potrf, potrs = _lapack()
-    # numpy forms X'X and XX' by computing one triangle and mirroring it, so
-    # gram is exactly symmetric and its transpose is the Fortran-ordered
-    # matrix LAPACK reads, without a copy
-    factor, info = potrf(gram.T, lower=1, overwrite_a=1, clean=0)
-    if info == 0:
-        x, info = potrs(factor, rhs, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(
-            f"Cholesky solve of the w-system failed (LAPACK info={info})"
-        )
-    return x
-
-
-def _solve_direct(a_t: np.ndarray, r_t: np.ndarray, delta: float) -> np.ndarray:
-    """w from the n x n system (I + delta*A_T'A_T) w = -delta*A_T' r_T."""
-    gram = delta * (a_t.T @ a_t)
-    gram.flat[:: a_t.shape[1] + 1] += 1.0
-    return _cholesky_solve(gram, -delta * (a_t.T @ r_t))
-
-
-def _solve_smw(a_t: np.ndarray, r_t: np.ndarray, delta: float) -> np.ndarray:
-    """w = -delta*A_T' q from the |T| x |T| system (I + delta*A_T A_T') q = r_T,
-    the Woodbury push-through of the same equations."""
-    gram = delta * (a_t @ a_t.T)
-    gram.flat[:: a_t.shape[0] + 1] += 1.0
-    return -delta * (a_t.T @ _cholesky_solve(gram, r_t))
+    return flapack.dposv
 
 
 def solve_w_system(a_t: np.ndarray, r_t: np.ndarray, delta: float) -> np.ndarray:
     """Solve (I + delta*A_T'A_T) w = -delta*A_T' r_T through the smaller of
-    the two systems: the n x n one when n <= |T|, else the Woodbury one. Both
-    agree to 1e-8 relative."""
+    two symmetric positive definite systems: that n x n one when n <= |T|,
+    else the |T| x |T| Woodbury push-through (I + delta*A_T A_T') q = r_T,
+    with w = -delta*A_T' q. Both agree to 1e-8 relative."""
     t_size, n = a_t.shape
     if t_size == 0 or n == 0:
         return np.zeros(n)
-    solve = _solve_direct if n <= t_size else _solve_smw
-    return solve(a_t, r_t, delta)
+    direct = n <= t_size
+    gram = delta * (a_t.T @ a_t if direct else a_t @ a_t.T)
+    gram.flat[:: gram.shape[0] + 1] += 1.0
+    # numpy forms X'X and XX' by computing one triangle and mirroring it, so
+    # gram is exactly symmetric and its transpose is the Fortran-ordered
+    # matrix LAPACK reads, without a copy; it is overwritten by its factor
+    rhs = -delta * (a_t.T @ r_t) if direct else r_t
+    _, x, info = _lapack()(gram.T, rhs, lower=1, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"Cholesky solve of the w-system failed (LAPACK info={info})"
+        )
+    return x if direct else -delta * (a_t.T @ x)
 
 
 def update_w(
@@ -329,13 +309,13 @@ class TrainDiagnostics:
 
 def train(ds: Dataset, cfg: TrainConfig, *, history: bool = False):
     """Run the solver from the zero hyperplane until the residuals drop below
-    tol or K sweeps elapse.
+    tol, K sweeps elapse, or a sweep's e3 is NaN, after which none can stop.
 
     Non-convergence is reported through the model's ``converged`` flag, not an
     error; the final iterate is returned either way. The run is deterministic:
     equal inputs give bit-identical results. ``history`` records every
     sweep's working-set size, residuals and objective. Otherwise a sweep
-    computes the full residuals only when its e3 is below tol, and the
+    computes the full residuals only when its e3 is below tol or NaN, and the
     objective, and residuals a last sweep skipped, are computed once at the
     returned iterate; the results are the same bit for bit.
 
@@ -379,6 +359,11 @@ def train(ds: Dataset, cfg: TrainConfig, *, history: bool = False):
             sweeps.append((ws.size, res, objective_value(w, margins, cfg)))
         if res.max() < cfg.tol:
             converged = True
+            break
+        # a NaN in gap = t - b*y leaves b non-finite, and then every later
+        # margin, z, t and b: no later sweep can stop. (An infinite e3 may
+        # come from a finite gap whose squares overflow.)
+        if math.isnan(res.e3):
             break
 
     if res is None:

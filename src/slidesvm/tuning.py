@@ -5,9 +5,11 @@ rates, the paper's label-noise robustness protocol.
 All configurations and rates inside one grid search share a single fold
 plan. A search is a list of (rate, fold seed, config, fold) tasks, then one
 task per final fit or repeated fold, all run by one set of processes: the
-calling process at parallelism 1, else one pool of forked workers. Every
-task is one ``fit_full``: a CV task flips the labels of its rate, cuts its
-fold, then scales by the fold's training part, trains and scores the
+calling process at parallelism 1, else one pool of workers, started by the
+platform's default method (on Linux, fork up to Python 3.13 and forkserver
+from 3.14); either way the pool's initializer hands each worker the data.
+Every task is one ``fit_full``: a CV task flips the labels of its rate, cuts
+its fold, then scales by the fold's training part, trains and scores the
 held-out part; no fold outlives its task. Results are put back in task
 order, so a search differs across parallelism degrees only in wall time,
 never in output.

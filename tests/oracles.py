@@ -3,14 +3,16 @@
 Each function states one property the tests check a solve or a search
 against: the closed-form prox as one elementwise formula, the limiting
 subdifferential of the slide loss, the support rows' reconstruction of the
-hyperplane and their confidence margins, the rows outside a working set, and
-a plain serial k-fold cross-validation. They are
-built on slidesvm's public API only and are never called by the package.
+hyperplane and their confidence margins, the rows outside a working set,
+the two w-systems each solved by a Cholesky factor and its solve, and a
+plain serial k-fold cross-validation. They are built on slidesvm's public
+API and scipy only, and are never called by the package.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from slidesvm.admm import train
 from slidesvm.data import apply_scaling, fit_scaling, kfold_plan, subset
@@ -73,6 +75,35 @@ def margin_violations(model, ds, support, tol: float) -> list:
         if not lo - tol <= margins[i] <= 1.0 + tol
     ]
     return violations
+
+
+def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with gram @ x = rhs, from LAPACK's potrf and then potrs on the lower
+    triangle; gram, exactly symmetric, is read through its transpose."""
+    potrf, potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (gram,))
+    factor, info = potrf(gram.T, lower=1, overwrite_a=1, clean=0)
+    if info == 0:
+        x, info = potrs(factor, rhs, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Cholesky solve failed (LAPACK info={info})")
+    return x
+
+
+def solve_direct(a_t: np.ndarray, r_t: np.ndarray, delta: float) -> np.ndarray:
+    """w from the n x n system (I + delta*A_T'A_T) w = -delta*A_T' r_T: the
+    bit-level reference for ``solve_w_system`` when n <= |T|."""
+    gram = delta * (a_t.T @ a_t)
+    gram.flat[:: a_t.shape[1] + 1] += 1.0
+    return _cholesky_solve(gram, -delta * (a_t.T @ r_t))
+
+
+def solve_smw(a_t: np.ndarray, r_t: np.ndarray, delta: float) -> np.ndarray:
+    """w = -delta*A_T' q from the |T| x |T| system (I + delta*A_T A_T') q = r_T,
+    the Woodbury push-through of the same equations: the bit-level reference
+    for ``solve_w_system`` when n > |T|."""
+    gram = delta * (a_t @ a_t.T)
+    gram.flat[:: a_t.shape[0] + 1] += 1.0
+    return -delta * (a_t.T @ _cholesky_solve(gram, r_t))
 
 
 def complement_mask(ws, m: int) -> np.ndarray:

@@ -8,7 +8,7 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import gaussian_clusters
-from oracles import complement_mask, margin_violations, where_prox
+from oracles import complement_mask, margin_violations, solve_direct, solve_smw, where_prox
 
 from slidesvm import admm
 from slidesvm.admm import (
@@ -222,30 +222,33 @@ class TestUpdateW:
         )
 
     def test_scalar_closed_form_both_branches(self):
+        # one row with one feature takes the n x n system; a second, zero
+        # feature takes the |T| x |T| one and leaves its weight at zero
         a, r, delta = 1.7, -0.6, 2.3
         expected = -delta * a * r / (1.0 + delta * a * a)
-        for solve in (admm._solve_direct, admm._solve_smw):
-            w = solve(np.array([[a]]), np.array([r]), delta)
-            assert w == pytest.approx([expected], rel=1e-14)
+        for a_t, want in (([[a]], [expected]), ([[a, 0.0]], [expected, 0.0])):
+            w = solve_w_system(np.array(a_t), np.array([r]), delta)
+            assert w == pytest.approx(want, rel=1e-14)
 
     def test_indefinite_system_raises(self):
         # delta < 0 makes I + delta*A'A indefinite; the solver never passes
         # one, but a failed factorization must surface, not return garbage
-        for solve in (admm._solve_direct, admm._solve_smw):
-            with pytest.raises(np.linalg.LinAlgError):
-                solve(np.ones((3, 2)), np.ones(3), -10.0)
+        for shape in ((3, 2), (2, 2), (2, 3)):
+            with pytest.raises(np.linalg.LinAlgError, match="LAPACK info="):
+                solve_w_system(np.ones(shape), np.ones(shape[0]), -10.0)
 
     def test_branch_equivalence_20x5(self):
         rng = np.random.default_rng(3)
         a_t = rng.normal(size=(20, 5))
         r_t = rng.normal(size=20)
-        wa = admm._solve_direct(a_t, r_t, 1.3)
-        wb = admm._solve_smw(a_t, r_t, 1.3)
+        wa = solve_direct(a_t, r_t, 1.3)
+        wb = solve_smw(a_t, r_t, 1.3)
         assert np.linalg.norm(wa - wb) <= 1e-8 * (1.0 + np.linalg.norm(wa))
 
     def test_public_call_solves_the_smaller_system(self):
         # the n x n system when n <= |T|, n == |T| included, else the
-        # |T| x |T| one; an empty working set or no features give zeros
+        # |T| x |T| one, each bit for bit as a Cholesky factor and its solve
+        # give it; an empty working set or no features give zeros
         rng = np.random.default_rng(6)
         shapes = [(5, 5), (6, 5), (4, 5), (1, 1), (1, 2), (2, 1)] + [
             (int(rng.integers(1, 31)), int(rng.integers(1, 31))) for _ in range(40)
@@ -254,7 +257,7 @@ class TestUpdateW:
             a_t = rng.normal(size=(t_size, n))
             r_t = rng.normal(size=t_size)
             delta = float(rng.uniform(0.05, 10.0))
-            solve = admm._solve_direct if n <= t_size else admm._solve_smw
+            solve = solve_direct if n <= t_size else solve_smw
             assert solve_w_system(a_t, r_t, delta).tobytes() == solve(a_t, r_t, delta).tobytes()
         for t_size, n in [(0, 4), (3, 0), (0, 0)]:
             w = solve_w_system(np.ones((t_size, n)), np.ones(t_size), 2.0)
@@ -397,12 +400,25 @@ class TestResidualsMax:
 class TestTrain:
     def test_nan_residual_is_not_converged(self):
         # a NaN feature makes the feasibility residual NaN from the first
-        # sweep on; the stop test must not read it as small
+        # sweep on; the stop test must not read it as small, and the solve
+        # ends there, since no later sweep could stop
         ds = dense_dataset([[0.5], [math.nan], [0.7], [-0.2]], [1.0, -1.0, 1.0, -1.0])
         mdl, diag = train(ds, make_cfg(K=5), history=True)
         assert not diag.converged and not mdl.converged
-        assert diag.iterations == 5
-        assert all(math.isnan(res.max()) for _, res, _ in diag.history)
+        assert diag.iterations == mdl.iterations == 1
+        assert len(diag.history) == 1 and math.isnan(diag.history[0][1].max())
+
+    @pytest.mark.parametrize("history", [False, True])
+    def test_overflowing_solve_stops_after_its_first_sweep(self, history):
+        # at train's CLI defaults, features at +-1e308 overflow the Gram of
+        # the w-system, which leaves b = nan after sweep 1; the solve used to
+        # run all K sweeps
+        ds = dense_dataset([[-1e308], [1e308], [0.5], [0.25]], [1.0, -1.0, 1.0, -1.0])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            mdl, diag = train(ds, make_cfg(C=1.0), history=history)
+        assert diag.iterations == mdl.iterations == 1 and not diag.converged
+        assert math.isnan(mdl.b) and math.isnan(diag.residuals.e3)
+        assert diag.history is None or len(diag.history) == 1
 
     def test_separable_clusters_converge(self, clusters200, clusters_config, trained_clusters):
         mdl, diag = trained_clusters
