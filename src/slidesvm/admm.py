@@ -183,13 +183,18 @@ def solve_w_system(a_t: np.ndarray, r_t: np.ndarray, delta: float) -> np.ndarray
     """Solve (I + delta*A_T'A_T) w = -delta*A_T' r_T through the smaller of
     two symmetric positive definite systems: that n x n one when n <= |T|,
     else the |T| x |T| Woodbury push-through (I + delta*A_T A_T') q = r_T,
-    with w = -delta*A_T' q. Both agree to 1e-8 relative."""
+    with w = -delta*A_T' q. Both agree to 1e-8 relative. An overflowed Gram,
+    which dposv solves to w = 0 without error, gives w = NaN and ends train."""
     t_size, n = a_t.shape
     if t_size == 0 or n == 0:
         return np.zeros(n)
     direct = n <= t_size
     gram = delta * (a_t.T @ a_t if direct else a_t @ a_t.T)
-    gram.flat[:: gram.shape[0] + 1] += 1.0
+    diagonal = gram.ravel()[:: gram.shape[0] + 1]  # a view: gram is C-ordered
+    diagonal += 1.0
+    # by Cauchy-Schwarz an infinite or NaN entry implies one on the diagonal
+    if not np.isfinite(diagonal).all():
+        return np.full(n, np.nan)
     # numpy forms X'X and XX' by computing one triangle and mirroring it, so
     # gram is exactly symmetric and its transpose is the Fortran-ordered
     # matrix LAPACK reads, without a copy; it is overwritten by its factor
@@ -315,8 +320,8 @@ def train(ds: Dataset, cfg: TrainConfig, *, history: bool = False):
     error; the final iterate is returned either way. The run is deterministic:
     equal inputs give bit-identical results. ``history`` records every
     sweep's working-set size, residuals and objective. Otherwise a sweep
-    computes the full residuals only when its e3 is below tol or NaN, and the
-    objective, and residuals a last sweep skipped, are computed once at the
+    computes the full residuals only when its e3 is below tol or NaN, or when
+    it is the last (sweep K), and the objective is computed once at the
     returned iterate; the results are the same bit for bit.
 
     Returns (Model, TrainDiagnostics).
@@ -327,7 +332,6 @@ def train(ds: Dataset, cfg: TrainConfig, *, history: bool = False):
     # u = 1, w = 0, b = 0 makes the linear constraint exactly feasible
     w, b, u, lam = np.zeros(ds.n), 0.0, np.ones(m), np.zeros(m)
     sweeps = [] if history else None
-    converged = False
     # A @ w, A[T], b*y, lambda/delta, the margins 1 - Aw - b*y and
     # t = 1 - u - Aw are computed once per sweep, each right after its inputs
     # change, and passed to every step that reads them
@@ -350,25 +354,20 @@ def train(ds: Dataset, cfg: TrainConfig, *, history: bool = False):
         gap = t - by
 
         # a stop needs every residual below tol, e3 among them: a sweep whose
-        # e3 is not below tol skips the other three (a NaN e3 computes them)
-        if sweeps is None and _feasibility(gap) >= cfg.tol:
-            res = None
+        # e3 is not below tol skips the other three (a NaN e3 computes them),
+        # except the last, whose residuals are returned
+        if sweeps is None and k < cfg.K and _feasibility(gap) >= cfg.tol:
             continue
         res = residuals(w, u, lam, idx, y, a_t, gap, lam_d, cfg)
         if sweeps is not None:
             sweeps.append((ws.size, res, objective_value(w, margins, cfg)))
-        if res.max() < cfg.tol:
-            converged = True
-            break
-        # a NaN in gap = t - b*y leaves b non-finite, and then every later
-        # margin, z, t and b: no later sweep can stop. (An infinite e3 may
-        # come from a finite gap whose squares overflow.)
-        if math.isnan(res.e3):
+        # stop below tol or at a NaN e3: a NaN gap leaves b, and then every
+        # later margin, z, t and b, non-finite, so no later sweep can stop.
+        # (An infinite e3 may come from a finite gap whose squares overflow.)
+        if res.max() < cfg.tol or math.isnan(res.e3):
             break
 
-    if res is None:
-        # the returned iterate's residuals, when its sweep skipped them
-        res = residuals(w, u, lam, idx, y, a_t, gap, lam_d, cfg)
+    converged = res.max() < cfg.tol
     diagnostics = TrainDiagnostics(
         iterations=k, converged=converged, u=u, lam=lam, working_set=ws, residuals=res,
         objective=sweeps[-1][2] if sweeps else objective_value(w, margins, cfg),

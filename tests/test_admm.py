@@ -230,6 +230,14 @@ class TestUpdateW:
             w = solve_w_system(np.array(a_t), np.array([r]), delta)
             assert w == pytest.approx(want, rel=1e-14)
 
+    def test_overflowed_gram_solves_to_nan_in_both_branches(self):
+        # LAPACK solves an infinite Gram to w = 0 without an error; the one
+        # row of 1e200 overflows both the n x n and the |T| x |T| Gram
+        for a_t in ([[1e200]], [[1e200, 0.0]]):
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                w = solve_w_system(np.array(a_t), np.array([0.5]), 1.0)
+            assert w.shape == (len(a_t[0]),) and np.isnan(w).all()
+
     def test_indefinite_system_raises(self):
         # delta < 0 makes I + delta*A'A indefinite; the solver never passes
         # one, but a failed factorization must surface, not return garbage
@@ -409,15 +417,18 @@ class TestTrain:
         assert len(diag.history) == 1 and math.isnan(diag.history[0][1].max())
 
     @pytest.mark.parametrize("history", [False, True])
-    def test_overflowing_solve_stops_after_its_first_sweep(self, history):
-        # at train's CLI defaults, features at +-1e308 overflow the Gram of
-        # the w-system, which leaves b = nan after sweep 1; the solve used to
-        # run all K sweeps
+    @pytest.mark.parametrize("C", [1.0, 0.5])
+    def test_overflowing_solve_stops_after_its_first_sweep(self, C, history):
+        # features at +-1e308 overflow the Gram of the w-system, which then
+        # solves to w = nan and leaves b = nan after sweep 1. At C = 0.5 the
+        # right-hand side is finite, and LAPACK alone would solve the
+        # infinite Gram to w = 0, from which the solve never stops
         ds = dense_dataset([[-1e308], [1e308], [0.5], [0.25]], [1.0, -1.0, 1.0, -1.0])
         with pytest.warns(RuntimeWarning, match="overflow"):
-            mdl, diag = train(ds, make_cfg(C=1.0), history=history)
+            mdl, diag = train(ds, make_cfg(C=C), history=history)
         assert diag.iterations == mdl.iterations == 1 and not diag.converged
-        assert math.isnan(mdl.b) and math.isnan(diag.residuals.e3)
+        assert np.isnan(mdl.w).all() and math.isnan(mdl.b)
+        assert math.isnan(diag.residuals.e3)
         assert diag.history is None or len(diag.history) == 1
 
     def test_separable_clusters_converge(self, clusters200, clusters_config, trained_clusters):
@@ -769,6 +780,7 @@ class TestStopTest:
         )
         assert bits(d1.objective) == bits(d2.objective)
         assert dumps_model(m1) == dumps_model(m2)
+        assert d1.converged == (d1.residuals.max() < cfg.tol) == d2.converged
 
 
 def mask_selection(z, lam, cfg):

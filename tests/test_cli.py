@@ -787,10 +787,13 @@ def run_process(argv, cwd):
 def test_train_writes_no_model_that_eval_would_reject(tmp_path):
     # values near the largest float overflow the Gram of the w-system, with
     # a RuntimeWarning (so in a process of its own), and the solve ends with
-    # b = nan; the model is refused before its file is opened
+    # b = nan; the model is refused before its file is opened. At C = 0.5
+    # LAPACK alone would solve the infinite Gram to w = 0 and give a capped
+    # model with b = 0; a non-finite Gram diagonal solves to w = nan instead
     (tmp_path / "wide.svm").write_text("+1 1:-1e308\n-1 1:1e308\n+1 1:0.5\n-1 1:0.25\n")
-    done = run_process(["train", "--data", "wide.svm", "--out", "model.txt"], tmp_path)
-    assert done.returncode == 1
-    assert "overflow" in done.stderr
-    assert done.stderr.endswith("error: non-finite bias b=nan\n")
-    assert done.stdout == "" and not (tmp_path / "model.txt").exists()
+    for flags in ([], ["--C", "0.5"]):
+        done = run_process(["train", "--data", "wide.svm", "--out", "model.txt", *flags], tmp_path)
+        assert done.returncode == 1, flags
+        assert "overflow" in done.stderr
+        assert done.stderr.endswith("error: non-finite bias b=nan\n")
+        assert done.stdout == "" and not (tmp_path / "model.txt").exists()

@@ -166,7 +166,7 @@ def test_train_calls_each_phase_by_its_module_name_once_per_sweep(report, phase_
     # sees a phase only while train calls it through that name. With the
     # history every phase runs once per sweep. Without it the objective runs
     # once per solve, and the residuals on sweeps whose e3 is below tol and
-    # once more at a returned iterate whose sweep skipped them.
+    # on sweep K, whose residuals are returned.
     residuals, objective = report.PHASES["residuals"], report.PHASES["objective"]
     cfg = admm.TrainConfig(C=1.0, delta=1.0, slide=SlideParams(0.1, 1.0), K=7, tol=1e-12)
     ds = gaussian_clusters(40, seed=0)
