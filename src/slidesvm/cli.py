@@ -2,14 +2,16 @@
 
 Exit-code policy: 0 on success (a non-converged solve is still a success and
 is recorded in the model file), 1 for IO/parse/solve failures, 2 for flag
-validation problems. Every command is deterministic given its flags.
+validation problems. Exit 1 for a file that cannot be read, parsed or written
+is decided in one place, ``_file_errors``. Every command is deterministic
+given its flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import math
 import os
 import sys
@@ -33,16 +35,22 @@ class CliError(Exception):
         self.status = status
 
 
-def _read_dataset(path: str):
+@contextlib.contextmanager
+def _file_errors(path: str, verb: str, malformed=()):
+    """Turn a failure to ``verb`` the file at ``path`` into exit 1: an
+    OSError names the path and the verb, an error of a ``malformed`` type
+    (bad contents) names the path."""
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
+        yield
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
-    try:
-        ds = parse_libsvm(raw)
-    except ParseError as exc:
+        raise CliError(f"cannot {verb} {path}: {exc}") from exc
+    except malformed as exc:
         raise CliError(f"{path}: {exc}") from exc
+
+
+def _read_dataset(path: str):
+    with _file_errors(path, "read", ParseError), open(path, "rb") as fh:
+        ds = parse_libsvm(fh.read())
     # every command needs rows; say which file has none before any solve
     if ds.m == 0:
         raise CliError(f"{path}: empty dataset, no samples")
@@ -66,14 +74,12 @@ def _check_outputs(args) -> None:
             if flag in OUTPUT_FLAGS and _same_file(other_path, path):
                 raise CliError(f"{other} and {flag} name the same file: {path}", status=2)
     for path in [path for flag, path in given if flag in OUTPUT_FLAGS]:
-        try:
+        with _file_errors(path, "write"):
             try:
                 os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
                 os.remove(path)
             except FileExistsError:
                 os.close(os.open(path, os.O_WRONLY))
-        except OSError as exc:
-            raise CliError(f"cannot write {path}: {exc}") from exc
 
 
 def _same_file(a: str, b: str) -> bool:
@@ -81,26 +87,20 @@ def _same_file(a: str, b: str) -> bool:
     both exist, the same inode (a hard link)."""
     if os.path.realpath(a) == os.path.realpath(b):
         return True
-    try:
+    with contextlib.suppress(OSError):
         return os.path.samefile(a, b)
-    except OSError:
-        return False
+    return False
 
 
 def _write_csv(path: str, header, rows) -> None:
     """Write a table with float cells as ``repr(float(x))``, which reads back
     bit for bit, and int and str cells as they are."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(
-        [repr(float(c)) if isinstance(c, float) else c for c in row] for row in rows
-    )
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(buf.getvalue())
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}") from exc
+    with _file_errors(path, "write"), open(path, "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(
+            [repr(float(c)) if isinstance(c, float) else c for c in row] for row in rows
+        )
 
 
 def _config_cells(cfg: TrainConfig) -> list:
@@ -127,10 +127,8 @@ def cmd_train(args) -> int:
     _check_outputs(args)
     ds = _read_dataset(args.data)
     mdl, diag = train(ds, cfg, history=bool(args.diagnostics))
-    try:
+    with _file_errors(args.out, "write"):
         save_model(mdl, args.out)
-    except OSError as exc:
-        raise CliError(f"cannot write {args.out}: {exc}") from exc
     if args.diagnostics:
         _write_csv(
             args.diagnostics,
@@ -149,12 +147,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
+    with _file_errors(args.model, "read", ModelFormatError):
         mdl = load_model(args.model)
-    except OSError as exc:
-        raise CliError(f"cannot read {args.model}: {exc}") from exc
-    except ModelFormatError as exc:
-        raise CliError(f"{args.model}: {exc}") from exc
     ds = _read_dataset(args.data)
     if ds.n > mdl.n:
         raise CliError(

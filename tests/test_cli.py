@@ -502,6 +502,38 @@ class TestOutputPaths:
         assert not (tmp_path / "missing").exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.txt", "test.svm", "train.svm"]
 
+    @pytest.mark.skipif(not Path("/dev/full").is_char_device(), reason="needs /dev/full")
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--out"), ("train", "--diagnostics"), ("grid", "--out"), ("flip", "--out"),
+        ("proxcheck", "--out"),
+    ])
+    def test_a_write_that_fails_after_the_check_exits_1(
+        self, data_files, tmp_path, capsys, command, flag
+    ):
+        # /dev/full passes the pre-check and fails each write with ENOSPC
+        train, test = data_files
+        argv = {
+            "train": ["train", "--data", train, "--max-iter", "50"],
+            "grid": ["grid", "--data", train, "--test", test],
+            "flip": ["flip", "--data", train, "--test", test],
+            "proxcheck": ["proxcheck", "--samples", "50"],
+        }[command] + [flag, "/dev/full"]
+        if flag == "--diagnostics":
+            model_path = tmp_path / "model.txt"
+            model_path.write_text("old\n")
+            argv += ["--out", model_path]
+        if command in ("grid", "flip"):
+            argv += ["--folds", "3", "--c-values", "0.5,1", "--delta-values", "1",
+                     "--v-values", "1", "--max-iter", "50"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write /dev/full: ")
+        # the table commands print their result before they write their CSV
+        assert bool(captured.out) == (command != "train")
+        if flag == "--diagnostics":
+            # the old model was replaced before the diagnostics failed
+            assert load_model(model_path).n == 2
+
 
 class TestFlipCommand:
     def test_zero_rate_baseline_only(self, data_files, tmp_path):

@@ -524,6 +524,9 @@ class TestScaling:
                 ValueError, match=r"^feature 2: range -1e\+308 to 1\.7e\+308 overflows$"
             ):
                 fit_scaling(ds)
+        # an empty dataset has no range to fit
+        with pytest.raises(ValueError, match="^cannot fit scaling on an empty dataset$"):
+            fit_scaling(dense_dataset(np.zeros((0, 2)), []))
 
     def test_dimension_mismatch(self):
         ds = dense_dataset([[1.0, 2.0]], [1])
