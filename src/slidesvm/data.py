@@ -69,7 +69,6 @@ class _Rows(NamedTuple):
     indptr: Sequence[int]
     indices: Sequence[int]
     data: Sequence[float]
-    max_index: int
 
 
 _MAX_INDEX = 2**31 - 1  # 1-based; the 0-based index must fit in int32
@@ -80,7 +79,6 @@ def _read_lines(lines, first_lineno: int = 1) -> _Rows:
     reader does not take, and the one place that reports a defect, the first
     in file order."""
     data, indices, indptr, labels = [], [], [0], []
-    max_index = -1
     for lineno, line in enumerate(lines, start=first_lineno):
         try:
             line = line.decode("utf-8")
@@ -116,9 +114,8 @@ def _read_lines(lines, first_lineno: int = 1) -> _Rows:
             prev = ext_idx
             indices.append(ext_idx - 1)
             data.append(value)
-        max_index = max(max_index, prev - 1)
         indptr.append(len(data))
-    return _Rows(labels, indptr, indices, data, max_index)
+    return _Rows(labels, indptr, indices, data)
 
 
 # Byte classes of the common grammar; 0 marks a byte that only the per-line
@@ -250,13 +247,7 @@ def _read_fields(chunk) -> _Rows | None:
         return None
     if not ((labels == 1.0) | (labels == -1.0) | (labels == 0.0)).all():
         return None
-    return _Rows(
-        np.where(labels == 1.0, 1.0, -1.0),
-        indptr,
-        index - 1,
-        values,
-        int(index.max(initial=0)) - 1,
-    )
+    return _Rows(np.where(labels == 1.0, 1.0, -1.0), indptr, index - 1, values)
 
 
 def _read_bytes(text: bytes):
@@ -302,7 +293,8 @@ def _dataset(most_rows: int, blocks) -> Dataset:
         if too_large is not None:
             continue
         labels.append(np.asarray(rows.labels, dtype=np.float64))
-        n = max(X.shape[1], rows.max_index + 1)
+        indices = np.asarray(rows.indices, dtype=np.int64)
+        n = max(X.shape[1], int(indices.max(initial=-1)) + 1)
         if n > X.shape[1]:
             shape = f"dense matrix of m={most_rows} rows and n={n} features"
             try:
@@ -315,7 +307,7 @@ def _dataset(most_rows: int, blocks) -> Dataset:
             X = wider
         k = labels[-1].size
         at = np.repeat(np.arange(m, m + k) * n, np.diff(rows.indptr))
-        at += np.asarray(rows.indices, dtype=np.int64)
+        at += indices
         # an explicit -0 reads +0, as a sum into zeros would
         X.ravel()[at] = np.asarray(rows.data, dtype=np.float64) + 0.0
         m += k

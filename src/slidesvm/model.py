@@ -20,18 +20,19 @@ FORMAT_HEADER = "slidesvm-model v1"
 
 @dataclass(frozen=True)
 class SupportSet:
-    """Training rows with strictly negative multipliers at the final iterate.
+    """Training rows with strictly negative multipliers at the final iterate,
+    as the model file's two sparse lines: row indices and their multipliers.
 
     ``t1`` holds rows whose multiplier sits strictly inside its range (their
     confidence margin equals 1 - epsilon), ``t2`` rows pinned at
-    -C/(v - epsilon), which only occur when C/delta < 2*(v-eps)^2. ``t_star``
-    is their union; when ``t2`` is empty, ``t1 == t_star``.
+    -C/(v - epsilon), which only occur when C/delta < 2*(v-eps)^2. The two
+    are disjoint; their union is the support set T*.
     """
 
-    t_star: np.ndarray
     t1: np.ndarray
+    lambda_t1: np.ndarray
     t2: np.ndarray
-    lambda_values: np.ndarray
+    lambda_t2: np.ndarray
 
 
 def extract_support_vectors(lam: np.ndarray, cfg: "TrainConfig") -> SupportSet:
@@ -43,7 +44,8 @@ def extract_support_vectors(lam: np.ndarray, cfg: "TrainConfig") -> SupportSet:
     # only the ramp regime has shifted rows, whose multiplier is -C/(v-eps)
     at_pin = np.abs(lam[t_star] + cfg.C / cfg.slide.ramp_width) <= theta
     at_pin &= cfg.thresholds.ramp_regime
-    return SupportSet(t_star, t_star[~at_pin], t_star[at_pin], lam[t_star])
+    t1, t2 = t_star[~at_pin], t_star[at_pin]
+    return SupportSet(t1, lam[t1], t2, lam[t2])
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,7 @@ class ModelFormatError(ValueError):
 # this order; the reader matches lines by tag.
 SCALAR_TAGS = ("n", "C", "delta", "epsilon", "v", "converged", "iterations", "b")
 VECTOR_TAGS = ("w", "support_t1", "support_t2")
+_INT64_MAX = 2**63 - 1  # the largest index that the int64 index arrays hold
 
 
 def _entries(idx: np.ndarray, vals: np.ndarray) -> str:
@@ -114,13 +117,16 @@ def _parse_entries(body: str, what: str):
             raise ModelFormatError(f"malformed {what} entry {token!r}") from None
         if idx[-1] < 0:
             raise ModelFormatError(f"negative index in {what} entry {token!r}")
+        if idx[-1] > _INT64_MAX:
+            raise ModelFormatError(f"index above {_INT64_MAX} in {what} entry {token!r}")
         if not math.isfinite(vals[-1]):
             raise ModelFormatError(f"non-finite {what} entry {token!r}")
     return np.asarray(idx, dtype=np.int64), np.asarray(vals, dtype=np.float64)
 
 
-def _check_distinct(sorted_idx: np.ndarray, what: str):
-    twice = sorted_idx[1:][sorted_idx[1:] == sorted_idx[:-1]]
+def _check_distinct(idx: np.ndarray, what: str):
+    idx = np.sort(idx)
+    twice = idx[1:][idx[1:] == idx[:-1]]
     if twice.size:
         raise ModelFormatError(f"{what} index {int(twice[0])} listed twice")
 
@@ -134,10 +140,7 @@ def dumps_model(model: Model) -> str:
                repr(model.slide.v), converged, model.iterations, repr(model.b))
     sup = model.support
     nonzero = np.flatnonzero(model.w)
-    vectors = [(nonzero, model.w[nonzero])] + [
-        (rows, sup.lambda_values[np.searchsorted(sup.t_star, rows)])
-        for rows in (sup.t1, sup.t2)
-    ]
+    vectors = [(nonzero, model.w[nonzero]), (sup.t1, sup.lambda_t1), (sup.t2, sup.lambda_t2)]
     lines = [FORMAT_HEADER]
     lines += [f"{tag}={value}" for tag, value in zip(SCALAR_TAGS, scalars)]
     lines += [f"{tag} {_entries(*vec)}" for tag, vec in zip(VECTOR_TAGS, vectors)]
@@ -199,17 +202,14 @@ def loads_model(text: str) -> Model:
         raise ModelFormatError(
             f"weight index {int(w_idx.max())} inconsistent with n={n}"
         )
-    _check_distinct(np.sort(w_idx), "weight")
+    _check_distinct(w_idx, "weight")
     w = np.zeros(n)
     w[w_idx] = w_val
 
-    t1_idx, t1_val = _parse_entries(fields["support_t1"], "support")
-    t2_idx, t2_val = _parse_entries(fields["support_t2"], "support")
-    order = np.argsort(np.concatenate([t1_idx, t2_idx]), kind="stable")
-    all_idx = np.concatenate([t1_idx, t2_idx])[order]
-    all_val = np.concatenate([t1_val, t2_val])[order]
-    _check_distinct(all_idx, "support")
-    support = SupportSet(all_idx, np.sort(t1_idx), np.sort(t2_idx), all_val)
+    t1, lambda_t1 = _parse_entries(fields["support_t1"], "support")
+    t2, lambda_t2 = _parse_entries(fields["support_t2"], "support")
+    _check_distinct(np.concatenate([t1, t2]), "support")
+    support = SupportSet(t1, lambda_t1, t2, lambda_t2)
 
     return Model(
         w=w,

@@ -51,8 +51,10 @@ def slide_subdifferential(t: float, p):
 
 
 def reconstruct_hyperplane(ds, support) -> np.ndarray:
-    """w rebuilt from the support rows alone: -sum_i lambda_i y_i x_i."""
-    return -ds.signed_matrix()[support.t_star].T @ support.lambda_values
+    """w rebuilt from the support rows alone: -sum_i lambda_i y_i x_i over
+    the rows of t1 and of t2."""
+    A = ds.signed_matrix()
+    return -(A[support.t1].T @ support.lambda_t1 + A[support.t2].T @ support.lambda_t2)
 
 
 def margin_violations(model, ds, support, tol: float) -> list:

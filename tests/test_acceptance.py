@@ -187,12 +187,13 @@ def test_criterion_5_support_vector_reconstruction(
     mdl, diag = trained_clusters
     probe = gaussian_clusters(1000, seed=99)
     agrees = _reconstruction_agrees(clusters200, mdl, clusters_config.tol, probe)
-    strict_subset = 0 < mdl.support.t_star.size < clusters200.m
+    support_rows = mdl.support.t1.size + mdl.support.t2.size
+    strict_subset = 0 < support_rows < clusters200.m
     ok = agrees and strict_subset
     _report(
         "5",
         ok,
-        f"support {mdl.support.t_star.size}/{clusters200.m} rows, "
+        f"support {support_rows}/{clusters200.m} rows, "
         f"decided predictions identical from reconstructed hyperplane",
     )
 
@@ -212,7 +213,7 @@ def test_criterion_5_splice_reconstruction():
     assert _reconstruction_agrees(
         scaled_train, clean_model, rows[0].best.tol, scaled_test
     )
-    assert clean_model.support.t_star.size < scaled_train.m
+    assert clean_model.support.t1.size + clean_model.support.t2.size < scaled_train.m
 
 
 # ---------------------------------------------------------------------------

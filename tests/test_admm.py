@@ -8,7 +8,14 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import gaussian_clusters
-from oracles import complement_mask, margin_violations, solve_direct, solve_smw, where_prox
+from oracles import (
+    complement_mask,
+    margin_violations,
+    reconstruct_hyperplane,
+    solve_direct,
+    solve_smw,
+    where_prox,
+)
 
 from slidesvm import admm
 from slidesvm.admm import (
@@ -458,7 +465,8 @@ class TestTrain:
         cfg = TrainConfig(C=1.0, delta=8.0, slide=SlideParams(0.015, 0.15))
         mdl, diag = train(ds, cfg)
         assert diag.converged and diag.iterations == 1
-        assert np.array_equal(mdl.w, np.zeros(2)) and mdl.support.t_star.size == 0
+        assert np.array_equal(mdl.w, np.zeros(2))
+        assert mdl.support.t1.size == 0 and mdl.support.t2.size == 0
 
     def test_featureless_dataset_fits_the_bias_alone(self):
         # with n = 0 the w-system is empty: w stays zero and b carries the fit
@@ -570,8 +578,7 @@ class TestTrain:
 
     def test_support_reconstruction_at_convergence(self, clusters200, trained_clusters, clusters_config):
         mdl, diag = trained_clusters
-        A = clusters200.signed_matrix()
-        w_hat = -A[mdl.support.t_star].T @ mdl.support.lambda_values
+        w_hat = reconstruct_hyperplane(clusters200, mdl.support)
         bound = 10.0 * clusters_config.tol * (1.0 + np.linalg.norm(mdl.w))
         assert np.linalg.norm(mdl.w - w_hat) <= bound
 
@@ -580,7 +587,7 @@ class TestTrain:
         # confidence margin 1 - epsilon
         cfg = TrainConfig(C=1.0, delta=2.0, slide=SlideParams(0.03, 0.3))
         mdl, diag = train(clusters200, cfg)
-        assert diag.converged and mdl.support.t_star.size > 0 and mdl.support.t2.size == 0
+        assert diag.converged and mdl.support.t1.size > 0 and mdl.support.t2.size == 0
         assert margin_violations(mdl, clusters200, mdl.support, tol=10.0 * cfg.tol) == []
 
     def test_tightly_converged_point_is_locally_minimal(self, clusters200):

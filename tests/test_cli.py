@@ -196,7 +196,7 @@ class TestEvalCommand:
         ds = gaussian_clusters(50, seed=32)
         data = tmp_path / "d.svm"
         data.write_text(write_libsvm(ds))
-        sup = SupportSet(*(np.empty(0, dtype=np.int64),) * 3, np.empty(0))
+        sup = SupportSet(*(np.empty(0, dtype=np.int64), np.empty(0)) * 2)
         mdl = Model(
             w=np.zeros(2), b=1.0, slide=SlideParams(0.1, 1.0), C=1.0, delta=1.0,
             support=sup, converged=True, iterations=1,
@@ -213,9 +213,13 @@ class TestEvalCommand:
          ("w x:1", "malformed weight entry 'x:1'"), ("w 3", "malformed weight entry '3'"),
          ("support_t1 1:zz", "malformed support entry '1:zz'"),
          ("w -1:7.0", "negative index in weight entry '-1:7.0'"),
-         ("support_t1 -3:-0.5", "negative index in support entry '-3:-0.5'")],
+         ("support_t1 -3:-0.5", "negative index in support entry '-3:-0.5'"),
+         ("w 99999999999999999999:1.0",
+          f"index above {2**63 - 1} in weight entry '99999999999999999999:1.0'"),
+         ("support_t1 99999999999999999999:-0.5",
+          f"index above {2**63 - 1} in support entry '99999999999999999999:-0.5'")],
         ids=["header", "w-value", "w-index", "w-no-colon", "support-value", "w-negative-index",
-             "support-negative-index"],
+             "support-negative-index", "w-index-above-int64", "support-index-above-int64"],
     )
     def test_corrupt_model_fails(self, data_files, tmp_path, capsys, bad_line, message):
         _, test = data_files
@@ -223,7 +227,7 @@ class TestEvalCommand:
         if bad_line is None:
             bad.write_text("not a model\n")
         else:
-            sup = SupportSet(*(np.array([0]),) * 2, np.empty(0, dtype=np.int64), np.array([-0.5]))
+            sup = SupportSet(np.array([0]), np.array([-0.5]), np.empty(0, dtype=np.int64), np.empty(0))
             mdl = Model(
                 w=np.array([1.0, 2.0]), b=0.5, slide=SlideParams(0.1, 1.0), C=1.0,
                 delta=1.0, support=sup, converged=True, iterations=1,

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import gaussian_clusters
 from oracles import margin_violations, reconstruct_hyperplane
@@ -32,7 +34,7 @@ def idx(*values):
 
 def make_model(w, b, slide=P_WIDE, C=1.0, delta=1.0, support=None, converged=True, iterations=10):
     if support is None:
-        support = SupportSet(idx(), idx(), idx(), np.empty(0))
+        support = SupportSet(idx(), np.empty(0), idx(), np.empty(0))
     return Model(
         w=np.asarray(w, dtype=float),
         b=b,
@@ -45,6 +47,28 @@ def make_model(w, b, slide=P_WIDE, C=1.0, delta=1.0, support=None, converged=Tru
     )
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def codec_models(draw):
+    """A model the writer accepts: a sparse w, a finite b, and disjoint t1 and
+    t2 rows in any order with negative multipliers."""
+    n = draw(st.integers(0, 40))
+    w = np.zeros(n)
+    if n:
+        # a nonzero weight; a -0.0 is written as no entry and reads +0.0
+        weights = draw(st.dictionaries(st.integers(0, n - 1), _FINITE.filter(bool)))
+        w[list(weights)] = list(weights.values())
+    rows = draw(st.lists(st.integers(0, 2**63 - 1), unique=True, max_size=10))
+    cut = draw(st.integers(0, len(rows)))
+    lams = draw(st.lists(st.floats(max_value=0.0, exclude_max=True, allow_infinity=False),
+                         min_size=len(rows), max_size=len(rows)))
+    support = SupportSet(idx(*rows[:cut]), np.array(lams[:cut]), idx(*rows[cut:]), np.array(lams[cut:]))
+    return make_model(w, b=draw(_FINITE), support=support, converged=draw(st.booleans()),
+                      iterations=draw(st.integers(min_value=0)))
+
+
 def dense_dataset(matrix, labels):
     return Dataset(np.atleast_2d(np.asarray(matrix, dtype=float)), np.asarray(labels, dtype=float))
 
@@ -53,22 +77,20 @@ class TestExtractSupportVectors:
     def test_zero_multipliers_give_empty_support(self):
         cfg = TrainConfig(C=1.0, delta=1.0, slide=P_WIDE)
         sup = extract_support_vectors(np.zeros(5), cfg)
-        assert sup.t_star.size == 0 and sup.t1.size == 0 and sup.t2.size == 0
+        assert sup.t1.size == 0 and sup.t2.size == 0
 
     def test_ramp_regime_split(self):
         cfg = TrainConfig(C=1.0, delta=1.0, slide=P_WIDE)  # gamma_c = 1 < 1.62
         lam = np.array([0.0, -1.0 / 0.9, -0.5])
         sup = extract_support_vectors(lam, cfg)
-        assert list(sup.t_star) == [1, 2]
         assert list(sup.t2) == [1]  # pinned at -C/(v-eps)
         assert list(sup.t1) == [2]
-        assert np.array_equal(sup.lambda_values, lam[[1, 2]])
+        assert np.array_equal(sup.lambda_t1, lam[[2]]) and np.array_equal(sup.lambda_t2, lam[[1]])
 
     def test_pin_regime_keeps_single_group(self):
         # a multiplier at -C/(v-eps) = -5 still belongs to t1 here
         cfg = TrainConfig(C=1.0, delta=1.0, slide=SlideParams(0.1, 0.3))
         sup = extract_support_vectors(np.array([-0.2, 0.0, -5.0]), cfg)
-        assert list(sup.t_star) == [0, 2]
         assert list(sup.t1) == [0, 2] and sup.t2.size == 0
         assert sup.t2.dtype == np.int64
 
@@ -76,14 +98,14 @@ class TestExtractSupportVectors:
         cfg = TrainConfig(C=1.0, delta=1.0, slide=P_WIDE, tol=1e-3)
         lam = np.array([-0.009, -0.011])  # threshold is 10*tol = 0.01
         sup = extract_support_vectors(lam, cfg)
-        assert list(sup.t_star) == [1]
+        assert list(sup.t1) == [1] and sup.t2.size == 0
 
     def test_complement_has_small_multipliers(self):
         cfg = TrainConfig(C=1.0, delta=1.0, slide=P_WIDE)
         rng = np.random.default_rng(0)
         lam = -np.abs(rng.normal(size=40))
         sup = extract_support_vectors(lam, cfg)
-        outside = np.setdiff1d(np.arange(40), sup.t_star)
+        outside = np.setdiff1d(np.arange(40), np.concatenate([sup.t1, sup.t2]))
         assert np.all(np.abs(lam[outside]) <= 10.0 * cfg.tol)
 
 
@@ -148,20 +170,20 @@ class TestMarginIdentity:
     def test_pin_regime_margins_at_one_minus_eps(self):
         slide = SlideParams(0.1, 0.3)
         ds = dense_dataset([[0.9], [5.0]], [1.0, 1.0])
-        sup = SupportSet(idx(0), idx(0), idx(), np.array([-0.2]))
+        sup = SupportSet(idx(0), np.array([-0.2]), idx(), np.empty(0))
         mdl = make_model([1.0], b=0.0, slide=slide, support=sup)
         assert margin_violations(mdl, ds, sup, tol=1e-6) == []
 
     def test_ramp_regime_interval_upper_end_passes(self):
         # pinned-multiplier rows may sit anywhere in [1 + gc/(2(v-eps)) - v, 1]
         ds = dense_dataset([[1.0]], [1.0])
-        sup = SupportSet(idx(0), idx(), idx(0), np.array([-1.0 / 0.9]))
+        sup = SupportSet(idx(), np.empty(0), idx(0), np.array([-1.0 / 0.9]))
         mdl = make_model([1.0], b=0.0, support=sup)
         assert margin_violations(mdl, ds, sup, tol=1e-9) == []
 
     def test_ramp_regime_interval_violations_flagged(self):
         ds = dense_dataset([[1.001], [0.4]], [1.0, 1.0])
-        sup = SupportSet(idx(0, 1), idx(), idx(0, 1), np.array([-1.0 / 0.9] * 2))
+        sup = SupportSet(idx(), np.empty(0), idx(0, 1), np.array([-1.0 / 0.9] * 2))
         mdl = make_model([1.0], b=0.0, support=sup)
         violations = margin_violations(mdl, ds, sup, tol=1e-4)
         # 1.001 exceeds the upper end, 0.4 undershoots 1 + 0.5556 - 1
@@ -170,13 +192,13 @@ class TestMarginIdentity:
     def test_interior_violation_flagged_at_five_tol(self):
         tol = 1e-3
         ds = dense_dataset([[0.9 + 5.0 * tol]], [1.0])
-        sup = SupportSet(idx(0), idx(0), idx(), np.array([-0.5]))
+        sup = SupportSet(idx(0), np.array([-0.5]), idx(), np.empty(0))
         mdl = make_model([1.0], b=0.0, support=sup)
         assert len(margin_violations(mdl, ds, sup, tol=tol)) == 1
 
     def test_converged_run_passes_at_ten_tol(self, clusters200, clusters_config, trained_clusters):
         mdl, _ = trained_clusters
-        assert mdl.support.t_star.size > 0
+        assert mdl.support.t1.size + mdl.support.t2.size > 0
         assert margin_violations(
             mdl, clusters200, mdl.support, tol=10.0 * clusters_config.tol
         ) == []
@@ -197,7 +219,7 @@ class TestReconstruction:
 
     def test_support_is_a_strict_subset(self, clusters200, trained_clusters):
         mdl, _ = trained_clusters
-        assert 0 < mdl.support.t_star.size < clusters200.m
+        assert 0 < mdl.support.t1.size + mdl.support.t2.size < clusters200.m
 
 
 class TestPersistence:
@@ -207,10 +229,8 @@ class TestPersistence:
         assert np.array_equal(back.w, mdl.w) and back.b == mdl.b
         assert back.slide == mdl.slide and back.C == mdl.C and back.delta == mdl.delta
         assert back.converged == mdl.converged and back.iterations == mdl.iterations
-        assert np.array_equal(back.support.t_star, mdl.support.t_star)
-        assert np.array_equal(back.support.t1, mdl.support.t1)
-        assert np.array_equal(back.support.t2, mdl.support.t2)
-        assert np.array_equal(back.support.lambda_values, mdl.support.lambda_values)
+        for name in ("t1", "lambda_t1", "t2", "lambda_t2"):
+            assert np.array_equal(getattr(back.support, name), getattr(mdl.support, name))
 
     def test_empty_text_rejected(self):
         with pytest.raises(ModelFormatError, match="empty"):
@@ -261,7 +281,7 @@ class TestPersistence:
         [("b", "b=nan"), ("b", "b=-inf"), ("w", "w 0:inf"), ("support_t1", "support_t1 0:nan")],
     )
     def test_non_finite_values_rejected(self, field, bad):
-        sup = SupportSet(idx(0), idx(0), idx(), np.array([-0.5]))
+        sup = SupportSet(idx(0), np.array([-0.5]), idx(), np.empty(0))
         lines = dumps_model(make_model([1.0, 2.0], b=0.5, support=sup)).splitlines()
         at = next(i for i, ln in enumerate(lines) if ln.startswith(field))
         lines[at] = bad
@@ -274,14 +294,14 @@ class TestPersistence:
             (dict(b=np.nan), "b", "b=nan"),
             (dict(b=-np.inf), "b", "b=-inf"),
             (dict(w=np.array([1.0, np.inf])), "w", "w 0:1.0 1:inf"),
-            (dict(support=SupportSet(idx(0), idx(0), idx(), np.array([np.nan]))),
+            (dict(support=SupportSet(idx(0), np.array([np.nan]), idx(), np.empty(0))),
              "support_t1", "support_t1 0:nan"),
         ],
     )
     def test_dumps_refuses_what_loads_rejects(self, edit, field, bad, tmp_path):
         # a model with a non-finite value is refused with the message that
         # loading its text would give, and saving it leaves no file
-        good = make_model([1.0, 2.0], b=0.5, support=SupportSet(idx(0), idx(0), idx(), np.array([-0.5])))
+        good = make_model([1.0, 2.0], b=0.5, support=SupportSet(idx(0), np.array([-0.5]), idx(), np.empty(0)))
         lines = dumps_model(good).splitlines()
         at = next(i for i, ln in enumerate(lines) if ln.startswith(field))
         lines[at] = bad
@@ -297,7 +317,7 @@ class TestPersistence:
         assert not path.exists()
 
     def test_lines_are_matched_by_tag(self):
-        sup = SupportSet(idx(3, 8), idx(3), idx(8), np.array([-0.25, -1.5]))
+        sup = SupportSet(idx(3), np.array([-0.25]), idx(8), np.array([-1.5]))
         text = dumps_model(make_model([1.0, 0.0, -2.0], b=0.5, support=sup))
         head, *body = text.splitlines()
         assert body[-2:] == ["support_t1 3:-0.25", "support_t2 8:-1.5"]
@@ -336,7 +356,7 @@ class TestPersistence:
              "delta-negative", "iterations-negative", "v-above-one"],
     )
     def test_fields_the_writer_never_produces_are_rejected(self, field, bad, message):
-        sup = SupportSet(idx(3, 8), idx(3), idx(8), np.array([-0.25, -1.5]))
+        sup = SupportSet(idx(3), np.array([-0.25]), idx(8), np.array([-1.5]))
         lines = dumps_model(make_model([1.0, 2.0], b=0.5, support=sup)).splitlines()
         at = next(i for i, ln in enumerate(lines) if ln.startswith(field))
         loads_model("\n".join(lines) + "\n")  # the file as written loads
@@ -344,8 +364,23 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match=message):
             loads_model("\n".join(lines) + "\n")
 
-    def test_written_files_load_unchanged(self, trained_clusters):
-        # a trivial solve writes iterations=0 and empty vectors
-        for mdl in (trained_clusters[0], make_model([0.0, 0.0], b=-1.0, iterations=0)):
-            text = dumps_model(mdl)
-            assert dumps_model(loads_model(text)) == text
+    @given(model=codec_models())
+    @example(model="trained_clusters")
+    @example(model=make_model([0.0, 0.0], b=-1.0, iterations=0))  # a trivial solve
+    @settings(max_examples=200, deadline=None)
+    def test_written_files_load_unchanged(self, trained_clusters, model):
+        # every field comes back bit for bit, support rows in their given
+        # order, and the text it writes again is the text it was read from;
+        # w is compared with ==, as a -0.0 weight is written as no entry
+        if model == "trained_clusters":
+            model = trained_clusters[0]
+        text = dumps_model(model)
+        back = loads_model(text)
+        assert np.array_equal(back.w, model.w)
+        for name in ("t1", "lambda_t1", "t2", "lambda_t2"):
+            got, want = getattr(back.support, name), getattr(model.support, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        def scalars(m):
+            return m.n, m.b, m.slide, m.C, m.delta, m.converged, m.iterations
+        assert repr(scalars(back)) == repr(scalars(model))
+        assert dumps_model(back) == text
